@@ -29,7 +29,6 @@ from .tfcore import (
     Transformer,
     TransformerLayer,
     forward_trace,
-    read_output,
 )
 
 _FIT_CACHE: dict = {}
@@ -355,29 +354,29 @@ def build_projection_mlp(layout: SlotLayout, cfg: DannBuildConfig,
     return W1, W2, eps_proj
 
 
+def build_copy_mlp(layout: SlotLayout, G: float, src_name: str, out_name: str):
+    """Copy a scalar row into the output row at the query token only.
+
+    The pair relu(+-v - G t - G s) is v's positive and negative part at the
+    query (t = s = 0) and vanishes on train tokens while |v| < G.
+    """
+    D = layout.dim
+    W1 = np.zeros((2, D))
+    W1[:, layout.row(src_name)] = (1.0, -1.0)
+    W1[:, layout.row("t")] = -G
+    W1[:, layout.row("s")] = -G
+    W2 = np.zeros((D, 2))
+    W2[layout.row(out_name), :] = (1.0, -1.0)
+    return W1, W2
+
+
 def build_readout_layer(layout: SlotLayout, cfg: DannBuildConfig, R1: float,
                         R_lam: float):
     """Recompute the label score, then copy it into the output slot at the
-    query token only (both offsets vanish there)."""
-    D = layout.dim
+    query token only."""
     heads = build_forward_attn(layout, cfg, R1)
-    G = R_lam + 2.0
-    lam_r = layout.row("lam")
-    rows = []
-    cols = []
-    out = layout.row(cfg.out_name)
-    for sign in (1.0, -1.0):
-        w1 = np.zeros(D)
-        w1[lam_r] = sign
-        w1[layout.row("t")] = -G
-        w1[layout.row("s")] = -G
-        rows.append(w1)
-        cols.append((out, sign))
-    W1 = np.array(rows)
-    W2 = np.zeros((D, len(rows)))
-    for i, (r, c) in enumerate(cols):
-        W2[r, i] = c
-    return TransformerLayer(heads, W1, W2)
+    return TransformerLayer(heads, *build_copy_mlp(layout, R_lam + 2.0, "lam",
+                                                   cfg.out_name))
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +511,23 @@ def _state_from(tm_data: np.ndarray, layout: SlotLayout, cfg: DannBuildConfig,
 
 
 def verify_dann(build: DannBuild, pair: DomainPair, query_index: int = 0) -> DannCertificate:
-    """Per-step and cumulative certificates against the reference run."""
+    """Runs the transformer and certifies its parameter trajectory."""
+    tm = encode_dann(pair, build.layout, build.state0, query_index)
+    _, trace = forward_trace(build.tf, tm)
+    return certify_dann(build, pair, [st.data for st in trace], query_index)
+
+
+def certify_dann(build: DannBuild, pair: DomainPair, trace: list[np.ndarray],
+                 query_index: int = 0) -> DannCertificate:
+    """Per-step and cumulative certificates against the reference run.
+
+    ``trace`` holds the stream after every layer of ``build.tf``, in
+    ``build.layout`` rows, with the query token in the last column.
+    """
     cfg = build.cfg
     params = cfg.params()
     layout = build.layout
-    tm = encode_dann(pair, layout, build.state0, query_index)
-    out, trace = forward_trace(build.tf, tm)
-    q = tm.query_index
+    q = trace[-1].shape[1] - 1
 
     eps_r = build.fits["r"].sup_error
     eps_gl = build.fits["gl"].sup_error
@@ -539,8 +548,8 @@ def verify_dann(build: DannBuild, pair: DomainPair, query_index: int = 0) -> Dan
     box_ok = True
     domain_ok = True
     for l in range(cfg.L):
-        post_a = trace[3 * l].data
-        post_c = trace[3 * l + 2].data
+        post_a = trace[3 * l]
+        post_c = trace[3 * l + 2]
         prev = tf_states[-1]
         cur = _state_from(post_c, layout, cfg, q)
         tf_states.append(cur)
@@ -558,7 +567,7 @@ def verify_dann(build: DannBuild, pair: DomainPair, query_index: int = 0) -> Dan
         domain_ok &= bool(w_inf * Bg_l <= B["S1"] and v_inf * Bgd_l <= B["S3"]
                           and u_row * B["B_x"] <= B["R1"])
         if build.proj_enabled:
-            raw = _state_from(trace[3 * l + 1].data, layout, cfg, q)
+            raw = _state_from(trace[3 * l + 1], layout, cfg, q)
             domain_ok &= bool(
                 max(float(np.max(np.linalg.norm(raw.u, axis=1))),
                     float(np.linalg.norm(raw.w)),
@@ -608,7 +617,7 @@ def verify_dann(build: DannBuild, pair: DomainPair, query_index: int = 0) -> Dan
     cum_final = float(np.linalg.norm(final.flat() - ref_final.flat()))
     cumulative = eps_r * float(np.sum(np.abs(final.w))) + G_lam * cum
 
-    pred_tf = float(out.data[layout.row(cfg.out_name), q])
+    pred_tf = float(trace[-1][layout.row(cfg.out_name), q])
     pred_ref = float(ur.dann_predict(ref_final,
                                      pair.query_x[query_index : query_index + 1],
                                      cfg.activation)[0])

@@ -363,7 +363,14 @@ def _surrogate_features(build: IwlBuild, X: np.ndarray) -> np.ndarray:
 
 
 def verify_iwl(build: IwlBuild, pair: DomainPair, query_index: int = 0) -> IwlCertificate:
-    """Runs the transformer and assembles the error certificate.
+    """Runs the transformer and certifies its prediction."""
+    tm = encode_tokens(pair, build.layout, query_index)
+    return certify_iwl(build, pair, read_output(build.tf, tm), query_index)
+
+
+def certify_iwl(build: IwlBuild, pair: DomainPair, pred_tf: float,
+                query_index: int = 0) -> IwlCertificate:
+    """Error certificate for a realised prediction at the query token.
 
     The deviation from the reference splits into a rigorous part (the
     regression layers against the same pipeline run on the fitted features)
@@ -371,9 +378,6 @@ def verify_iwl(build: IwlBuild, pair: DomainPair, query_index: int = 0) -> IwlCe
     true-feature pipeline).
     """
     cfg = build.cfg
-    tm = encode_tokens(pair, build.layout, query_index)
-    pred_tf = read_output(build.tf, tm)
-
     # pipeline on fitted features (surrogate oracle)
     phi_s = _surrogate_features(build, pair.source_x)
     phi_t = _surrogate_features(build, pair.target_x)

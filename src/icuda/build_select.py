@@ -21,8 +21,14 @@ import numpy as np
 
 from . import relu_approx as ra
 from . import uda_ref as ur
-from .build_dann import DannBuildConfig, build_dann_transformer, encode_dann, verify_dann
-from .build_iwl import IwlBuildConfig, build_iwl_transformer, verify_iwl
+from .build_dann import (
+    DannBuildConfig,
+    _round_up,
+    build_copy_mlp,
+    build_dann_transformer,
+    certify_dann,
+)
+from .build_iwl import IwlBuildConfig, build_iwl_transformer, certify_iwl
 from .datagen import DomainPair, encode_tokens
 from .tfcore import (
     AttentionHead,
@@ -31,15 +37,12 @@ from .tfcore import (
     Transformer,
     TransformerLayer,
     compose,
+    embed_rows,
     forward_trace,
     union_layout,
 )
 
 SELECT_SLOTS = [("p_kde", 1), ("e_soft", 1), ("e_sum", 1), ("q_soft", 1), ("blend", 1)]
-
-
-def _round_up(x: float, step: float = 0.5) -> float:
-    return float(np.ceil(x / step) * step)
 
 
 # ---------------------------------------------------------------------------
@@ -206,27 +209,6 @@ def build_select_attn(layout: SlotLayout, delta: float, a: float, G: float,
     return heads
 
 
-def build_copy_mlp(layout: SlotLayout, G: float, sel_name: str = "blend",
-                   out_name: str = "y"):
-    """Copy the blended value into the label row at the query token only."""
-    D = layout.dim
-    rows = []
-    cols = []
-    out = layout.row(out_name)
-    for sign in (1.0, -1.0):
-        w1 = np.zeros(D)
-        w1[layout.row(sel_name)] = sign
-        w1[layout.row("t")] = -G
-        w1[layout.row("s")] = -G
-        rows.append(w1)
-        cols.append(sign)
-    W1 = np.array(rows)
-    W2 = np.zeros((D, len(rows)))
-    for i, c in enumerate(cols):
-        W2[out, i] = c
-    return W1, W2
-
-
 # ---------------------------------------------------------------------------
 # composition
 
@@ -272,6 +254,7 @@ class IcudaBuild:
     cfg: IcudaBuildConfig
     iwl: object
     dann: object
+    mappings: list  # part slot name -> layout slot name, for iwl and dann
     fits: dict
     consts: dict
 
@@ -359,7 +342,7 @@ def build_icuda_transformer(pair: DomainPair, cfg: IcudaBuildConfig) -> IcudaBui
     W1l, W2l = build_log_mlp(log_fit, layout, s.beta)
     sel_heads = build_select_attn(layout, s.delta, cfg.a, G_sel, T,
                                   "iwl.fout", "dann.fdann")
-    W1c, W2c = build_copy_mlp(layout, G_copy)
+    W1c, W2c = build_copy_mlp(layout, G_copy, "blend", "y")
 
     layers = list(core.layers)
     layers.append(TransformerLayer(kde_heads, W1e, W2e))
@@ -375,7 +358,8 @@ def build_icuda_transformer(pair: DomainPair, cfg: IcudaBuildConfig) -> IcudaBui
               "G_sel": G_sel, "G_copy": G_copy,
               "f_iwl_ref": float(f_iwl_all[0]),
               "f_dann_ref": float(f_dann_all[0])}
-    return IcudaBuild(tf, layout, cfg, iwl_build, dann_build, fits, consts)
+    return IcudaBuild(tf, layout, cfg, iwl_build, dann_build, mappings, fits,
+                      consts)
 
 
 def encode_icuda(pair: DomainPair, build: IcudaBuild,
@@ -391,11 +375,14 @@ def encode_icuda(pair: DomainPair, build: IcudaBuild,
 
 def verify_icuda(build: IcudaBuild, pair: DomainPair,
                  query_index: int = 0) -> SelectionReport:
-    """Runs the composed transformer and certifies routing and prediction.
+    """Runs the composed transformer once and certifies routing and prediction.
 
-    The overlap statistic gets a rigorous bracket from the oracle densities
-    plus the kernel and exponential fit errors, pushed through the monotone
-    log interpolant; a bracket clear of the indicator band makes the blend
+    Both branch certificates come from this one forward: the ratio branch's
+    from its output slot at the query token, the alignment branch's from the
+    streams of its layers, read through its slot mapping.  The overlap
+    statistic gets a rigorous bracket from the oracle densities plus the
+    kernel and exponential fit errors, pushed through the monotone log
+    interpolant; a bracket clear of the indicator band makes the blend
     weight exactly 0 or 1, reducing the composed error to the chosen
     branch's own certificate.
     """
@@ -404,7 +391,7 @@ def verify_icuda(build: IcudaBuild, pair: DomainPair,
     layout = build.layout
     C = build.consts
     tm = encode_icuda(pair, build, query_index)
-    out, _ = forward_trace(build.tf, tm)
+    out, trace = forward_trace(build.tf, tm)
     q_col = tm.query_index
 
     res = ur.icuda_predict(pair, s, query_index)
@@ -452,8 +439,12 @@ def verify_icuda(build: IcudaBuild, pair: DomainPair,
     fiwl_q = float(out.data[layout.row("iwl.fout"), q_col])
     fdann_q = float(out.data[layout.row("dann.fdann"), q_col])
 
-    iwl_cert = verify_iwl(build.iwl, pair, query_index)
-    dann_cert = verify_dann(build.dann, pair, query_index)
+    iwl_cert = certify_iwl(build.iwl, pair, fiwl_q, query_index)
+    rows = embed_rows(build.dann.layout, layout, build.mappings[1])
+    first = len(build.iwl.tf.layers)
+    dann_trace = [st.data[rows] for st in
+                  trace[first : first + len(build.dann.tf.layers)]]
+    dann_cert = certify_dann(build.dann, pair, dann_trace, query_index)
     if choice_tf == "iwl":
         branch_gap = abs(pred_tf - res.f_iwl)
         branch_bound = iwl_cert.bound
@@ -471,10 +462,6 @@ def verify_icuda(build: IcudaBuild, pair: DomainPair,
         "q_matches_interpolant": bool(q_err <= 1e-7),
         "sum_below_cap": bool(S_hat <= C["S_hi"]),
         "blend_saturated": bool(blend in (0.0, 1.0)),
-        "branch_iwl_consistent": bool(
-            abs(fiwl_q - iwl_cert.prediction_tf) <= 1e-9),
-        "branch_dann_consistent": bool(
-            abs(fdann_q - dann_cert.prediction_tf) <= 1e-9),
         "sel_gate_ok": bool(cfg.a * (abs(q_tf) + s.delta) + 0.5 < C["G_sel"]),
         "copy_gate_ok": bool(
             max(abs(fiwl_q), abs(fdann_q)) + 1.0 < C["G_copy"]),

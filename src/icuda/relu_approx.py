@@ -53,12 +53,6 @@ class ReluSum:
     def max_norm(self) -> float:
         return float(np.max(np.sum(np.abs(self.a), axis=1) + np.abs(self.b))) if self.n_terms else 0.0
 
-    def in_domain(self, z) -> bool:
-        z = np.asarray(z, dtype=float).ravel()
-        if not np.isfinite(self.radius):
-            return True
-        return bool(np.all(np.abs(z - self.center) <= self.radius + 1e-12))
-
     def __call__(self, z) -> float:
         z = np.asarray(z, dtype=float).ravel()
         return float(np.maximum(self.a @ z + self.b, 0.0) @ self.c)
@@ -66,11 +60,6 @@ class ReluSum:
 
 def evaluate(rs: ReluSum, z) -> float:
     return rs(z)
-
-
-def evaluate_flagged(rs: ReluSum, z) -> tuple[float, bool]:
-    """Value plus an in-domain flag; out-of-domain evaluation is not an error."""
-    return rs(z), rs.in_domain(z)
 
 
 def eval_batch(rs: ReluSum, Z: np.ndarray, chunk: int = 8192) -> np.ndarray:

@@ -174,16 +174,6 @@ def layer_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
     return mlp_forward(layer, attn_forward(layer, tm))
 
 
-def forward(tf: Transformer, tm: TokenMatrix) -> TokenMatrix:
-    out = tm.copy()
-    for i, layer in enumerate(tf.layers):
-        try:
-            out = layer_forward(layer, out)
-        except ForwardError as e:
-            raise ForwardError(f"layer {i}: {e}") from e
-    return out
-
-
 def forward_trace(tf: Transformer, tm: TokenMatrix) -> tuple[TokenMatrix, list[TokenMatrix]]:
     """Forward pass keeping the stream after every layer."""
     out = tm.copy()
@@ -197,6 +187,10 @@ def forward_trace(tf: Transformer, tm: TokenMatrix) -> tuple[TokenMatrix, list[T
     return out, trace
 
 
+def forward(tf: Transformer, tm: TokenMatrix) -> TokenMatrix:
+    return forward_trace(tf, tm)[0]
+
+
 def read_output(tf: Transformer, tm: TokenMatrix) -> float:
     """Run the transformer and read the scalar at its declared output slot."""
     out = forward(tf, tm)
@@ -205,25 +199,11 @@ def read_output(tf: Transformer, tm: TokenMatrix) -> float:
     return float(out.data[out.layout.row(name), c])
 
 
-def operator_norm(M: np.ndarray, tol: float = 1e-8, max_iter: int = 2000) -> float:
-    """Spectral norm by power iteration on M^T M with a deterministic start."""
+def operator_norm(M: np.ndarray) -> float:
+    """Spectral norm (largest singular value)."""
     if M.size == 0:
         return 0.0
-    n = M.shape[1]
-    v = np.ones(n) + np.linspace(0.0, 0.5, n)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = M.T @ (M @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new_sigma = float(np.sqrt(nw))
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-30):
-            return new_sigma
-        sigma = new_sigma
-    return sigma
+    return float(np.linalg.norm(M, 2))
 
 
 def layer_norm(layer: TransformerLayer) -> float:
@@ -277,9 +257,14 @@ def describe(tf: Transformer) -> dict:
     }
 
 
-def _embedding(part_layout: SlotLayout, unified: SlotLayout, mapping: dict[str, str]) -> np.ndarray:
-    """Row-embedding matrix P (unified.dim x part.dim) from a slot-name mapping."""
-    P = np.zeros((unified.dim, part_layout.dim))
+def embed_rows(part_layout: SlotLayout, unified: SlotLayout,
+               mapping: dict[str, str]) -> np.ndarray:
+    """Unified row index of every part row, from a slot-name mapping.
+
+    ``unified_data[embed_rows(...)]`` reads a part's stream out of the
+    unified one.
+    """
+    idx = np.empty(part_layout.dim, dtype=int)
     claimed = np.zeros(unified.dim, dtype=bool)
     for part_name in part_layout.names:
         if part_name not in mapping:
@@ -295,9 +280,8 @@ def _embedding(part_layout: SlotLayout, unified: SlotLayout, mapping: dict[str, 
         if claimed[dst].any():
             raise LayoutError(f"embedding not injective at unified slot {uni_name!r}")
         claimed[dst] = True
-        for i in range(src.stop - src.start):
-            P[dst.start + i, src.start + i] = 1.0
-    return P
+        idx[src] = np.arange(dst.start, dst.stop)
+    return idx
 
 
 SHARED_SLOTS = ("x", "y", "t", "s", "one")
@@ -353,7 +337,9 @@ def compose(
             claimed_by[uni_name] = idx
     layers: list[TransformerLayer] = []
     for part, mapping in zip(parts, mappings):
-        P = _embedding(part.layout, unified, mapping)
+        # row embedding P (unified.dim x part.dim)
+        P = np.zeros((unified.dim, part.layout.dim))
+        P[embed_rows(part.layout, unified, mapping), np.arange(part.layout.dim)] = 1.0
         for layer in part.layers:
             heads = [
                 AttentionHead(h.Q @ P.T, h.K @ P.T, P @ h.V @ P.T)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import icuda.build_dann as bd
 import icuda.build_select as bs
 import icuda.datagen as dg
 import icuda.relu_approx as ra
@@ -145,7 +146,7 @@ class TestSelection:
         tm = tc.TokenMatrix(H, layout, 1, 1)
         sel = attn_layer(
             bs.build_select_attn(layout, delta, a, 100.0, 3, "fiw", "fda"), D)
-        copy = tc.TransformerLayer([], *bs.build_copy_mlp(layout, 100.0))
+        copy = tc.TransformerLayer([], *bs.build_copy_mlp(layout, 100.0, "blend", "y"))
         out = tc.layer_forward(copy, tc.layer_forward(sel, tm))
         return layout, out.data
 
@@ -168,6 +169,24 @@ class TestSelection:
         assert H[layout.row("y"), 1] == pytest.approx(0.0, abs=1e-12)
 
 
+def assert_branch_rows_match_standalone(pair, build):
+    """Each branch's rows of the composed trace equal the branch run alone,
+    so certificates computed from the composed stream are the branches'."""
+    _, trace = tc.forward_trace(build.tf, bs.encode_icuda(pair, build))
+    parts = [
+        (build.iwl, dg.encode_tokens(pair, build.iwl.layout)),
+        (build.dann, bd.encode_dann(pair, build.dann.layout, build.dann.state0)),
+    ]
+    first = 0
+    for (part, tm), mapping in zip(parts, build.mappings):
+        rows = tc.embed_rows(part.layout, build.layout, mapping)
+        _, alone = tc.forward_trace(part.tf, tm)
+        for k, st in enumerate(alone):
+            assert_allclose(trace[first + k].data[rows], st.data, rtol=0,
+                            atol=1e-12)
+        first += len(alone)
+
+
 class TestComposedSelector:
     def build(self, mu_t, sigma_t, seed):
         gcfg = dg.ShiftGaussConfig(d=1, n_source=25, n_target=10, n_eval=20,
@@ -179,6 +198,20 @@ class TestComposedSelector:
         build = bs.build_icuda_transformer(pair, cfg)
         return pair, build, bs.verify_icuda(build, pair)
 
+    def test_verify_runs_the_composed_model_once(self, monkeypatch):
+        gcfg = dg.ShiftGaussConfig(d=1, n_source=6, n_target=4, n_eval=2,
+                                   mu_target=9.0, seed=5)
+        pair = dg.gen_shifted_gaussians(gcfg)
+        cfg = bs.IcudaBuildConfig(sel=ur.SelectorConfig(L1=2, L2=2, L=1))
+        build = bs.build_icuda_transformer(pair, cfg)
+        attn = tc.attn_forward
+        calls = []
+        monkeypatch.setattr(tc, "attn_forward",
+                            lambda layer, tm: calls.append(1) or attn(layer, tm))
+        bs.verify_icuda(build, pair)
+        n_calls, n_layers = len(calls), len(build.tf.layers)
+        assert n_calls == n_layers
+
     def test_overlapping_supports_route_to_ratio_branch(self):
         pair, build, rep = self.build(mu_t=0.1, sigma_t=0.5, seed=1)
         assert rep.agreement
@@ -187,6 +220,7 @@ class TestComposedSelector:
         assert rep.within_branch_bound
         failed = [k for k, v in rep.checks.items() if v is False]
         assert failed == []
+        assert_branch_rows_match_standalone(pair, build)
 
     def test_disjoint_supports_route_to_alignment_branch(self):
         pair, build, rep = self.build(mu_t=9.0, sigma_t=1.0, seed=2)
@@ -197,6 +231,7 @@ class TestComposedSelector:
         assert rep.q_hi < rep.delta
         failed = [k for k, v in rep.checks.items() if v is False]
         assert failed == []
+        assert_branch_rows_match_standalone(pair, build)
 
     def test_report_brackets_contain_realized_statistic(self):
         pair, build, rep = self.build(mu_t=9.0, sigma_t=1.0, seed=4)

@@ -207,6 +207,9 @@ class TestDiagnostics:
     def test_operator_norm_matches_svd(self, rng):
         M = rng.standard_normal((6, 6))
         assert abs(tc.operator_norm(M) - np.linalg.norm(M, 2)) < 1e-6
+        # close top singular values, where an iterative estimate stops short
+        assert abs(tc.operator_norm(np.diag([1.0, 1.0 - 1e-6])) - 1.0) <= 1e-12
+        assert tc.operator_norm(np.zeros((0, 4))) == 0.0
 
     def test_describe_counts(self, rng):
         layout = toy_layout()
