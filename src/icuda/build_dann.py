@@ -31,7 +31,20 @@ from .tfcore import (
     forward_trace,
 )
 
+# fits shared by every build in the process; their arrays are made
+# read-only, so no caller can change a fit another build relies on
 _FIT_CACHE: dict = {}
+
+
+def _freeze(obj):
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, tuple):
+        for item in obj:
+            _freeze(item)
+    elif isinstance(obj, (ra.ReluSum, ra.FitReport)):
+        _freeze(tuple(vars(obj).values()))
+    return obj
 
 
 def _round_up(x: float, step: float = 0.5) -> float:
@@ -106,7 +119,7 @@ def activation_fit(name: str, R1: float, knots: int):
         rs, rep = ra.fit_1d(lambda z: r(R1 * np.asarray(z, dtype=float)), 1.0, knots)
         rs = ra.ReluSum(rs.a / R1, rs.b, rs.c, input_dim=1, radius=R1,
                         sup_error=rs.sup_error)
-        _FIT_CACHE[key] = (rs, rep)
+        _FIT_CACHE[key] = _freeze((rs, rep))
     return _FIT_CACHE[key]
 
 
@@ -120,7 +133,7 @@ def lossgrad_fit(name: str, R_score: float, delta: float, knots: int):
             p = ur.logistic(t)
             _, d1 = ur.gamma_value_deriv(p, np.full_like(t, v), delta)
             return d1 * ur.dlogistic(t)
-        _FIT_CACHE[key] = ra.fit_binary_gated(f, -R_score, R_score, knots)
+        _FIT_CACHE[key] = _freeze(ra.fit_binary_gated(f, -R_score, R_score, knots))
     return _FIT_CACHE[key]
 
 
@@ -150,7 +163,7 @@ def product_fit(name: str, R1: float, terms: int, seed: int = 0):
         def f(P):
             return P[:, 0] * dr(R1 * P[:, 1])
 
-        _FIT_CACHE[key] = ra.fit_nd(f, 2, 1.0, terms, seed=seed)
+        _FIT_CACHE[key] = _freeze(ra.fit_nd(f, 2, 1.0, terms, seed=seed))
     return _FIT_CACHE[key]
 
 
@@ -169,7 +182,7 @@ def projection_fit(B: float, R_blk: float, dim: int, terms: int, seed: int = 0):
             rs, rep = ra.fit_nd(f, dim, R_blk, terms, seed=seed + i)
             fits.append(rs)
             errs.append(rep.sup_error)
-        _FIT_CACHE[key] = (fits, np.array(errs))
+        _FIT_CACHE[key] = _freeze((tuple(fits), np.array(errs)))
     return _FIT_CACHE[key]
 
 

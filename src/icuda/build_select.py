@@ -131,18 +131,16 @@ def build_kde_attn(kernel_fit: ra.ReluSum, layout: SlotLayout, n: int, T: int,
     return heads
 
 
-def build_exp_mlp(exp_fit: ra.ReluSum, layout: SlotLayout,
-                  p_name: str = "p_kde", e_name: str = "e_soft"):
-    """Per-token exponential of the density score."""
+def build_fit_mlp(fit: ra.ReluSum, layout: SlotLayout, in_name: str,
+                  out_name: str, divisor: float = 1.0):
+    """Per-token MLP writing fit(in) / divisor into the out slot: one hidden
+    unit per term of the 1-D fit, reading the input and the constant row."""
     D = layout.dim
-    p_r = layout.row(p_name)
-    one = layout.row("one")
-    M = exp_fit.n_terms
-    W1 = np.zeros((M, D))
-    W1[:, p_r] = exp_fit.a[:, 0]
-    W1[:, one] = exp_fit.b
-    W2 = np.zeros((D, M))
-    W2[layout.row(e_name), :] = exp_fit.c
+    W1 = np.zeros((fit.n_terms, D))
+    W1[:, layout.row(in_name)] = fit.a[:, 0]
+    W1[:, layout.row("one")] = fit.b
+    W2 = np.zeros((D, fit.n_terms))
+    W2[layout.row(out_name), :] = fit.c / divisor
     return W1, W2
 
 
@@ -162,19 +160,6 @@ def build_sum_attn(layout: SlotLayout, T: int, e_name: str = "e_soft",
     V = np.zeros((D, D))
     V[layout.row(sum_name), layout.row(e_name)] = float(T)
     return [AttentionHead(Q, K, V)]
-
-
-def build_log_mlp(log_fit: ra.ReluSum, layout: SlotLayout, beta: float,
-                  sum_name: str = "e_sum", q_name: str = "q_soft"):
-    """q = -(1/beta) log of the exponential sum, via the monotone interpolant."""
-    D = layout.dim
-    M = log_fit.n_terms
-    W1 = np.zeros((M, D))
-    W1[:, layout.row(sum_name)] = log_fit.a[:, 0]
-    W1[:, layout.row("one")] = log_fit.b
-    W2 = np.zeros((D, M))
-    W2[layout.row(q_name), :] = -log_fit.c / beta
-    return W1, W2
 
 
 def build_select_attn(layout: SlotLayout, delta: float, a: float, G: float,
@@ -337,9 +322,10 @@ def build_icuda_transformer(pair: DomainPair, cfg: IcudaBuildConfig) -> IcudaBui
                            float(np.max(np.abs(f_dann_all)))) + 2.0)
 
     kde_heads = build_kde_attn(kernel_fit, layout, pair.n, T, B_x)
-    W1e, W2e = build_exp_mlp(exp_fit, layout)
+    W1e, W2e = build_fit_mlp(exp_fit, layout, "p_kde", "e_soft")
     sum_heads = build_sum_attn(layout, T)
-    W1l, W2l = build_log_mlp(log_fit, layout, s.beta)
+    # q = -(1/beta) log of the exponential sum, via the monotone interpolant
+    W1l, W2l = build_fit_mlp(log_fit, layout, "e_sum", "q_soft", -s.beta)
     sel_heads = build_select_attn(layout, s.delta, cfg.a, G_sel, T,
                                   "iwl.fout", "dann.fdann")
     W1c, W2c = build_copy_mlp(layout, G_copy, "blend", "y")
@@ -413,15 +399,21 @@ def verify_icuda(build: IcudaBuild, pair: DomainPair,
 
     # rigorous overlap bracket from the oracle densities at target tokens,
     # pushed through the monotone log interpolant (valid on all of R thanks
-    # to the flat left tail), padded by the measured evaluation-order noise
+    # to the flat left tail).  The sum bracket widens by sum_err plus the
+    # float bounds of numpy's sums of e_hat and of the bracket; q widens by
+    # the log fit's float bound at S_hat (the forward) and at the bracket end.
+    log_fit = build.fits["log"]
     p_t = p_oracle[pair.n : pair.n + pair.n_prime]
     e_up = np.exp(-s.beta * (p_t - C["eps1"])) + C["eps2"]
     e_dn = np.exp(-s.beta * (p_t + C["eps1"])) - C["eps2"]
-    S_up = float(np.sum(e_up))
-    S_dn = float(np.sum(e_dn))
-    q_fuzz = max(1e-8, 2.0 * q_err)
-    q_lo = -float(ra.evaluate(build.fits["log"], [S_up])) / s.beta - q_fuzz
-    q_hi = -float(ra.evaluate(build.fits["log"], [S_dn])) / s.beta + q_fuzz
+    g = ra.gamma(2 * pair.n_prime)
+    S_up = float(np.sum(e_up)) + sum_err + g * float(np.sum(np.abs(e_up)))
+    S_dn = float(np.sum(e_dn)) - sum_err - g * float(np.sum(np.abs(e_dn)))
+    fl_hat = ra.float_error(log_fit, [S_hat])
+    q_lo = -(float(ra.evaluate(log_fit, [S_up]))
+             + fl_hat + ra.float_error(log_fit, [S_up])) / s.beta
+    q_hi = -(float(ra.evaluate(log_fit, [S_dn]))
+             - fl_hat - ra.float_error(log_fit, [S_dn])) / s.beta
     band = 0.5 / cfg.a
 
     if q_lo >= s.delta + band:

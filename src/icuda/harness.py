@@ -168,32 +168,28 @@ def cmd_gen(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _branch_scores(branch: str, aux: dict, pair, scfg) -> np.ndarray:
+    """Held-out scores of a reference branch run."""
+    if branch == "iwl":
+        return aux["fmap"](pair.eval_x) @ aux["W"][-1]
+    return ur.logistic(
+        ur.dann_predict(aux["trace"][-1], pair.eval_x, scfg.activation))
+
+
 def _run_one(cfg: ExperimentConfig, seed: int) -> dict:
     pair = make_pair(cfg, seed)
     scfg = selector_config(cfg, seed)
-    query = pair.query_x[0]
     rec = {"seed": seed}
-    if cfg.algo == "iwl":
-        pred, aux = ur.iwl_pipeline(pair, scfg, query)
-        scores = aux["fmap"](pair.eval_x) @ aux["W"][-1]
-        rec.update(prediction=pred, accuracy=_accuracy(scores, pair.eval_y))
-    elif cfg.algo == "dann":
-        pred, aux = ur.dann_pipeline(pair, scfg, query)
-        scores = ur.logistic(
-            ur.dann_predict(aux["trace"][-1], pair.eval_x, scfg.activation))
-        rec.update(prediction=pred, accuracy=_accuracy(scores, pair.eval_y))
-    else:
+    if cfg.algo == "icuda":
         res = ur.icuda_predict(pair, scfg)
-        if res.choice == "iwl":
-            aux = res.aux["iwl"]
-            scores = aux["fmap"](pair.eval_x) @ aux["W"][-1]
-        else:
-            aux = res.aux["dann"]
-            scores = ur.logistic(
-                ur.dann_predict(aux["trace"][-1], pair.eval_x,
-                                scfg.activation))
-        rec.update(prediction=res.prediction, choice=res.choice, q=res.q,
-                   accuracy=_accuracy(scores, pair.eval_y))
+        branch, pred, aux = res.choice, res.prediction, res.aux[res.choice]
+        rec.update(choice=res.choice, q=res.q)
+    else:
+        pipeline = ur.iwl_pipeline if cfg.algo == "iwl" else ur.dann_pipeline
+        branch = cfg.algo
+        pred, aux = pipeline(pair, scfg, pair.query_x[0])
+    scores = _branch_scores(branch, aux, pair, scfg)
+    rec.update(prediction=pred, accuracy=_accuracy(scores, pair.eval_y))
     return rec
 
 
@@ -240,73 +236,88 @@ def _icuda_build_config(cfg: ExperimentConfig,
     return IcudaBuildConfig(sel=scfg, **extra)
 
 
+def _iwl_record(build, pair) -> dict:
+    cert = verify_iwl(build, pair)
+    ok = (cert.measured_vs_reference <= cert.bound
+          and all(cert.hypothesis_checks[k] for k in SOUNDNESS_CHECKS))
+    return {
+        "oracle": cert.prediction_ref,
+        "transformer": cert.prediction_tf,
+        "bound": cert.bound,
+        "gap": cert.measured_vs_reference,
+        "hypothesis": cert.hypothesis_checks,
+        "pass": bool(ok),
+    }
+
+
+def _failed_checks(checks: dict) -> list:
+    return [k for k, v in checks.items()
+            if isinstance(v, (bool, np.bool_)) and not v]
+
+
+def _dann_record(build, pair) -> dict:
+    cert = verify_dann(build, pair)
+    failed = _failed_checks(cert.checks)
+    ok = (cert.final_gap <= cert.cumulative
+          and all(r.ok for r in cert.rows) and not failed)
+    return {
+        "failed_checks": failed,
+        "oracle": cert.prediction_ref,
+        "transformer": cert.prediction_tf,
+        "bound": cert.cumulative,
+        "gap": cert.final_gap,
+        "steps": [dataclasses.asdict(r) for r in cert.rows],
+        "pass": bool(ok),
+    }
+
+
+def _icuda_record(build, pair) -> dict:
+    rep = verify_icuda(build, pair)
+    failed = _failed_checks(rep.checks)
+    ok = (rep.agreement and rep.margin_certified
+          and rep.within_branch_bound and not failed)
+    return {
+        "failed_checks": failed,
+        "oracle": rep.prediction_oracle,
+        "transformer": rep.prediction_tf,
+        "bound": rep.branch_bound,
+        "gap": rep.branch_gap,
+        "choice": rep.choice_tf,
+        "choice_oracle": rep.choice_oracle,
+        "q": rep.q_tf,
+        "q_bracket": [rep.q_lo, rep.q_hi],
+        "pass": bool(ok),
+    }
+
+
+# algo -> (build(cfg, scfg, pair), record(build, pair)); a record holds the
+# verdict fields of one seed, the caller adds seed and tf_norm
+ALGO_TABLE = {
+    "iwl": (lambda cfg, scfg, pair: build_iwl_transformer(
+                pair, _iwl_build_config(cfg, scfg, pair.d)),
+            _iwl_record),
+    "dann": (lambda cfg, scfg, pair: build_dann_transformer(
+                 pair, _icuda_build_config(cfg, scfg).dann_config(pair.d)),
+             _dann_record),
+    "icuda": (lambda cfg, scfg, pair: build_icuda_transformer(
+                  pair, _icuda_build_config(cfg, scfg)),
+              _icuda_record),
+}
+
+
 def _verify_one(cfg: ExperimentConfig, seed: int) -> dict:
     pair = make_pair(cfg, seed)
     scfg = selector_config(cfg, seed)
+    build_fn, record_fn = ALGO_TABLE[cfg.algo]
     stage = "construction"
     try:
-        if cfg.algo == "iwl":
-            build = build_iwl_transformer(
-                pair, _iwl_build_config(cfg, scfg, pair.d))
-            stage = "verification"
-            cert = verify_iwl(build, pair)
-            ok = (cert.measured_vs_reference <= cert.bound
-                  and all(cert.hypothesis_checks[k] for k in SOUNDNESS_CHECKS))
-            rec = {
-                "seed": seed,
-                "oracle": cert.prediction_ref,
-                "transformer": cert.prediction_tf,
-                "bound": cert.bound,
-                "gap": cert.measured_vs_reference,
-                "hypothesis": cert.hypothesis_checks,
-                "tf_norm": tf_norm(build.tf),
-                "pass": bool(ok),
-            }
-        elif cfg.algo == "dann":
-            build = build_dann_transformer(
-                pair, _icuda_build_config(cfg, scfg).dann_config(pair.d))
-            stage = "verification"
-            cert = verify_dann(build, pair)
-            failed = [k for k, v in cert.checks.items()
-                      if isinstance(v, (bool, np.bool_)) and not v]
-            ok = (cert.final_gap <= cert.cumulative
-                  and all(r.ok for r in cert.rows) and not failed)
-            rec = {
-                "failed_checks": failed,
-                "seed": seed,
-                "oracle": cert.prediction_ref,
-                "transformer": cert.prediction_tf,
-                "bound": cert.cumulative,
-                "gap": cert.final_gap,
-                "steps": [dataclasses.asdict(r) for r in cert.rows],
-                "tf_norm": tf_norm(build.tf),
-                "pass": bool(ok),
-            }
-        else:
-            build = build_icuda_transformer(
-                pair, _icuda_build_config(cfg, scfg))
-            stage = "verification"
-            rep = verify_icuda(build, pair)
-            failed = [k for k, v in rep.checks.items()
-                      if isinstance(v, (bool, np.bool_)) and not v]
-            ok = (rep.agreement and rep.margin_certified
-                  and rep.within_branch_bound and not failed)
-            rec = {
-                "failed_checks": failed,
-                "seed": seed,
-                "oracle": rep.prediction_oracle,
-                "transformer": rep.prediction_tf,
-                "bound": rep.branch_bound,
-                "gap": rep.branch_gap,
-                "choice": rep.choice_tf,
-                "choice_oracle": rep.choice_oracle,
-                "q": rep.q_tf,
-                "q_bracket": [rep.q_lo, rep.q_hi],
-                "tf_norm": tf_norm(build.tf),
-                "pass": bool(ok),
-            }
+        build = build_fn(cfg, scfg, pair)
+        stage = "verification"
+        rec = record_fn(build, pair)
+        rec.update(seed=seed, tf_norm=tf_norm(build.tf))
     except Exception as e:
-        return {"seed": seed, "pass": False, "error": f"{stage}: {e}"}
+        return {"seed": seed, "pass": False,
+                "error": f"{stage}: {type(e).__name__}: {e}"}
     return rec
 
 
@@ -337,13 +348,7 @@ def cmd_describe(cfg: ExperimentConfig) -> int:
     seed = cfg.seeds[0]
     pair = make_pair(cfg, seed)
     scfg = selector_config(cfg, seed)
-    if cfg.algo == "iwl":
-        tf = build_iwl_transformer(pair, _iwl_build_config(cfg, scfg, pair.d)).tf
-    elif cfg.algo == "dann":
-        tf = build_dann_transformer(
-            pair, _icuda_build_config(cfg, scfg).dann_config(pair.d)).tf
-    else:
-        tf = build_icuda_transformer(pair, _icuda_build_config(cfg, scfg)).tf
+    tf = ALGO_TABLE[cfg.algo][0](cfg, scfg, pair).tf
     info = describe(tf)
     info["algo"] = cfg.algo
     info["tf_norm"] = tf_norm(tf)

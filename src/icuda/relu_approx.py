@@ -1,15 +1,22 @@
-"""Sums of ReLU ridge functions with measured sup-error certificates.
+"""Sums of ReLU ridge functions with sup-error certificates.
 
 A ReluSum represents f(z) ~= sum_m c_m relu(a_m . z + b_m) with every
 (a_m, b_m) normalized to |a_m|_1 + |b_m| <= 1 (positive homogeneity lets c_m
-absorb the scale).  Fits report a sup-error witness measured on a dense grid
-plus a curvature margin, so downstream error budgets can treat sup_error as an
+absorb the scale), so downstream error budgets can treat sup_error as an
 upper bound over the whole fit box.
+
+Every 1-D fit is one knot-table interpolant (fit_knots; fit_1d and
+fit_interval choose equispaced knots).  Its certificate reads the exact
+interpolant off the knot table with np.interp, adds a curvature margin, and
+adds an explicit bound on the float error of evaluating the ReLU sum
+(float_error), so it covers the forward pass's own arithmetic.  The
+multivariate least-squares fit (fit_nd) measures its float ReLU sum on a
+dense grid plus a curvature margin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,14 +81,14 @@ def eval_batch(rs: ReluSum, Z: np.ndarray, chunk: int = 8192) -> np.ndarray:
 
 @dataclass
 class FitReport:
+    """How a fit's sup_error is made up: grid_sup + margin + float_error.
+
+    float_error is 0 where grid_sup samples the float ReLU sum (fit_nd)."""
+
     sup_error: float
-    n_terms: int
-    coef_sum: float
-    max_norm: float
-    radius: float
-    center: np.ndarray
     grid_sup: float
     margin: float
+    float_error: float = 0.0
     rank: int | None = None
     rank_deficient: bool = False
     axis_values: tuple | None = None
@@ -114,73 +121,34 @@ def _second_diff_margin(residual: np.ndarray) -> float:
     return margin
 
 
-def fit_1d(f, R: float, M: int) -> tuple[ReluSum, FitReport]:
-    """Exact piecewise-linear interpolant of f at M equispaced breakpoints on
-    [-R, R], expressed as a sum of ReLUs.
-
-    sup_error is measured on a 10x finer grid (at least 1001 points) and
-    inflated by a curvature margin so it upper-bounds the true sup.
-    """
-    if M < 2:
-        raise ValueError("need at least 2 breakpoints")
-    knots = np.linspace(-R, R, M)
-    vals = np.asarray(f(knots), dtype=float)
-    if vals.shape != knots.shape:
-        raise ValueError("f must map an array of points to an array of values")
-    slopes = np.diff(vals) / np.diff(knots)
-    deltas = np.empty(M - 1)
-    deltas[0] = slopes[0]
-    deltas[1:] = np.diff(slopes)
-    # terms: constant f(t_0) plus slope changes relu(t - t_k), k = 0..M-2
-    a = np.concatenate([[0.0], np.ones(M - 1)])[:, None]
-    b = np.concatenate([[1.0], -knots[:-1]])
-    c = np.concatenate([[vals[0]], deltas])
-    a, b, c = _normalize_terms(a, b, c)
-    rs = ReluSum(a, b, c, input_dim=1, radius=float(R), sup_error=0.0)
-
-    n_fine = max(10 * (M - 1) + 1, 1001)
-    fine = np.linspace(-R, R, n_fine)
-    resid = eval_batch(rs, fine[:, None]) - np.asarray(f(fine), dtype=float)
-    grid_sup = float(np.max(np.abs(resid)))
-    margin = _second_diff_margin(resid)
-    rs.sup_error = grid_sup + margin
-    report = FitReport(
-        sup_error=rs.sup_error,
-        n_terms=rs.n_terms,
-        coef_sum=rs.coef_sum,
-        max_norm=rs.max_norm,
-        radius=float(R),
-        center=rs.center,
-        grid_sup=grid_sup,
-        margin=margin,
-        breakpoints=knots,
-    )
-    return rs, report
+def gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u): relative error bound of n chained float
+    roundings (Higham, Accuracy and Stability of Numerical Algorithms, 3.1)."""
+    nu = n * float(np.finfo(float).eps) / 2.0
+    return nu / (1.0 - nu)
 
 
-def fit_interval(f, lo: float, hi: float, M: int) -> tuple[ReluSum, FitReport]:
-    """fit_1d on an arbitrary interval [lo, hi] via an affine change of variable."""
-    center = 0.5 * (lo + hi)
-    R = 0.5 * (hi - lo)
-    rs, report = fit_1d(lambda t: f(t + center), R, M)
-    # shift terms back to the original coordinate: a*(t - center) + b
-    b = rs.b - rs.a[:, 0] * center
-    a, b, c = _normalize_terms(rs.a, b, rs.c)
-    out = ReluSum(a, b, c, input_dim=1, radius=R, sup_error=rs.sup_error,
-                  center=np.array([center]))
-    report.center = out.center
-    return out, report
+def float_error(rs: ReluSum, z) -> float:
+    """Bound on the float error of evaluating rs at z: gamma_{M+k} times
+    sum_m |c_m| (|a_m| . |z| + |b_m|) (Higham, 3.1 and 4.2), where k =
+    input_dim + 2 counts the pre-activation's roundings and one for a scale
+    folded into the output weights (the log layer's -1/beta)."""
+    z = np.abs(np.asarray(z, dtype=float).ravel())
+    scale = np.abs(rs.a) @ z + np.abs(rs.b)
+    return gamma(rs.n_terms + rs.input_dim + 2) * float(np.abs(rs.c) @ scale)
 
 
 def fit_knots(f, knots: np.ndarray) -> tuple[ReluSum, FitReport]:
-    """Exact piecewise-linear interpolant of f at a custom sorted knot grid.
+    """Exact piecewise-linear interpolant of f at a sorted knot grid, as the
+    constant f(knots[0]) plus slope-change ReLUs; the left extrapolation is
+    flat, so interpolants of monotone data stay monotone on all of R.
 
-    Same representation as fit_1d (constant plus slope-change ReLUs, so the
-    left extrapolation is flat at f(knots[0]) and interpolants of monotone
-    data stay monotone on all of R).  Nonuniform grids let stiff functions
-    (log near zero, fast exponentials) reach small errors with few knots.
-    sup_error is measured on a dense per-interval grid plus a curvature
-    margin computed interval by interval.
+    sup_error = grid_sup + margin + float_error on [knots[0], knots[-1]]:
+    grid_sup is the largest |interpolant - f| over 11 sub-intervals of every
+    knot interval, read off the knot table with np.interp; margin is half the
+    largest second difference of that residual within a knot interval; and
+    float_error is float_error() at the largest knot magnitude.  The emitted
+    terms must match the knot values within float_error, or the fit raises.
     """
     knots = np.asarray(knots, dtype=float).ravel()
     if knots.size < 2:
@@ -191,10 +159,7 @@ def fit_knots(f, knots: np.ndarray) -> tuple[ReluSum, FitReport]:
     vals = np.asarray(f(knots), dtype=float)
     if vals.shape != knots.shape:
         raise ValueError("f must map an array of points to an array of values")
-    slopes = np.diff(vals) / np.diff(knots)
-    deltas = np.empty(M - 1)
-    deltas[0] = slopes[0]
-    deltas[1:] = np.diff(slopes)
+    deltas = np.diff(np.diff(vals) / np.diff(knots), prepend=0.0)
     a = np.concatenate([[0.0], np.ones(M - 1)])[:, None]
     b = np.concatenate([[1.0], -knots[:-1]])
     c = np.concatenate([[vals[0]], deltas])
@@ -206,24 +171,36 @@ def fit_knots(f, knots: np.ndarray) -> tuple[ReluSum, FitReport]:
 
     n_sub = 12
     frac = np.linspace(0.0, 1.0, n_sub)
-    fine = (knots[:-1, None] + np.diff(knots)[:, None] * frac[None, :])
-    resid = (eval_batch(rs, fine.ravel()[:, None])
-             - np.asarray(f(fine.ravel()), dtype=float)).reshape(M - 1, n_sub)
+    fine = (knots[:-1, None] + np.diff(knots)[:, None] * frac[None, :]).ravel()
+    resid = (np.interp(fine, knots, vals)
+             - np.asarray(f(fine), dtype=float)).reshape(M - 1, n_sub)
     grid_sup = float(np.max(np.abs(resid)))
     margin = 0.5 * float(np.max(np.abs(np.diff(resid, n=2, axis=1))))
-    rs.sup_error = grid_sup + margin
+    fl_err = float_error(rs, [max(abs(knots[0]), abs(knots[-1]))])
+    at_knots = np.abs(eval_batch(rs, knots[:, None]) - vals)
+    if np.max(at_knots) > fl_err:
+        raise RuntimeError(
+            f"ReLU terms miss the knot values by {np.max(at_knots):.3g}, "
+            f"above the float bound {fl_err:.3g}")
+    rs.sup_error = grid_sup + margin + fl_err
     report = FitReport(
         sup_error=rs.sup_error,
-        n_terms=rs.n_terms,
-        coef_sum=rs.coef_sum,
-        max_norm=rs.max_norm,
-        radius=float(R),
-        center=rs.center,
         grid_sup=grid_sup,
         margin=margin,
+        float_error=fl_err,
         breakpoints=knots,
     )
     return rs, report
+
+
+def fit_1d(f, R: float, M: int) -> tuple[ReluSum, FitReport]:
+    """fit_knots at M equispaced knots on [-R, R]."""
+    return fit_knots(f, np.linspace(-R, R, M))
+
+
+def fit_interval(f, lo: float, hi: float, M: int) -> tuple[ReluSum, FitReport]:
+    """fit_knots at M equispaced knots on [lo, hi]."""
+    return fit_knots(f, np.linspace(lo, hi, M))
 
 
 def _directions(k: int, n_random: int, rng: np.random.Generator) -> np.ndarray:
@@ -349,11 +326,6 @@ def fit_nd(
     rs.sup_error = grid_sup + margin
     report = FitReport(
         sup_error=rs.sup_error,
-        n_terms=rs.n_terms,
-        coef_sum=rs.coef_sum,
-        max_norm=rs.max_norm,
-        radius=float(R),
-        center=rs.center,
         grid_sup=grid_sup,
         margin=margin,
         rank=int(rank),
@@ -410,10 +382,11 @@ def fit_binary_gated(f, lo: float, hi: float, M: int) -> tuple[ReluSum, FitRepor
 
     Each slice f(., v) gets its own 1-D fit; a per-term offset of size
     G_m = sup of the term's pre-activation turns the other slice off exactly,
-    so the certificate is the worse of the two slice errors.
+    so the certificate is the worse slice's interpolation error plus the
+    float bound of the gated two-input sum.
     """
     parts = []
-    errs = []
+    reps = []
     for v in (0.0, 1.0):
         rs, rep = fit_interval(lambda t, v=v: f(t, v), lo, hi, M)
         G = np.maximum(0.0, np.maximum(rs.a[:, 0] * lo + rs.b,
@@ -426,14 +399,15 @@ def fit_binary_gated(f, lo: float, hi: float, M: int) -> tuple[ReluSum, FitRepor
             b2 = rs.b
         A, B, C = _normalize_terms(a2, b2, rs.c)
         parts.append(ReluSum(A, B, C, input_dim=2, radius=np.inf, sup_error=0.0))
-        errs.append(rep.sup_error)
+        reps.append(rep)
+    worst = max(reps, key=lambda r: r.grid_sup + r.margin)
     out = combine(parts, 2, radius=0.5 * (hi - lo),
                   center=np.array([0.5 * (lo + hi), 0.5]))
-    out.sup_error = float(max(errs))
+    fl_err = float_error(out, [max(abs(lo), abs(hi)), 1.0])
+    out.sup_error = worst.grid_sup + worst.margin + fl_err
     report = FitReport(
-        sup_error=out.sup_error, n_terms=out.n_terms, coef_sum=out.coef_sum,
-        max_norm=out.max_norm, radius=out.radius, center=out.center,
-        grid_sup=out.sup_error, margin=0.0, axis_values=(None, (0.0, 1.0)),
+        sup_error=out.sup_error, grid_sup=worst.grid_sup, margin=worst.margin,
+        float_error=fl_err, axis_values=(None, (0.0, 1.0)),
     )
     return out, report
 

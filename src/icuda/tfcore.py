@@ -29,17 +29,23 @@ class SlotLayout:
 
     ranges: tuple[tuple[str, int, int], ...]
 
+    def __post_init__(self):
+        start = 0
+        seen = set()
+        for name, a, b in self.ranges:
+            if name in seen:
+                raise LayoutError(f"duplicate slot name {name!r}")
+            if a != start or b < a:
+                raise LayoutError(f"slot {name!r} spans rows [{a}, {b}), "
+                                  f"expected a range starting at row {start}")
+            seen.add(name)
+            start = b
+
     @classmethod
     def build(cls, slots: list[tuple[str, int]]) -> "SlotLayout":
         ranges = []
         start = 0
-        seen = set()
         for name, width in slots:
-            if width < 0:
-                raise LayoutError(f"slot {name!r} has negative width {width}")
-            if name in seen:
-                raise LayoutError(f"duplicate slot name {name!r}")
-            seen.add(name)
             ranges.append((name, start, start + width))
             start += width
         return cls(tuple(ranges))
@@ -109,11 +115,16 @@ class TokenMatrix:
         return TokenMatrix(self.data.copy(), self.layout, self.n_source, self.n_target)
 
 
+# reprs give shapes and counts: a composed model holds ~22k heads, and
+# printing their matrices takes minutes
 @dataclass
 class AttentionHead:
     Q: np.ndarray
     K: np.ndarray
     V: np.ndarray
+
+    def __repr__(self) -> str:
+        return f"AttentionHead(Q={self.Q.shape}, K={self.K.shape}, V={self.V.shape})"
 
 
 @dataclass
@@ -122,12 +133,21 @@ class TransformerLayer:
     W1: np.ndarray
     W2: np.ndarray
 
+    def __repr__(self) -> str:
+        return (f"TransformerLayer(heads={len(self.heads)}, "
+                f"W1={self.W1.shape}, W2={self.W2.shape})")
+
 
 @dataclass
 class Transformer:
     layers: list[TransformerLayer]
     layout: SlotLayout
     readout: tuple[str, int | None] = ("y", None)
+
+    def __repr__(self) -> str:
+        heads = sum(len(layer.heads) for layer in self.layers)
+        return (f"Transformer(layers={len(self.layers)}, heads={heads}, "
+                f"dim={self.layout.dim}, readout={self.readout})")
 
 
 def zero_layer(dim: int) -> TransformerLayer:
@@ -143,10 +163,7 @@ def attn_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
     H = tm.data
     D, T = H.shape
     acc = H.copy()
-    for m, head in enumerate(layer.heads):
-        if (head.Q.shape[1] != D or head.K.shape[1] != D
-                or head.Q.shape[0] != head.K.shape[0] or head.V.shape != (D, D)):
-            raise ForwardError(f"head {m}: weight shape does not match stream dim {D}")
+    for head in layer.heads:
         scores = (head.Q @ H).T @ (head.K @ H)
         np.maximum(scores, 0.0, out=scores)
         acc += (head.V @ H) @ scores.T / T
@@ -158,11 +175,6 @@ def attn_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
 def mlp_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
     """Apply the MLP half of a layer: out_i = h_i + W2 relu(W1 h_i)."""
     H = tm.data
-    D = H.shape[0]
-    if layer.W1.shape[1] != D or layer.W2.shape[0] != D:
-        raise ForwardError("MLP weight shape does not match stream dim")
-    if layer.W1.shape[0] != layer.W2.shape[1]:
-        raise ForwardError("W1/W2 hidden widths disagree")
     hidden = np.maximum(layer.W1 @ H, 0.0)
     out = H + layer.W2 @ hidden
     if not np.all(np.isfinite(out)):
@@ -170,7 +182,25 @@ def mlp_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
     return TokenMatrix(out, tm.layout, tm.n_source, tm.n_target)
 
 
+def shape_error(layer: TransformerLayer, D: int) -> str | None:
+    """Why the layer's weights do not fit stream dim D, or None if they do:
+    every head's Q and K must be (r, D) with one r, V (D, D), and W1 and W2
+    (h, D) and (D, h)."""
+    for m, h in enumerate(layer.heads):
+        if (h.Q.ndim != 2 or h.Q.shape[1] != D or h.K.shape != h.Q.shape
+                or h.V.shape != (D, D)):
+            return (f"head {m}: Q {h.Q.shape}, K {h.K.shape} and V {h.V.shape} "
+                    f"do not fit dim {D}")
+    if (layer.W1.ndim != 2 or layer.W1.shape[1] != D
+            or layer.W2.shape != layer.W1.shape[::-1]):
+        return f"W1 {layer.W1.shape} and W2 {layer.W2.shape} do not fit dim {D}"
+    return None
+
+
 def layer_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
+    err = shape_error(layer, tm.data.shape[0])
+    if err is not None:
+        raise ForwardError(err)
     return mlp_forward(layer, attn_forward(layer, tm))
 
 
@@ -373,10 +403,12 @@ def to_json(tf: Transformer) -> str:
 
 
 def from_json(s: str) -> Transformer:
+    """Load a model written by to_json; a layout that is not contiguous from
+    row 0 or a weight whose shape does not fit it raises LayoutError."""
     obj = json.loads(s)
     layout = SlotLayout(tuple((n, a, b) for n, a, b in obj["layout"]))
     layers = []
-    for lobj in obj["layers"]:
+    for i, lobj in enumerate(obj["layers"]):
         heads = [
             AttentionHead(np.array(h["Q"]), np.array(h["K"]), np.array(h["V"]))
             for h in lobj["heads"]
@@ -388,5 +420,8 @@ def from_json(s: str) -> Transformer:
         if W2.size == 0:
             W2 = W2.reshape(layout.dim, 0)
         layers.append(TransformerLayer(heads, W1, W2))
+        err = shape_error(layers[-1], layout.dim)
+        if err is not None:
+            raise LayoutError(f"layer {i} {err}")
     readout = (obj["readout"][0], obj["readout"][1])
     return Transformer(layers, layout, readout)

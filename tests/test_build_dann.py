@@ -84,6 +84,16 @@ class TestProjectionPath:
 
 
 class TestActivationFit:
+    def test_cached_fits_are_read_only(self):
+        rs, _ = bd.activation_fit("logistic", 3.0, 50)
+        assert bd.activation_fit("logistic", 3.0, 50)[0] is rs
+        for arr in (rs.a, rs.b, rs.c):
+            with pytest.raises(ValueError):
+                arr *= 2.0
+        gated, _ = bd.lossgrad_fit("logistic", 3.0, 0.05, 40)
+        with pytest.raises(ValueError):
+            gated.c[0] = 0.0
+
     def test_prescaled_terms_stay_normalized_on_radius(self):
         R1 = 7.0
         rs, rep = bd.activation_fit("logistic", R1, 200)

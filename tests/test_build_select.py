@@ -96,7 +96,7 @@ class TestExponentialAndSum:
         T = tm.data.shape[1]
         knots = bs.exp_knot_grid(0.0, -0.5, 1.5, 40)
         efit, _ = ra.fit_knots(lambda p: np.exp(-0.0 * p), knots)
-        W1, W2 = bs.build_exp_mlp(efit, layout)
+        W1, W2 = bs.build_fit_mlp(efit, layout, "p_kde", "e_soft")
         mlp = tc.TransformerLayer([], W1, W2)
         tm1 = tc.mlp_forward(mlp, tm)
         assert_allclose(tm1.data[layout.row("e_soft"), :], 1.0, atol=1e-12)
@@ -116,10 +116,12 @@ class TestExponentialAndSum:
                          layout.dim)
         knots = bs.exp_knot_grid(beta, -0.1, 1.1, 2000)
         efit, _ = ra.fit_knots(lambda p: np.exp(-beta * p), knots)
-        exp_mlp = tc.TransformerLayer([], *bs.build_exp_mlp(efit, layout))
+        exp_mlp = tc.TransformerLayer(
+            [], *bs.build_fit_mlp(efit, layout, "p_kde", "e_soft"))
         summ = attn_layer(bs.build_sum_attn(layout, T), layout.dim)
         lfit, _ = ra.fit_knots(np.log, bs.log_knot_grid(1e-4, 10.0, 3000))
-        log_mlp = tc.TransformerLayer([], *bs.build_log_mlp(lfit, layout, beta))
+        log_mlp = tc.TransformerLayer(
+            [], *bs.build_fit_mlp(lfit, layout, "e_sum", "q_soft", -beta))
 
         cur = tm
         for layer in (kde, exp_mlp, summ, log_mlp):

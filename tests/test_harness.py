@@ -176,7 +176,8 @@ class TestVerify:
         assert code == 1
         report = json.loads((tmp_path / "v" / "verify_iwl.json").read_text())
         assert report["all_pass"] is False
-        assert "error" in report["records"][0]
+        assert report["records"][0]["error"].startswith(
+            "construction: DivergenceError: ")
 
 
 class TestCli:

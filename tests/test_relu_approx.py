@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import icuda.relu_approx as ra
@@ -64,6 +66,59 @@ class TestFitKnots:
         grid = np.linspace(-2.0, 2.0, 500)
         vals = ra.eval_batch(rs, grid[:, None])
         assert np.all(np.diff(vals) <= 1e-9)
+
+
+class TestCertificate:
+    def test_float_error_bounds_the_float_evaluation(self):
+        # the 3000-knot log fit of the selector: sum |c| is about 2e8
+        knots = np.geomspace(1e-8, 11.0, 3000)
+        rs, rep = ra.fit_knots(np.log, knots)
+        z = np.geomspace(1e-8, 11.0, 257)
+        pre = np.maximum(np.outer(z.astype(np.longdouble), rs.a[:, 0]) + rs.b, 0)
+        exact = pre @ rs.c.astype(np.longdouble)
+        gap = np.abs(ra.eval_batch(rs, z[:, None]) - exact)
+        bound = np.array([ra.float_error(rs, [t]) for t in z])
+        assert np.all(gap <= bound)
+        assert rep.float_error == pytest.approx(ra.float_error(rs, [11.0]))
+
+    def test_fit_1d_and_fit_interval_are_knot_fits(self):
+        f = lambda t: np.exp(-t)
+        for (rs, rep), knots in ((ra.fit_1d(f, 1.0, 17), np.linspace(-1.0, 1.0, 17)),
+                                 (ra.fit_interval(f, 0.5, 2.0, 9), np.linspace(0.5, 2.0, 9))):
+            ref, ref_rep = ra.fit_knots(f, knots)
+            for part in ("a", "b", "c"):
+                assert np.array_equal(getattr(rs, part), getattr(ref, part))
+            assert rep.sup_error == ref_rep.sup_error
+
+    def test_knot_check_catches_construction_faults(self, monkeypatch):
+        normalize = ra._normalize_terms
+
+        def off_by_a_millionth(a, b, c):
+            a, b, c = normalize(a, b, c)
+            return a, b, c * (1.0 + 1e-6)
+
+        monkeypatch.setattr(ra, "_normalize_terms", off_by_a_millionth)
+        with pytest.raises(RuntimeError, match="knot values"):
+            ra.fit_knots(np.exp, np.linspace(0.0, 1.0, 20))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(amp=st.floats(0.0, 5.0), omega=st.floats(0.1, 30.0),
+           phase=st.floats(0.0, 2 * np.pi), rate=st.floats(-3.0, 3.0),
+           start=st.floats(-3.0, 3.0),
+           steps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=40))
+    def test_dense_sampling_never_exceeds_sup_error(self, amp, omega, phase,
+                                                    rate, start, steps):
+        def f(t):
+            return amp * np.sin(omega * t + phase) + np.exp(rate * t)
+
+        h = 1.0 / max(omega, abs(rate))
+        knots = start + h * np.concatenate([[0.0], np.cumsum(steps)])
+        rs, rep = ra.fit_knots(f, knots)
+        assert rep.sup_error == rep.grid_sup + rep.margin + rep.float_error
+        frac = np.linspace(0.0, 1.0, 400)
+        z = (knots[:-1, None] + np.diff(knots)[:, None] * frac).ravel()
+        err = np.max(np.abs(ra.eval_batch(rs, z[:, None]) - f(z)))
+        assert err <= rep.sup_error
 
 
 class TestIndicatorPair:

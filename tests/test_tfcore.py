@@ -1,5 +1,7 @@
 """Stream algebra: attention/MLP forward passes, layouts, composition."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -229,3 +231,25 @@ class TestDiagnostics:
         tm = random_stream(layout, 5, rng)
         assert_allclose(tc.forward(tf2, tm).data, tc.forward(tf, tm).data,
                         atol=0)
+
+    def test_reprs_give_shapes_not_matrices(self, rng):
+        layout = toy_layout()
+        layer = random_layer(layout.dim, 200, 3, 4, rng)
+        assert len(repr(layer)) <= 200
+        assert "heads=200" in repr(layer)
+        assert len(repr(tc.Transformer([layer] * 30, layout))) <= 200
+
+    @pytest.mark.parametrize("layout, V2, match", [
+        ([["x", 0, 1], ["one", 2, 3]], np.eye(3), "'one'"),  # row 1 unused
+        ([["x", 0, 1], ["one", 1, 3]], np.eye(2), "layer 1 head 0"),
+    ], ids=["gapped_layout", "value_shape"])
+    def test_from_json_rejects_bad_layout_and_shapes(self, layout, V2, match):
+        def layer(V):
+            head = {"Q": [[0.0, 0.0, 1.0]], "K": [[0.0, 0.0, 1.0]],
+                    "V": V.tolist()}
+            return {"heads": [head], "W1": [], "W2": [[], [], []]}
+
+        obj = {"layout": layout, "readout": ["x", None],
+               "layers": [layer(np.eye(3)), layer(V2)]}
+        with pytest.raises(tc.LayoutError, match=match):
+            tc.from_json(json.dumps(obj))
