@@ -21,7 +21,7 @@ import numpy as np
 
 from . import relu_approx as ra
 from . import uda_ref as ur
-from .datagen import DomainPair
+from .datagen import DomainPair, encode_tokens
 from .tfcore import (
     AttentionHead,
     SlotLayout,
@@ -90,8 +90,6 @@ def encode_dann(pair: DomainPair, layout: SlotLayout, state: ur.DannState,
                 query_index: int = 0) -> TokenMatrix:
     """Prompt carrying the data plus the initial parameter state in every
     token's parameter slots."""
-    from .datagen import encode_tokens
-
     tm = encode_tokens(pair, layout, query_index)
     K = state.u.shape[0]
     for k in range(K):
@@ -204,6 +202,7 @@ def build_forward_attn(layout: SlotLayout, cfg: DannBuildConfig, R1: float):
     d = cfg.d
     for k in range(cfg.K):
         usl = layout.rows(f"u{k}")
+        rows, cols = np.r_[lam_r, del_r], np.r_[wsl.start + k, vsl.start + k]
         for m in range(rfit.n_terms):
             Q = np.zeros((d + 1, D))
             K = np.zeros((d + 1, D))
@@ -211,10 +210,7 @@ def build_forward_attn(layout: SlotLayout, cfg: DannBuildConfig, R1: float):
             K[:d, usl] = np.eye(d)
             Q[d, one] = rfit.b[m]
             K[d, one] = 1.0
-            V = np.zeros((D, D))
-            V[lam_r, wsl.start + k] = rfit.c[m]
-            V[del_r, vsl.start + k] = rfit.c[m]
-            heads.append(AttentionHead(Q, K, V))
+            heads.append(AttentionHead(Q, K, np.diag([rfit.c[m]] * 2), rows, cols))
     return heads
 
 
@@ -287,6 +283,7 @@ def build_gd_attn(layout: SlotLayout, cfg: DannBuildConfig, n: int, n_prime: int
 
     for k in range(cfg.K):
         usl = layout.rows(f"u{k}")
+        u_rows, x_cols = np.r_[usl], np.r_[xs]
         # families 1, 3a, 3b: updates of u_k
         for coef_slot, scale, grad_row, specs in (
             (wsl.start + k, S1, gl_r, [("src", -(N + 1) * eta / n)]),
@@ -305,15 +302,15 @@ def build_gd_attn(layout: SlotLayout, cfg: DannBuildConfig, n: int, n_prime: int
                     Q[1 + d, one] = pfit.b[m]
                     K[1 + d, one] = 1.0
                     gate_rows(Q, K, 2 + d, kind)
-                    V = np.zeros((D, D))
-                    V[usl, xs] = vcoef * scale * pfit.c[m] * np.eye(d)
-                    heads.append(AttentionHead(Q, K, V))
+                    V = np.diag([vcoef * scale * pfit.c[m]] * d)
+                    heads.append(AttentionHead(Q, K, V, u_rows, x_cols))
         # families 2, 4a, 4b: updates of w_k and v_k
         for out_row, grad_row, specs in (
             (wsl.start + k, gl_r, [(None, -(N + 1) * eta / n)]),
             (vsl.start + k, gd_r, [("src", -(N + 1) * lam * eta / n),
                                    ("tgt", -(N + 1) * lam * eta / n_prime)]),
         ):
+            rows, cols = np.r_[out_row], np.r_[grad_row]
             for kind, vcoef in specs:
                 for m in range(rfit.n_terms):
                     nrows = d + 2 if kind else d + 1
@@ -325,9 +322,8 @@ def build_gd_attn(layout: SlotLayout, cfg: DannBuildConfig, n: int, n_prime: int
                     K[d, one] = 1.0
                     if kind:
                         gate_rows(Q, K, d + 1, kind)
-                    V = np.zeros((D, D))
-                    V[out_row, grad_row] = vcoef * rfit.c[m]
-                    heads.append(AttentionHead(Q, K, V))
+                    V = np.array([[vcoef * rfit.c[m]]])
+                    heads.append(AttentionHead(Q, K, V, rows, cols))
     return heads, pfit, rfit
 
 
@@ -455,7 +451,7 @@ def build_dann_transformer(pair: DomainPair, cfg: DannBuildConfig,
     R_sc = max(R_lam, R_del)
 
     gl_fit, _ = lossgrad_fit(cfg.activation, R_sc, cfg.delta_gamma, cfg.gl_knots)
-    B_g = _gl_value_bound(gl_fit, R_sc)
+    B_g = _gl_value_bound(gl_fit, R_sc, cfg.gl_knots)
     S1 = 1.02 * cfg.B_w * B_g
     S3 = 1.02 * cfg.B_v * B_g
 
@@ -494,13 +490,12 @@ def build_dann_transformer(pair: DomainPair, cfg: DannBuildConfig,
                      enable_proj, ref_trace)
 
 
-def _gl_value_bound(fit: ra.ReluSum, R_sc: float) -> float:
-    t = np.linspace(-R_sc, R_sc, 4001)
-    worst = 0.0
-    for v in (0.0, 1.0):
-        Z = np.stack([t, np.full_like(t, v)], axis=1)
-        worst = max(worst, float(np.max(np.abs(ra.eval_batch(fit, Z)))))
-    return worst + fit.sup_error
+def _gl_value_bound(fit: ra.ReluSum, R_sc: float, knots: int) -> float:
+    """Bound on |fit| over [-R_sc, R_sc], both labels: each slice interpolates
+    on ``knots`` equispaced knots, so it peaks at a knot, up to sup_error."""
+    t = np.linspace(-R_sc, R_sc, knots)
+    Z = np.stack([np.tile(t, 2), np.repeat([0.0, 1.0], knots)], axis=1)
+    return float(np.max(np.abs(ra.eval_batch(fit, Z)))) + fit.sup_error
 
 
 def _pre_projection_norms(trace: list, pair: DomainPair, params: ur.DannParams) -> dict:

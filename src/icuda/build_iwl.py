@@ -67,15 +67,14 @@ def feature_heads(layout: SlotLayout, fits: list[ra.ReluSum], phi_name: str = "p
     phi0 = layout.rows(phi_name).start
     heads = []
     for j, rs in enumerate(fits):
+        rows, cols = np.r_[phi0 + j], np.r_[one]
         for m in range(rs.n_terms):
             Q = np.zeros((1, D))
             Q[0, xs] = rs.a[m]
             Q[0, one] = rs.b[m]
             K = np.zeros((1, D))
             K[0, one] = 1.0
-            V = np.zeros((D, D))
-            V[phi0 + j, one] = rs.c[m]
-            heads.append(AttentionHead(Q, K, V))
+            heads.append(AttentionHead(Q, K, np.array([[rs.c[m]]]), rows, cols))
     return heads
 
 
@@ -144,24 +143,21 @@ def build_alpha_layer(layout: SlotLayout, n: int, n_prime: int, N: int,
         K[:J, phi] = np.eye(J)
         K[J, one] = 1.0
         K[J, t] = -1.0
-        V = np.zeros((D, D))
-        V[alpha, phi] = -sign * (N + 1) * eta1 / n * np.eye(J)
-        heads.append(AttentionHead(Q, K, V))
+        V = np.diag([-sign * (N + 1) * eta1 / n] * J)
+        heads.append(AttentionHead(Q, K, V, np.r_[alpha], np.r_[phi]))
     Q = np.zeros((1, D))
     Q[0, one] = 1.0
     K = np.zeros((1, D))
     K[0, s] = 1.0
     K[0, t] = -1.0
-    V = np.zeros((D, D))
-    V[alpha, phi] = (N + 1) * eta1 / n_prime * np.eye(J)
-    heads.append(AttentionHead(Q, K, V))
+    V = np.diag([(N + 1) * eta1 / n_prime] * J)
+    heads.append(AttentionHead(Q, K, V, np.r_[alpha], np.r_[phi]))
     Q = np.zeros((1, D))
     Q[0, one] = 1.0
     K = np.zeros((1, D))
     K[0, s] = 1.0
-    V = np.zeros((D, D))
-    V[alpha, alpha] = -(N + 1) * lam * eta1 / N * np.eye(J)
-    heads.append(AttentionHead(Q, K, V))
+    V = np.diag([-(N + 1) * lam * eta1 / N] * J)
+    heads.append(AttentionHead(Q, K, V, np.r_[alpha], np.r_[alpha]))
     return TransformerLayer(heads, np.zeros((0, D)), np.zeros((D, 0)))
 
 
@@ -199,6 +195,7 @@ def build_w_layer(layout: SlotLayout, n: int, N: int, eta2: float,
     ty = layout.row("y")
     t = layout.row("t")
     J = phi.stop - phi.start
+    rows, cols = np.r_[wsl], np.r_[phi]
     heads = []
     for m in range(grad_fit.n_terms):
         a_s, a_y, a_u = grad_fit.a[m]
@@ -217,9 +214,8 @@ def build_w_layer(layout: SlotLayout, n: int, N: int, eta2: float,
         Q[2 * J + 2, one] = -2.0
         K[2 * J + 2, one] = gate
         K[2 * J + 2, t] = -gate
-        V = np.zeros((D, D))
-        V[wsl, phi] = -(N + 1) * c * eta2 / n * np.eye(J)
-        heads.append(AttentionHead(Q, K, V))
+        V = np.diag([-(N + 1) * c * eta2 / n] * J)
+        heads.append(AttentionHead(Q, K, V, rows, cols))
     return TransformerLayer(heads, np.zeros((0, D)), np.zeros((D, 0)))
 
 
@@ -239,9 +235,7 @@ def build_readout_layer(layout: SlotLayout, w_name: str = "w",
         Q[:, phi] = sign * np.eye(J)
         K = np.zeros((J, D))
         K[:, wsl] = np.eye(J)
-        V = np.zeros((D, D))
-        V[out, one] = sign
-        heads.append(AttentionHead(Q, K, V))
+        heads.append(AttentionHead(Q, K, np.array([[sign]]), np.r_[out], np.r_[one]))
     return TransformerLayer(heads, np.zeros((0, D)), np.zeros((D, 0)))
 
 
@@ -310,7 +304,6 @@ class IwlCertificate:
     step_bound: float
     grad_term: float
     feat_term: float
-    readout_term: float
     bound: float
     measured_vs_surrogate: float
     measured_vs_reference: float
@@ -403,8 +396,7 @@ def certify_iwl(build: IwlBuild, pair: DomainPair, pred_tf: float,
         D = rho * D + cfg.eta2 * eps_grad * B_phi
     grad_term = D * float(np.linalg.norm(phi_q)) + 1e-9
     feat_term = abs(pred_b - pred_a)
-    readout_term = 0.0
-    bound = grad_term + feat_term + readout_term
+    bound = grad_term + feat_term
 
     s_vals = phi_s @ W_b.T
     u_vals = phi_s @ alphas_b[-1]
@@ -440,7 +432,6 @@ def certify_iwl(build: IwlBuild, pair: DomainPair, pred_tf: float,
         step_bound=D,
         grad_term=grad_term,
         feat_term=feat_term,
-        readout_term=readout_term,
         bound=bound,
         measured_vs_surrogate=abs(pred_tf - pred_b),
         measured_vs_reference=abs(pred_tf - pred_a),

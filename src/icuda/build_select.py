@@ -27,6 +27,7 @@ from .build_dann import (
     build_copy_mlp,
     build_dann_transformer,
     certify_dann,
+    encode_dann,
 )
 from .build_iwl import IwlBuildConfig, build_iwl_transformer, certify_iwl
 from .datagen import DomainPair, encode_tokens
@@ -110,7 +111,7 @@ def build_kde_attn(kernel_fit: ra.ReluSum, layout: SlotLayout, n: int, T: int,
     xs = layout.rows("x")
     one = layout.row("one")
     t_r = layout.row("t")
-    p_r = layout.row(p_name)
+    rows, cols = np.r_[layout.row(p_name)], np.r_[one]
     G = 2.0 * max(B_x, 1.0) + 1.0
     heads = []
     for m in range(kernel_fit.n_terms):
@@ -125,9 +126,8 @@ def build_kde_attn(kernel_fit: ra.ReluSum, layout: SlotLayout, n: int, T: int,
         Q[2, one] = -G
         K[2, one] = 1.0
         K[2, t_r] = -1.0
-        V = np.zeros((D, D))
-        V[p_r, one] = kernel_fit.c[m] * T / n
-        heads.append(AttentionHead(Q, K, V))
+        V = np.array([[kernel_fit.c[m] * T / n]])
+        heads.append(AttentionHead(Q, K, V, rows, cols))
     return heads
 
 
@@ -157,9 +157,8 @@ def build_sum_attn(layout: SlotLayout, T: int, e_name: str = "e_soft",
     Q[0, layout.row("one")] = 1.0
     K[0, layout.row("s")] = 1.0
     K[0, layout.row("t")] = -1.0
-    V = np.zeros((D, D))
-    V[layout.row(sum_name), layout.row(e_name)] = float(T)
-    return [AttentionHead(Q, K, V)]
+    return [AttentionHead(Q, K, np.array([[float(T)]]),
+                          np.r_[layout.row(sum_name)], np.r_[layout.row(e_name)])]
 
 
 def build_select_attn(layout: SlotLayout, delta: float, a: float, G: float,
@@ -188,9 +187,8 @@ def build_select_attn(layout: SlotLayout, delta: float, a: float, G: float,
             Q[1, one] = -G
             K[1, layout.row("s")] = 1.0
             K[1, layout.row("t")] = 1.0
-            V = np.zeros((D, D))
-            V[sel, src_row] = v_sign * T
-            heads.append(AttentionHead(Q, K, V))
+            heads.append(AttentionHead(Q, K, np.array([[v_sign * T]]),
+                                       np.r_[sel], np.r_[src_row]))
     return heads
 
 
@@ -350,12 +348,10 @@ def build_icuda_transformer(pair: DomainPair, cfg: IcudaBuildConfig) -> IcudaBui
 
 def encode_icuda(pair: DomainPair, build: IcudaBuild,
                  query_index: int = 0) -> TokenMatrix:
+    """The prompt, with the alignment branch's initial state at its rows."""
     tm = encode_tokens(pair, build.layout, query_index)
-    st = build.dann.state0
-    for k in range(st.u.shape[0]):
-        tm.data[build.layout.rows(f"dann.u{k}"), :] = st.u[k][:, None]
-    tm.data[build.layout.rows("dann.w"), :] = st.w[:, None]
-    tm.data[build.layout.rows("dann.v"), :] = st.v[:, None]
+    dann = encode_dann(pair, build.dann.layout, build.dann.state0, query_index)
+    tm.data[embed_rows(build.dann.layout, build.layout, build.mappings[1])] = dann.data
     return tm
 
 

@@ -54,7 +54,6 @@ class ExperimentConfig:
     gen_params: dict = dataclasses.field(default_factory=dict)
     hyper: dict = dataclasses.field(default_factory=dict)
     build_params: dict = dataclasses.field(default_factory=dict)
-    tolerances: dict = dataclasses.field(default_factory=dict)
     out_dir: str = "runs"
 
     def validate(self) -> None:
@@ -64,9 +63,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algo!r}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        for k, v in self.tolerances.items():
-            if not v > 0:
-                raise ValueError(f"tolerance {k!r} must be positive")
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:

@@ -3,8 +3,9 @@ norm accounting, and composition of independently built parts.
 
 The forward pass treats the token matrix H (D x T) as a residual stream.
 Attention adds (1/T) * sum_j sum_m relu(<Q_m h_i, K_m h_j>) V_m h_j to token i,
-the MLP adds W2 relu(W1 h_i).  All weights are plain dense matrices so that
-constructions can be audited entry by entry.
+the MLP adds W2 relu(W1 h_i).  Q, K, W1 and W2 are dense matrices and each V_m
+is stored as the block it writes (see AttentionHead), so that constructions
+can be audited entry by entry.
 """
 
 from __future__ import annotations
@@ -119,9 +120,14 @@ class TokenMatrix:
 # printing their matrices takes minutes
 @dataclass
 class AttentionHead:
+    """One ReLU head whose D x D value matrix is zero outside the
+    (len(rows), len(cols)) block ``V`` at ``np.ix_(rows, cols)``."""
+
     Q: np.ndarray
     K: np.ndarray
     V: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
 
     def __repr__(self) -> str:
         return f"AttentionHead(Q={self.Q.shape}, K={self.K.shape}, V={self.V.shape})"
@@ -166,7 +172,7 @@ def attn_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
     for head in layer.heads:
         scores = (head.Q @ H).T @ (head.K @ H)
         np.maximum(scores, 0.0, out=scores)
-        acc += (head.V @ H) @ scores.T / T
+        acc[head.rows] += (head.V @ H[head.cols]) @ scores.T / T
     if not np.all(np.isfinite(acc)):
         raise ForwardError("non-finite value in attention output")
     return TokenMatrix(acc, tm.layout, tm.n_source, tm.n_target)
@@ -184,13 +190,29 @@ def mlp_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
 
 def shape_error(layer: TransformerLayer, D: int) -> str | None:
     """Why the layer's weights do not fit stream dim D, or None if they do:
-    every head's Q and K must be (r, D) with one r, V (D, D), and W1 and W2
-    (h, D) and (D, h)."""
+    every head's Q and K must be (r, D) with one r, its rows and cols
+    distinct integer indices below D and V (len(rows), len(cols)), and W1 and
+    W2 (h, D) and (D, h)."""
     for m, h in enumerate(layer.heads):
         if (h.Q.ndim != 2 or h.Q.shape[1] != D or h.K.shape != h.Q.shape
-                or h.V.shape != (D, D)):
-            return (f"head {m}: Q {h.Q.shape}, K {h.K.shape} and V {h.V.shape} "
-                    f"do not fit dim {D}")
+                or h.rows.ndim != 1 or h.cols.ndim != 1
+                or h.rows.dtype.kind not in "iu" or h.cols.dtype.kind not in "iu"
+                or h.V.shape != (h.rows.size, h.cols.size)):
+            return (f"head {m}: Q {h.Q.shape}, K {h.K.shape}, V {h.V.shape}, "
+                    f"rows {h.rows.shape} and cols {h.cols.shape} do not fit dim {D}")
+    for name in ("rows", "cols") if layer.heads else ():
+        # head m's index i as key m * D + i: an i outside [0, D) moves the
+        # key out of head m's range, a repeated i repeats the key
+        idx = [getattr(h, name) for h in layer.heads]
+        owner = np.repeat(np.arange(len(idx)), [i.size for i in idx])
+        key = owner * D + np.concatenate(idx)
+        first = np.zeros(key.size, dtype=bool)
+        first[np.unique(key, return_index=True)[1]] = True
+        bad = (key // D != owner) | ~first
+        if bad.any():
+            m = int(owner[bad.argmax()])
+            return (f"head {m}: {name} {idx[m].tolist()} repeat or leave "
+                    f"rows 0..{D - 1}")
     if (layer.W1.ndim != 2 or layer.W1.shape[1] != D
             or layer.W2.shape != layer.W1.shape[::-1]):
         return f"W1 {layer.W1.shape} and W2 {layer.W2.shape} do not fit dim {D}"
@@ -256,25 +278,20 @@ def describe(tf: Transformer) -> dict:
     """Structural summary: per-layer head counts, norms, and slot usage."""
     layers = []
     for layer in tf.layers:
-        read, written = set(), set()
-        for name, a, b in tf.layout.ranges:
-            rows = slice(a, b)
-            for head in layer.heads:
-                if np.any(head.Q[:, rows]) or np.any(head.K[:, rows]) or np.any(head.V[:, rows]):
-                    read.add(name)
-                if np.any(head.V[rows, :]):
-                    written.add(name)
-            if layer.W1.size and np.any(layer.W1[:, rows]):
-                read.add(name)
-            if layer.W2.size and np.any(layer.W2[rows, :]):
-                written.add(name)
+        read = np.any(layer.W1, axis=0)
+        written = np.any(layer.W2, axis=1)
+        for head in layer.heads:
+            read |= np.any(head.Q, axis=0) | np.any(head.K, axis=0)
+            read[head.cols[np.any(head.V, axis=0)]] = True
+            written[head.rows[np.any(head.V, axis=1)]] = True
         layers.append(
             {
                 "heads": len(layer.heads),
                 "mlp_hidden": int(layer.W1.shape[0]),
                 "norm": layer_norm(layer),
-                "reads": sorted(read),
-                "writes": sorted(written),
+                "reads": sorted(n for n, a, b in tf.layout.ranges if read[a:b].any()),
+                "writes": sorted(n for n, a, b in tf.layout.ranges
+                                 if written[a:b].any()),
             }
         )
     return {
@@ -352,8 +369,9 @@ def compose(
 ) -> Transformer:
     """Stack parts sequentially on a unified stream.
 
-    Each part's weights are conjugated by its row embedding; cross-part claims on
-    the same unified workspace slot are rejected.
+    Each part's Q, K, W1 and W2 are conjugated by its row embedding and its
+    value blocks' rows and cols mapped through it; cross-part claims on the
+    same unified workspace slot are rejected.
     """
     if len(parts) != len(mappings):
         raise LayoutError("one mapping per part required")
@@ -368,11 +386,12 @@ def compose(
     layers: list[TransformerLayer] = []
     for part, mapping in zip(parts, mappings):
         # row embedding P (unified.dim x part.dim)
+        idx = embed_rows(part.layout, unified, mapping)
         P = np.zeros((unified.dim, part.layout.dim))
-        P[embed_rows(part.layout, unified, mapping), np.arange(part.layout.dim)] = 1.0
+        P[idx, np.arange(part.layout.dim)] = 1.0
         for layer in part.layers:
             heads = [
-                AttentionHead(h.Q @ P.T, h.K @ P.T, P @ h.V @ P.T)
+                AttentionHead(h.Q @ P.T, h.K @ P.T, h.V, idx[h.rows], idx[h.cols])
                 for h in layer.heads
             ]
             layers.append(TransformerLayer(heads, layer.W1 @ P.T, P @ layer.W2))
@@ -390,7 +409,8 @@ def to_json(tf: Transformer) -> str:
         "layers": [
             {
                 "heads": [
-                    {"Q": h.Q.tolist(), "K": h.K.tolist(), "V": h.V.tolist()}
+                    {"Q": h.Q.tolist(), "K": h.K.tolist(), "V": h.V.tolist(),
+                     "rows": h.rows.tolist(), "cols": h.cols.tolist()}
                     for h in layer.heads
                 ],
                 "W1": layer.W1.tolist(),
@@ -404,13 +424,14 @@ def to_json(tf: Transformer) -> str:
 
 def from_json(s: str) -> Transformer:
     """Load a model written by to_json; a layout that is not contiguous from
-    row 0 or a weight whose shape does not fit it raises LayoutError."""
+    row 0, a weight whose shape does not fit it or a value block whose rows
+    or cols repeat or leave it raises LayoutError."""
     obj = json.loads(s)
     layout = SlotLayout(tuple((n, a, b) for n, a, b in obj["layout"]))
     layers = []
     for i, lobj in enumerate(obj["layers"]):
         heads = [
-            AttentionHead(np.array(h["Q"]), np.array(h["K"]), np.array(h["V"]))
+            AttentionHead(*(np.array(h[k]) for k in ("Q", "K", "V", "rows", "cols")))
             for h in lobj["heads"]
         ]
         W1 = np.array(lobj["W1"])

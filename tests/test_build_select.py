@@ -189,6 +189,41 @@ def assert_branch_rows_match_standalone(pair, build):
         first += len(alone)
 
 
+@pytest.fixture(scope="module")
+def composed_build():
+    gcfg = dg.ShiftGaussConfig(d=1, n_source=25, n_target=10, n_eval=20,
+                               mu_target=0.1, sigma_target=0.5, boundary=0.3,
+                               seed=1)
+    cfg = bs.IcudaBuildConfig(sel=ur.SelectorConfig(L1=6, L2=6, L=2))
+    return bs.build_icuda_transformer(dg.gen_shifted_gaussians(gcfg), cfg)
+
+
+class TestComposedWeights:
+    def test_value_maps_are_small_blocks(self, composed_build):
+        # as dense D x D matrices the value maps took 174 MB
+        heads = [h for layer in composed_build.tf.layers for h in layer.heads]
+        assert len(heads) > 20000
+        assert sum(h.V.nbytes for h in heads) < 1e6
+
+    def test_describe_matches_dense_value_maps(self, composed_build):
+        tf = composed_build.tf
+        D = tf.layout.dim
+        info = tc.describe(tf)
+        for layer, got in zip(tf.layers, info["layers"], strict=True):
+            read = np.any(layer.W1, axis=0)
+            written = np.any(layer.W2, axis=1)
+            for h in layer.heads:
+                V = np.zeros((D, D))
+                V[np.ix_(h.rows, h.cols)] = h.V
+                read |= np.any(h.Q, axis=0) | np.any(h.K, axis=0) | np.any(V, axis=0)
+                written |= np.any(V, axis=1)
+            names = tf.layout.ranges
+            assert got["reads"] == sorted(n for n, a, b in names if read[a:b].any())
+            assert got["writes"] == sorted(n for n, a, b in names
+                                           if written[a:b].any())
+        assert "q_soft" in info["layers"][-2]["writes"]
+
+
 class TestComposedSelector:
     def build(self, mu_t, sigma_t, seed):
         gcfg = dg.ShiftGaussConfig(d=1, n_source=25, n_target=10, n_eval=20,

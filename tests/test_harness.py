@@ -44,10 +44,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="non-empty"):
             hz.load_config(path, {})
 
-    def test_nonpositive_tolerance_rejected(self, tmp_path):
+    def test_nonpositive_tolerance_rejected(self, tmp_path, capsys):
+        # no tolerance is read anywhere, so the key is unknown
         path = write_config(tmp_path, tolerances={"gap": 0.0})
-        with pytest.raises(ValueError, match="positive"):
-            hz.load_config(path, {})
+        assert hz.main(["verify", "--config", path]) == 2
+        assert "unknown config keys: ['tolerances']" in capsys.readouterr().err
 
     def test_flag_overrides_file(self, tmp_path):
         path = write_config(tmp_path, algo="iwl", seeds=[5])

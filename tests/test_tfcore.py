@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import icuda.tfcore as tc
 
@@ -21,15 +21,28 @@ def random_stream(layout, T, rng):
     return tc.TokenMatrix(H, layout, n_source=max(T - 2, 1), n_target=1)
 
 
+def random_head(dim, rows, rng, scale=0.3):
+    """Head with a random value block: distinct rows and cols, in random
+    order, anywhere from one entry to the full D x D."""
+    out = rng.permutation(dim)[: rng.integers(1, dim + 1)]
+    inp = rng.permutation(dim)[: rng.integers(1, dim + 1)]
+    return tc.AttentionHead(
+        scale * rng.standard_normal((rows, dim)),
+        scale * rng.standard_normal((rows, dim)),
+        scale * rng.standard_normal((out.size, inp.size)),
+        out,
+        inp,
+    )
+
+
+def dense_value(head, dim):
+    V = np.zeros((dim, dim))
+    V[np.ix_(head.rows, head.cols)] = head.V
+    return V
+
+
 def random_layer(dim, heads, rows, hidden, rng, scale=0.3):
-    hs = [
-        tc.AttentionHead(
-            scale * rng.standard_normal((rows, dim)),
-            scale * rng.standard_normal((rows, dim)),
-            scale * rng.standard_normal((dim, dim)),
-        )
-        for _ in range(heads)
-    ]
+    hs = [random_head(dim, rows, rng, scale) for _ in range(heads)]
     W1 = scale * rng.standard_normal((hidden, dim))
     W2 = scale * rng.standard_normal((dim, hidden))
     return tc.TransformerLayer(hs, W1, W2)
@@ -40,7 +53,8 @@ class TestForward:
         layout = toy_layout([("w", 3)])
         T = 7
         tm = random_stream(layout, T, rng)
-        layer = random_layer(layout.dim, heads=2, rows=3, hidden=4, rng=rng)
+        layer = random_layer(layout.dim, heads=6, rows=3, hidden=4, rng=rng)
+        assert any(h.V.size < layout.dim ** 2 for h in layer.heads)
 
         out = tc.attn_forward(layer, tm).data
         D = layout.dim
@@ -52,7 +66,7 @@ class TestForward:
                     score = 0.0
                     for r in range(head.Q.shape[0]):
                         score += (head.Q[r] @ tm.data[:, i]) * (head.K[r] @ tm.data[:, j])
-                    acc += max(score, 0.0) * (head.V @ tm.data[:, j])
+                    acc += max(score, 0.0) * (dense_value(head, D) @ tm.data[:, j])
             expected[:, i] += acc / T
         assert_allclose(out, expected, atol=1e-12)
 
@@ -114,16 +128,36 @@ class TestForward:
         tm = tc.TokenMatrix(H, layout, 1, 1)
         Q = np.zeros((1, layout.dim))
         K = np.zeros((1, layout.dim))
-        V = np.zeros((layout.dim, layout.dim))
         Q[0, layout.rows("x")] = [1e200, 0.0]
         K[0, layout.rows("x")] = [1e200, 0.0]
-        V[layout.row("y"), layout.row("one")] = 1.0
+        head = tc.AttentionHead(Q, K, np.ones((1, 1)), np.r_[layout.row("y")],
+                                np.r_[layout.row("one")])
         zl = tc.zero_layer(layout.dim)
-        layer = tc.TransformerLayer([tc.AttentionHead(Q, K, V)], zl.W1, zl.W2)
+        layer = tc.TransformerLayer([head], zl.W1, zl.W2)
         tf = tc.Transformer([layer], layout, ("y", None))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(tc.ForwardError):
                 tc.forward(tf, tm)
+
+    @pytest.mark.parametrize("rows, cols, shape", [
+        ([0, 0], [1], (2, 1)),
+        ([0], [1, 2, 1], (1, 3)),
+        ([7], [1], (1, 1)),
+        ([-1], [1], (1, 1)),
+        ([0, 1], [2], (1, 1)),
+        ([0.0], [1], (1, 1)),
+    ], ids=["repeated_row", "repeated_col", "row_past_dim", "negative_row",
+            "block_shape", "float_index"])
+    def test_bad_value_block_rejected(self, rng, rows, cols, shape):
+        layout = toy_layout()  # dim 6
+        tm = random_stream(layout, 3, rng)
+        good = random_head(layout.dim, 1, rng)
+        bad = tc.AttentionHead(good.Q, good.K, np.ones(shape), np.array(rows),
+                               np.array(cols))
+        zl = tc.zero_layer(layout.dim)
+        layer = tc.TransformerLayer([good, bad], zl.W1, zl.W2)
+        with pytest.raises(tc.ForwardError, match="head 1"):
+            tc.layer_forward(layer, tm)
 
 
 class TestLayout:
@@ -195,6 +229,27 @@ class TestComposition:
         assert_allclose(out.data[unified.row("a.u")], 2.0, atol=1e-13)
         assert_allclose(out.data[unified.row("b.u")], 3.0, atol=1e-13)
 
+    def test_compose_places_blocks_at_embedded_rows(self, rng):
+        parts = []
+        for slot, extra in (("u", 2), ("v", 1)):
+            layout = toy_layout([(slot, extra)])
+            layer = random_layer(layout.dim, 3, 2, 2, rng)
+            parts.append(tc.Transformer([layer], layout, (slot, None)))
+        unified, maps = tc.union_layout(parts, ["a", "b"])
+        tf = tc.compose(parts, unified, maps)
+        D = unified.dim
+        composed = iter(tf.layers)
+        for part, mapping in zip(parts, maps):
+            idx = tc.embed_rows(part.layout, unified, mapping)
+            P = np.zeros((D, part.layout.dim))
+            P[idx, np.arange(part.layout.dim)] = 1.0
+            layer = next(composed)
+            for h, ch in zip(part.layers[0].heads, layer.heads, strict=True):
+                assert_array_equal(ch.rows, idx[h.rows])
+                assert_array_equal(ch.cols, idx[h.cols])
+                assert_array_equal(dense_value(ch, D),
+                                   P @ dense_value(h, part.layout.dim) @ P.T)
+
     def test_compose_rejects_overlapping_claims(self):
         p1 = self.make_writer("u", 2.0)
         p2 = self.make_writer("u", 3.0)
@@ -239,17 +294,21 @@ class TestDiagnostics:
         assert "heads=200" in repr(layer)
         assert len(repr(tc.Transformer([layer] * 30, layout))) <= 200
 
-    @pytest.mark.parametrize("layout, V2, match", [
-        ([["x", 0, 1], ["one", 2, 3]], np.eye(3), "'one'"),  # row 1 unused
-        ([["x", 0, 1], ["one", 1, 3]], np.eye(2), "layer 1 head 0"),
-    ], ids=["gapped_layout", "value_shape"])
-    def test_from_json_rejects_bad_layout_and_shapes(self, layout, V2, match):
-        def layer(V):
+    @pytest.mark.parametrize("layout, head2, match", [
+        ([["x", 0, 1], ["one", 2, 3]], ([[1.0]], [2], [2]), "'one'"),  # row 1 unused
+        ([["x", 0, 1], ["one", 1, 3]], ([[1.0, 0.0]], [2], [2]), "layer 1 head 0"),
+        ([["x", 0, 1], ["one", 1, 3]], ([[1.0], [1.0]], [2, 2], [0]),
+         "layer 1 head 0"),
+        ([["x", 0, 1], ["one", 1, 3]], ([[1.0, 1.0]], [2], [1, 3]),
+         "layer 1 head 0"),
+    ], ids=["gapped_layout", "value_shape", "repeated_row", "col_past_dim"])
+    def test_from_json_rejects_bad_layout_and_shapes(self, layout, head2, match):
+        def layer(V, rows, cols):
             head = {"Q": [[0.0, 0.0, 1.0]], "K": [[0.0, 0.0, 1.0]],
-                    "V": V.tolist()}
+                    "V": V, "rows": rows, "cols": cols}
             return {"heads": [head], "W1": [], "W2": [[], [], []]}
 
         obj = {"layout": layout, "readout": ["x", None],
-               "layers": [layer(np.eye(3)), layer(V2)]}
+               "layers": [layer([[1.0]], [2], [2]), layer(*head2)]}
         with pytest.raises(tc.LayoutError, match=match):
             tc.from_json(json.dumps(obj))
