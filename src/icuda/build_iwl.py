@@ -25,6 +25,7 @@ from .tfcore import (
     Transformer,
     TransformerLayer,
     forward_trace,
+    head_norms,
     operator_norm,
     read_output,
     tf_norm,
@@ -104,8 +105,7 @@ def build_feature_layers(layout: SlotLayout, fmap: ur.RbfFeatureMap,
     heads = feature_heads(layout, fits, phi_name)
     layers = []
     batch, mass = [], 0.0
-    for h in heads:
-        c = operator_norm(h.V)
+    for h, c in zip(heads, head_norms([h.V for h in heads]).tolist()):
         if batch and mass + c > cfg.feature_layer_cap:
             layers.append(TransformerLayer(batch, np.zeros((0, layout.dim)),
                                            np.zeros((layout.dim, 0))))

@@ -347,7 +347,6 @@ def cmd_describe(cfg: ExperimentConfig) -> int:
     tf = ALGO_TABLE[cfg.algo][0](cfg, scfg, pair).tf
     info = describe(tf)
     info["algo"] = cfg.algo
-    info["tf_norm"] = tf_norm(tf)
     print(json.dumps(_jsonable(info), sort_keys=True, indent=2))
     return 0
 

@@ -188,16 +188,29 @@ def mlp_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
     return TokenMatrix(out, tm.layout, tm.n_source, tm.n_target)
 
 
+def _groups(keys) -> dict:
+    """Positions of each distinct key, in first-seen order."""
+    out: dict = {}
+    for i, k in enumerate(keys):
+        out.setdefault(k, []).append(i)
+    return out
+
+
 def shape_error(layer: TransformerLayer, D: int) -> str | None:
     """Why the layer's weights do not fit stream dim D, or None if they do:
     every head's Q and K must be (r, D) with one r, its rows and cols
     distinct integer indices below D and V (len(rows), len(cols)), and W1 and
-    W2 (h, D) and (D, h)."""
-    for m, h in enumerate(layer.heads):
-        if (h.Q.ndim != 2 or h.Q.shape[1] != D or h.K.shape != h.Q.shape
-                or h.rows.ndim != 1 or h.cols.ndim != 1
-                or h.rows.dtype.kind not in "iu" or h.cols.dtype.kind not in "iu"
-                or h.V.shape != (h.rows.size, h.cols.size)):
+    W2 (h, D) and (D, h).  Heads are checked once per distinct combination
+    of shapes and index dtypes; the error names the first bad head."""
+    groups = _groups((h.Q.shape, h.K.shape, h.V.shape, h.rows.shape,
+                      h.cols.shape, h.rows.dtype, h.cols.dtype)
+                     for h in layer.heads)
+    # groups come in first-seen order: the first bad one holds the first bad head
+    for (q, k, v, rs, cs, rt, ct), members in groups.items():
+        if (len(q) != 2 or q[1] != D or k != q or len(rs) != 1 or len(cs) != 1
+                or rt.kind not in "iu" or ct.kind not in "iu" or v != rs + cs):
+            m = members[0]
+            h = layer.heads[m]
             return (f"head {m}: Q {h.Q.shape}, K {h.K.shape}, V {h.V.shape}, "
                     f"rows {h.rows.shape} and cols {h.cols.shape} do not fit dim {D}")
     for name in ("rows", "cols") if layer.heads else ():
@@ -251,20 +264,36 @@ def read_output(tf: Transformer, tm: TokenMatrix) -> float:
     return float(out.data[out.layout.row(name), c])
 
 
+def head_norms(mats: list[np.ndarray]) -> np.ndarray:
+    """Spectral norm of each matrix, in input order; 0.0 for a matrix with
+    no entries.  One stacked SVD per distinct shape: numpy runs the same
+    LAPACK call on every matrix of the stack, so each norm equals
+    ``np.linalg.norm(M, 2)`` bit for bit."""
+    out = np.zeros(len(mats))
+    for shape, idx in _groups(M.shape for M in mats).items():
+        if 0 not in shape:
+            stack = np.stack([mats[i] for i in idx])
+            out[idx] = np.linalg.svd(stack, compute_uv=False).max(axis=-1)
+    return out
+
+
 def operator_norm(M: np.ndarray) -> float:
     """Spectral norm (largest singular value)."""
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(head_norms([M])[0])
 
 
 def layer_norm(layer: TransformerLayer) -> float:
-    """max_m max(|Q_m|, |K_m|) + sum_m |V_m| + |W1| + |W2|  (operator norms)."""
-    qk = 0.0
-    vsum = 0.0
-    for head in layer.heads:
-        qk = max(qk, operator_norm(head.Q), operator_norm(head.K))
-        vsum += operator_norm(head.V)
+    """max_m max(|Q_m|, |K_m|) + sum_m |V_m| + |W1| + |W2|  (operator norms).
+
+    The head norms come from ``head_norms`` (one batched SVD per matrix
+    shape); the V norms are summed left to right in head order, as a loop
+    over the heads would, so the result does not depend on the batching."""
+    heads = layer.heads
+    n = len(heads)
+    norms = head_norms([h.Q for h in heads] + [h.K for h in heads]
+                       + [h.V for h in heads])
+    qk = float(norms[:2 * n].max(initial=0.0))
+    vsum = float(np.cumsum(norms[2 * n:])[-1]) if heads else 0.0
     return qk + vsum + operator_norm(layer.W1) + operator_norm(layer.W2)
 
 
@@ -299,7 +328,8 @@ def describe(tf: Transformer) -> dict:
         "num_layers": len(tf.layers),
         "layout": {n: [a, b] for n, a, b in tf.layout.ranges},
         "readout": [tf.readout[0], tf.readout[1]],
-        "tf_norm": tf_norm(tf) if tf.layers else 0.0,
+        # the max of the per-layer norms, which is tf_norm(tf) bit for bit
+        "tf_norm": max((lay["norm"] for lay in layers), default=0.0),
         "layers": layers,
     }
 

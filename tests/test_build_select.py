@@ -16,6 +16,8 @@ import icuda.relu_approx as ra
 import icuda.tfcore as tc
 import icuda.uda_ref as ur
 
+from test_tfcore import reference_layer_norm
+
 
 def stub_layout(d=1):
     return tc.SlotLayout.build([
@@ -222,6 +224,11 @@ class TestComposedWeights:
             assert got["writes"] == sorted(n for n, a, b in names
                                            if written[a:b].any())
         assert "q_soft" in info["layers"][-2]["writes"]
+
+    def test_tf_norm_matches_per_head_reference(self, composed_build):
+        layers = composed_build.tf.layers
+        assert tc.tf_norm(composed_build.tf) == max(map(reference_layer_norm,
+                                                        layers))
 
 
 class TestComposedSelector:

@@ -41,6 +41,19 @@ def dense_value(head, dim):
     return V
 
 
+def reference_norm(M):
+    return float(np.linalg.norm(M, 2)) if M.size else 0.0
+
+
+def reference_layer_norm(layer):
+    """layer_norm as one SVD per matrix, summing V norms head by head."""
+    qk = vsum = 0.0
+    for h in layer.heads:
+        qk = max(qk, reference_norm(h.Q), reference_norm(h.K))
+        vsum += reference_norm(h.V)
+    return qk + vsum + reference_norm(layer.W1) + reference_norm(layer.W2)
+
+
 def random_layer(dim, heads, rows, hidden, rng, scale=0.3):
     hs = [random_head(dim, rows, rng, scale) for _ in range(heads)]
     W1 = scale * rng.standard_normal((hidden, dim))
@@ -159,6 +172,23 @@ class TestForward:
         with pytest.raises(tc.ForwardError, match="head 1"):
             tc.layer_forward(layer, tm)
 
+    def test_shape_error_names_first_bad_head(self, rng):
+        D = toy_layout().dim
+        heads = [random_head(D, r, rng) for r in (1, 2, 1, 2, 1)]
+        # bad: head 2 (a float index), heads 3 and 5 (K rows differ from Q's)
+        heads[3] = tc.AttentionHead(heads[3].Q, heads[3].K[:1], heads[3].V,
+                                    heads[3].rows, heads[3].cols)
+        h = heads[2]
+        heads[2] = tc.AttentionHead(h.Q, h.K, h.V, h.rows.astype(float), h.cols)
+        heads.append(heads[3])
+        zl = tc.zero_layer(D)
+        err = tc.shape_error(tc.TransformerLayer(heads, zl.W1, zl.W2), D)
+        assert err == (f"head 2: Q {h.Q.shape}, K {h.K.shape}, V {h.V.shape}, "
+                       f"rows {h.rows.shape} and cols {h.cols.shape} "
+                       f"do not fit dim {D}")
+        assert tc.shape_error(tc.TransformerLayer(heads[:2], zl.W1, zl.W2),
+                              D) is None
+
 
 class TestLayout:
     def test_rows_and_width(self):
@@ -268,6 +298,35 @@ class TestDiagnostics:
         assert abs(tc.operator_norm(np.diag([1.0, 1.0 - 1e-6])) - 1.0) <= 1e-12
         assert tc.operator_norm(np.zeros((0, 4))) == 0.0
 
+    def test_head_norms_keep_input_order(self, rng):
+        shapes = [(2, 3), (1, 1), (3, 2), (2, 3), (0, 4), (1, 1), (4, 0),
+                  (3, 2), (2, 3)]
+        mats = [rng.standard_normal(s) for s in shapes]
+        got = tc.head_norms(mats)
+        assert got.tolist() == [reference_norm(M) for M in mats]
+
+    def test_layer_norm_matches_per_head_reference(self, rng):
+        layout = toy_layout([("w", 3)])
+        D = layout.dim
+        layers = []
+        for hidden in (0, 1, 3, 5):
+            # Q row counts and value block shapes mixed in one layer
+            layer = random_layer(D, 0, 1, hidden, rng)
+            layer.heads = [random_head(D, int(rng.integers(1, 4)), rng)
+                           for _ in range(int(rng.integers(1, 40)))]
+            layers.append(layer)
+        heads = layers[1].heads
+        h = heads[0]
+        heads[0] = tc.AttentionHead(np.zeros((0, D)), np.zeros((0, D)), h.V,
+                                    h.rows, h.cols)
+        heads.append(tc.AttentionHead(h.Q, h.K, np.zeros((0, 2)),
+                                      np.array([], dtype=int), np.array([0, 1])))
+        layers += [tc.zero_layer(D), random_layer(D, 0, 1, 4, rng)]
+        for layer in layers:
+            assert tc.layer_norm(layer) == reference_layer_norm(layer)
+        tf = tc.Transformer(layers, layout, ("y", None))
+        assert tc.tf_norm(tf) == max(map(reference_layer_norm, layers))
+
     def test_describe_counts(self, rng):
         layout = toy_layout()
         layers = [random_layer(layout.dim, 2, 2, 5, rng) for _ in range(2)]
@@ -277,6 +336,8 @@ class TestDiagnostics:
         assert len(info["layers"]) == 2
         assert info["dim"] == layout.dim
         assert tc.tf_norm(tf) > 0.0
+        assert info["tf_norm"] == tc.tf_norm(tf)
+        assert tc.describe(tc.Transformer([], layout))["tf_norm"] == 0.0
 
     def test_json_round_trip(self, rng):
         layout = toy_layout([("w", 1)])
