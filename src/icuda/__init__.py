@@ -16,6 +16,7 @@ from .datagen import (
 )
 from .tfcore import (
     AttentionHead,
+    HeadFamily,
     SlotLayout,
     TokenMatrix,
     Transformer,
@@ -50,6 +51,7 @@ __all__ = [
     "AttentionHead",
     "DannBuildConfig",
     "DomainPair",
+    "HeadFamily",
     "IcudaBuildConfig",
     "IcudaResult",
     "IwlBuildConfig",

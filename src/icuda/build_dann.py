@@ -15,7 +15,8 @@ measured fit errors through the gradient formula with realized trace bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .tfcore import (
     Transformer,
     TransformerLayer,
     forward_trace,
+    ridge_family,
 )
 
 # fits shared by every build in the process; their arrays are made
@@ -189,29 +191,26 @@ def projection_fit(B: float, R_blk: float, dim: int, terms: int, seed: int = 0):
 
 
 def build_forward_attn(layout: SlotLayout, cfg: DannBuildConfig, R1: float):
-    """Heads rebuilding the label and domain scores into lam/delta rows."""
+    """Head families rebuilding the label and domain scores into lam/delta
+    rows, one per hidden unit k: z_ij = x_i . u_k at sender j."""
     D = layout.dim
     xs = layout.rows("x")
     one = layout.row("one")
-    lam_r = layout.row("lam")
-    del_r = layout.row("delta")
+    rows = np.r_[layout.row("lam"), layout.row("delta")]
     wsl = layout.rows("w")
     vsl = layout.rows("v")
     rfit, _ = activation_fit(cfg.activation, R1, cfg.r_knots)
-    heads = []
     d = cfg.d
+    families = []
     for k in range(cfg.K):
-        usl = layout.rows(f"u{k}")
-        rows, cols = np.r_[lam_r, del_r], np.r_[wsl.start + k, vsl.start + k]
-        for m in range(rfit.n_terms):
-            Q = np.zeros((d + 1, D))
-            K = np.zeros((d + 1, D))
-            Q[:d, xs] = rfit.a[m, 0] * np.eye(d)
-            K[:d, usl] = np.eye(d)
-            Q[d, one] = rfit.b[m]
-            K[d, one] = 1.0
-            heads.append(AttentionHead(Q, K, np.diag([rfit.c[m]] * 2), rows, cols))
-    return heads
+        Qf = np.zeros((d, D))
+        Kf = np.zeros((d, D))
+        Qf[:, xs] = np.eye(d)
+        Kf[:, layout.rows(f"u{k}")] = np.eye(d)
+        families.append(ridge_family(
+            Qf, Kf, one, rfit.a[:, 0], rfit.b, rfit.c, np.eye(2), rows,
+            np.r_[wsl.start + k, vsl.start + k]))
+    return tuple(families)
 
 
 def build_lossgrad_mlp(layout: SlotLayout, cfg: DannBuildConfig, R_lam: float,
@@ -250,8 +249,9 @@ def build_gd_attn(layout: SlotLayout, cfg: DannBuildConfig, n: int, n_prime: int
     """The six update families as gated attention heads.
 
     Families 1/3 rebuild weight-times-gradient-times-slope terms through the
-    2-D product fit and deliver the sender's point; families 2/4 rebuild the
-    activation value and deliver the sender's loss gradient.
+    2-D product fit and deliver the sender's point (plain heads); families
+    2/4 rebuild the activation value at z_ij = u_k,i . x_j and deliver the
+    sender's loss gradient (one HeadFamily each).
     """
     D = layout.dim
     xs = layout.rows("x")
@@ -269,17 +269,20 @@ def build_gd_attn(layout: SlotLayout, cfg: DannBuildConfig, n: int, n_prime: int
     rfit, _ = activation_fit(cfg.activation, R1, cfg.r_knots)
     G = 2.0
     heads = []
+    families = []
 
-    def gate_rows(Q, K, row, kind):
+    def gate_rows(kind):
         # kind: "src" passes t=1 tokens, "tgt" passes s=1, t=0 tokens
-        Q[row, one] = -G
+        q_g = np.zeros(D)
+        k_g = np.zeros(D)
+        q_g[one] = -G
+        k_g[one] = 1.0
         if kind == "src":
-            K[row, one] = 1.0
-            K[row, t_r] = -1.0
+            k_g[t_r] = -1.0
         else:
-            K[row, one] = 1.0
-            K[row, s_r] = -1.0
-            K[row, t_r] = 1.0
+            k_g[s_r] = -1.0
+            k_g[t_r] = 1.0
+        return q_g, k_g
 
     for k in range(cfg.K):
         usl = layout.rows(f"u{k}")
@@ -291,6 +294,7 @@ def build_gd_attn(layout: SlotLayout, cfg: DannBuildConfig, n: int, n_prime: int
                                        ("tgt", (N + 1) * lam * eta / n_prime)]),
         ):
             for kind, vcoef in specs:
+                q_g, k_g = gate_rows(kind)
                 for m in range(pfit.n_terms):
                     a_s, a_z = pfit.a[m]
                     Q = np.zeros((d + 3, D))
@@ -301,30 +305,26 @@ def build_gd_attn(layout: SlotLayout, cfg: DannBuildConfig, n: int, n_prime: int
                     K[1 : 1 + d, xs] = np.eye(d)
                     Q[1 + d, one] = pfit.b[m]
                     K[1 + d, one] = 1.0
-                    gate_rows(Q, K, 2 + d, kind)
+                    Q[2 + d] = q_g
+                    K[2 + d] = k_g
                     V = np.diag([vcoef * scale * pfit.c[m]] * d)
                     heads.append(AttentionHead(Q, K, V, u_rows, x_cols))
         # families 2, 4a, 4b: updates of w_k and v_k
+        Qf = np.zeros((d, D))
+        Kf = np.zeros((d, D))
+        Qf[:, usl] = np.eye(d)
+        Kf[:, xs] = np.eye(d)
         for out_row, grad_row, specs in (
             (wsl.start + k, gl_r, [(None, -(N + 1) * eta / n)]),
             (vsl.start + k, gd_r, [("src", -(N + 1) * lam * eta / n),
                                    ("tgt", -(N + 1) * lam * eta / n_prime)]),
         ):
-            rows, cols = np.r_[out_row], np.r_[grad_row]
             for kind, vcoef in specs:
-                for m in range(rfit.n_terms):
-                    nrows = d + 2 if kind else d + 1
-                    Q = np.zeros((nrows, D))
-                    K = np.zeros((nrows, D))
-                    Q[:d, usl] = rfit.a[m, 0] * np.eye(d)
-                    K[:d, xs] = np.eye(d)
-                    Q[d, one] = rfit.b[m]
-                    K[d, one] = 1.0
-                    if kind:
-                        gate_rows(Q, K, d + 1, kind)
-                    V = np.array([[vcoef * rfit.c[m]]])
-                    heads.append(AttentionHead(Q, K, V, rows, cols))
-    return heads, pfit, rfit
+                families.append(ridge_family(
+                    Qf, Kf, one, rfit.a[:, 0], rfit.b, vcoef * rfit.c,
+                    np.ones((1, 1)), np.r_[out_row], np.r_[grad_row],
+                    gate=gate_rows(kind) if kind else None, after=len(heads)))
+    return heads, tuple(families), pfit, rfit
 
 
 def build_projection_mlp(layout: SlotLayout, cfg: DannBuildConfig,
@@ -383,9 +383,9 @@ def build_readout_layer(layout: SlotLayout, cfg: DannBuildConfig, R1: float,
                         R_lam: float):
     """Recompute the label score, then copy it into the output slot at the
     query token only."""
-    heads = build_forward_attn(layout, cfg, R1)
-    return TransformerLayer(heads, *build_copy_mlp(layout, R_lam + 2.0, "lam",
-                                                   cfg.out_name))
+    families = build_forward_attn(layout, cfg, R1)
+    return TransformerLayer([], *build_copy_mlp(layout, R_lam + 2.0, "lam",
+                                                cfg.out_name), families)
 
 
 # ---------------------------------------------------------------------------
@@ -466,19 +466,18 @@ def build_dann_transformer(pair: DomainPair, cfg: DannBuildConfig,
 
     layout = dann_layout(cfg.d, cfg.K)
     D = layout.dim
-    fwd_heads = build_forward_attn(layout, cfg, R1)
     W1_lg, W2_lg, gl_fit, gd_fit = build_lossgrad_mlp(layout, cfg, R_sc, R_sc)
-    layer_a = TransformerLayer(fwd_heads, W1_lg, W2_lg)
-    gd_heads, pfit, rfit = build_gd_attn(layout, cfg, pair.n, pair.n_prime, R1, S1, S3)
-    layer_b = TransformerLayer(gd_heads, np.zeros((0, D)), np.zeros((D, 0)))
+    layer_a = TransformerLayer([], W1_lg, W2_lg, build_forward_attn(layout, cfg, R1))
+    gd_heads, gd_families, pfit, rfit = build_gd_attn(
+        layout, cfg, pair.n, pair.n_prime, R1, S1, S3)
+    layer_b = TransformerLayer(gd_heads, np.zeros((0, D)), np.zeros((D, 0)),
+                               gd_families)
     W1_p, W2_p, eps_proj = build_projection_mlp(layout, cfg, enable_proj, R_blk)
     layer_c = TransformerLayer([], W1_p, W2_p)
 
     layers = []
     for _ in range(cfg.L):
-        layers.append(TransformerLayer(layer_a.heads, layer_a.W1, layer_a.W2))
-        layers.append(TransformerLayer(layer_b.heads, layer_b.W1, layer_b.W2))
-        layers.append(TransformerLayer(layer_c.heads, layer_c.W1, layer_c.W2))
+        layers += [dataclasses.replace(layer) for layer in (layer_a, layer_b, layer_c)]
     layers.append(build_readout_layer(layout, cfg, R1, R_lam))
     tf = Transformer(layers, layout, readout=(cfg.out_name, None))
 

@@ -11,7 +11,8 @@ errors are the feature fit and the gradient surrogate, and both are measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from . import uda_ref as ur
 from .datagen import DomainPair, encode_tokens
 from .tfcore import (
     AttentionHead,
+    HeadFamily,
     SlotLayout,
     TokenMatrix,
     Transformer,
@@ -28,6 +30,7 @@ from .tfcore import (
     head_norms,
     operator_norm,
     read_output,
+    ridge_family,
     tf_norm,
 )
 
@@ -61,22 +64,49 @@ def iwl_layout(d: int, J: int) -> SlotLayout:
 
 def feature_heads(layout: SlotLayout, fits: list[ra.ReluSum], phi_name: str = "phi"):
     """One head per fit term; the score depends only on the receiving token,
-    and averaging the constant value column over senders leaves it unchanged."""
+    and averaging the constant value column over senders leaves it unchanged.
+    1-D fits give one HeadFamily each (z_i = x_i), multivariate fits plain
+    heads."""
     D = layout.dim
     xs = layout.rows("x")
     one = layout.row("one")
     phi0 = layout.rows(phi_name).start
-    heads = []
+    out = []
     for j, rs in enumerate(fits):
         rows, cols = np.r_[phi0 + j], np.r_[one]
+        Q = np.zeros((1, D))
+        K = np.zeros((1, D))
+        K[0, one] = 1.0
+        if rs.input_dim == 1:
+            Q[0, xs] = 1.0
+            Q[0, one] = 1.0
+            Qterm = np.zeros((1, D), dtype=np.int8)
+            Qterm[0, xs] = 1
+            Qterm[0, one] = 2
+            out.append(HeadFamily(Q, K, Qterm, np.zeros((1, D), dtype=np.int8),
+                                  rs.a[:, 0], rs.b, rs.c, np.ones((1, 1)),
+                                  rows, cols))
+            continue
         for m in range(rs.n_terms):
-            Q = np.zeros((1, D))
-            Q[0, xs] = rs.a[m]
-            Q[0, one] = rs.b[m]
-            K = np.zeros((1, D))
-            K[0, one] = 1.0
-            heads.append(AttentionHead(Q, K, np.array([[rs.c[m]]]), rows, cols))
-    return heads
+            Qm = Q.copy()
+            Qm[0, xs] = rs.a[m]
+            Qm[0, one] = rs.b[m]
+            out.append(AttentionHead(Qm, K.copy(), np.array([[rs.c[m]]]), rows, cols))
+    return out
+
+
+def _term_slices(masses: np.ndarray, cap: float) -> list[tuple[int, int]]:
+    """Consecutive [start, stop) runs of terms, each as long as it can be
+    while its summed mass stays under cap (a term over cap runs alone)."""
+    runs, start, mass = [], 0, 0.0
+    for i, c in enumerate(masses.tolist()):
+        if i > start and mass + c > cap:
+            runs.append((start, i))
+            start, mass = i, 0.0
+        mass += c
+    if start < len(masses):
+        runs.append((start, len(masses)))
+    return runs
 
 
 def build_feature_layers(layout: SlotLayout, fmap: ur.RbfFeatureMap,
@@ -86,7 +116,8 @@ def build_feature_layers(layout: SlotLayout, fmap: ur.RbfFeatureMap,
 
     Heads are packed into as many layers as needed to keep each layer's
     summed value-coefficient mass under the cap; the feature slot writes are
-    additive, so splitting layers does not change the computed values.
+    additive, so splitting layers does not change the computed values.  A
+    family split between layers becomes one term slice per layer.
     """
     d = fmap.centers.shape[1]
     fits, errs = [], []
@@ -102,19 +133,28 @@ def build_feature_layers(layout: SlotLayout, fmap: ur.RbfFeatureMap,
                                 seed=cfg.seed + 7 * j)
         fits.append(rs)
         errs.append(rep.sup_error)
-    heads = feature_heads(layout, fits, phi_name)
+    units = feature_heads(layout, fits, phi_name)
+    heads = [h for u in units
+             for h in (u.to_heads() if isinstance(u, HeadFamily) else [u])]
+    # unit u's terms are heads[first[u]:first[u + 1]]
+    first = np.cumsum([0] + [u.n_terms if isinstance(u, HeadFamily) else 1
+                             for u in units])
     layers = []
-    batch, mass = [], 0.0
-    for h, c in zip(heads, head_norms([h.V for h in heads]).tolist()):
-        if batch and mass + c > cfg.feature_layer_cap:
-            layers.append(TransformerLayer(batch, np.zeros((0, layout.dim)),
-                                           np.zeros((layout.dim, 0))))
-            batch, mass = [], 0.0
-        batch.append(h)
-        mass += c
-    if batch:
-        layers.append(TransformerLayer(batch, np.zeros((0, layout.dim)),
-                                       np.zeros((layout.dim, 0))))
+    for start, stop in _term_slices(head_norms([h.V for h in heads]),
+                                    cfg.feature_layer_cap):
+        plain, families = [], []
+        for u, unit in enumerate(units):
+            lo, hi = max(start, first[u]), min(stop, first[u + 1])
+            if lo >= hi:
+                continue
+            if isinstance(unit, HeadFamily):
+                lo, hi = lo - first[u], hi - first[u]
+                families.append(dataclasses.replace(
+                    unit, a=unit.a[lo:hi], b=unit.b[lo:hi], c=unit.c[lo:hi]))
+            else:
+                plain.append(unit)
+        layers.append(TransformerLayer(plain, np.zeros((0, layout.dim)),
+                                       np.zeros((layout.dim, 0)), tuple(families)))
     return layers, fits, np.array(errs)
 
 
@@ -185,7 +225,9 @@ def build_w_layer(layout: SlotLayout, n: int, N: int, eta2: float,
 
     Each surrogate term becomes a head whose score rebuilds the term's input
     (score s from the receiver's weights, label from the sender, ratio value
-    from the receiver's coefficients) minus a source gate.
+    from the receiver's coefficients) minus a source gate.  The two ridge
+    parts of ``grad_surrogate`` are 1-D fits of z = s + u and z = s - u and
+    become two families; its two exact u y terms stay plain heads.
     """
     D = layout.dim
     phi = layout.rows(phi_name)
@@ -196,11 +238,29 @@ def build_w_layer(layout: SlotLayout, n: int, N: int, eta2: float,
     t = layout.row("t")
     J = phi.stop - phi.start
     rows, cols = np.r_[wsl], np.r_[phi]
+    gate_q = np.zeros(D)
+    gate_q[one] = -2.0
+    gate_k = np.zeros(D)
+    gate_k[one] = gate
+    gate_k[t] = -gate
+    coef = -(N + 1) * grad_fit.c * eta2 / n
+    # grad_surrogate lists the p terms, the q terms, then the two u y terms
+    M = (grad_fit.n_terms - 2) // 2
+    families = []
+    for part, sign in ((slice(0, M), 1.0), (slice(M, 2 * M), -1.0)):
+        Qf = np.zeros((2 * J + 1, D))
+        Kf = np.zeros((2 * J + 1, D))
+        Qf[:J, wsl] = np.eye(J)
+        Kf[:J, phi] = np.eye(J)
+        Kf[J, ty] = 1.0
+        Qf[J + 1:, alpha] = sign * np.eye(J)
+        Kf[J + 1:, phi] = np.eye(J)
+        families.append(ridge_family(
+            Qf, Kf, one, grad_fit.a[part, 0], grad_fit.b[part], coef[part],
+            np.eye(J), rows, cols, gate=(gate_q, gate_k)))
     heads = []
-    for m in range(grad_fit.n_terms):
+    for m in range(2 * M, grad_fit.n_terms):
         a_s, a_y, a_u = grad_fit.a[m]
-        b = grad_fit.b[m]
-        c = grad_fit.c[m]
         Q = np.zeros((2 * J + 3, D))
         K = np.zeros((2 * J + 3, D))
         Q[:J, wsl] = a_s * np.eye(J)
@@ -209,14 +269,14 @@ def build_w_layer(layout: SlotLayout, n: int, N: int, eta2: float,
         K[J, ty] = 1.0
         Q[J + 1 : 2 * J + 1, alpha] = a_u * np.eye(J)
         K[J + 1 : 2 * J + 1, phi] = np.eye(J)
-        Q[2 * J + 1, one] = b
+        Q[2 * J + 1, one] = grad_fit.b[m]
         K[2 * J + 1, one] = 1.0
-        Q[2 * J + 2, one] = -2.0
-        K[2 * J + 2, one] = gate
-        K[2 * J + 2, t] = -gate
-        V = np.diag([-(N + 1) * c * eta2 / n] * J)
+        Q[2 * J + 2] = gate_q
+        K[2 * J + 2] = gate_k
+        V = np.diag([-(N + 1) * grad_fit.c[m] * eta2 / n] * J)
         heads.append(AttentionHead(Q, K, V, rows, cols))
-    return TransformerLayer(heads, np.zeros((0, D)), np.zeros((D, 0)))
+    return TransformerLayer(heads, np.zeros((0, D)), np.zeros((D, 0)),
+                            tuple(families))
 
 
 def build_readout_layer(layout: SlotLayout, w_name: str = "w",

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+import typing
 
 import numpy as np
 
@@ -57,12 +58,69 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def validate(self) -> None:
+        """Raise ValueError naming the first field that is malformed: a
+        wrong type, an unknown name, or a parameter the generator or the
+        builders do not take."""
+        for name in ("generator", "algo", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, "
+                                 f"got {getattr(self, name)!r}")
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
         if self.algo not in ALGOS:
             raise ValueError(f"unknown algorithm {self.algo!r}")
+        if not isinstance(self.seeds, list) or not all(
+                _fits(s, int) and s >= 0 for s in self.seeds):
+            raise ValueError(f"seeds must be a list of non-negative integers, "
+                             f"got {self.seeds!r}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        gen = TwoMoonConfig if self.generator == "two_moon" else ShiftGaussConfig
+        # make_pair sets d and seed itself
+        _check_params("gen_params", self.gen_params, typing.get_type_hints(gen),
+                      pinned={"d", "seed"})
+        _check_params("hyper", self.hyper, HYPER_TYPES)
+        _check_params("build_params", self.build_params,
+                      {**typing.get_type_hints(IcudaBuildConfig),
+                       **typing.get_type_hints(IwlBuildConfig)}, pinned={"sel"})
+
+
+# SelectorConfig's fields plus the selector's indicator sharpness, which the
+# composed build reads
+HYPER_TYPES = {**typing.get_type_hints(ur.SelectorConfig), "a": float}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a dataclass field's type (a bool is not a
+    number, a float must be finite)."""
+    for kind in typing.get_args(hint) or (hint,):
+        if kind is type(None) and value is None:
+            return True
+        if isinstance(value, bool):
+            if kind is bool:
+                return True
+        elif kind is int and isinstance(value, int):
+            return True
+        elif kind is float and isinstance(value, (int, float)):
+            return bool(np.isfinite(value))
+        elif kind is str and isinstance(value, str):
+            return True
+    return False
+
+
+def _check_params(what: str, params, hints: dict, pinned=frozenset()) -> None:
+    """``params`` must be an object whose keys name fields in ``hints`` (not
+    ``pinned``) and whose values fit those fields' types."""
+    if not isinstance(params, dict):
+        raise ValueError(f"{what} must be an object, got {params!r}")
+    bad = sorted(k for k in params if k not in hints or k in pinned)
+    if bad:
+        raise ValueError(f"unknown {what} keys: {bad}")
+    for key, value in params.items():
+        if not _fits(value, hints[key]):
+            kinds = typing.get_args(hints[key]) or (hints[key],)
+            names = " or ".join(k.__name__ for k in kinds)
+            raise ValueError(f"{what}.{key} must be {names}, got {value!r}")
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
@@ -70,6 +128,8 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     if path is not None:
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {data!r}")
     data.update({k: v for k, v in overrides.items() if v is not None})
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     bad = set(data) - known
@@ -86,11 +146,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def selector_config(cfg: ExperimentConfig, seed: int) -> ur.SelectorConfig:
+    _check_params("hyper", cfg.hyper, HYPER_TYPES)
     known = {f.name for f in dataclasses.fields(ur.SelectorConfig)}
     fields = {k: v for k, v in cfg.hyper.items() if k in known}
-    bad = set(cfg.hyper) - known - {"a"}
-    if bad:
-        raise ValueError(f"unknown hyperparameters: {sorted(bad)}")
     fields["seed"] = seed
     return ur.SelectorConfig(**fields)
 

@@ -412,20 +412,6 @@ def fit_binary_gated(f, lo: float, hi: float, M: int) -> tuple[ReluSum, FitRepor
     return out, report
 
 
-def indicator_pair(a: float) -> ReluSum:
-    """Exact soft-indicator pair relu(a z + 0.5) - relu(a z - 0.5) on z = t - s.
-
-    Equals 0 for z <= -1/(2a), 1 for z >= 1/(2a), linear in between.
-    """
-    if a <= 0:
-        raise ValueError("sharpness must be positive")
-    A = np.array([[a], [a]])
-    B = np.array([0.5, -0.5])
-    C = np.array([1.0, -1.0])
-    A, B, C = _normalize_terms(A, B, C)
-    return ReluSum(A, B, C, input_dim=1, radius=np.inf, sup_error=0.0)
-
-
 def to_json(rs: ReluSum) -> str:
     import json
 

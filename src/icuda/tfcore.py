@@ -5,13 +5,19 @@ The forward pass treats the token matrix H (D x T) as a residual stream.
 Attention adds (1/T) * sum_j sum_m relu(<Q_m h_i, K_m h_j>) V_m h_j to token i,
 the MLP adds W2 relu(W1 h_i).  Q, K, W1 and W2 are dense matrices and each V_m
 is stored as the block it writes (see AttentionHead), so that constructions
-can be audited entry by entry.
+can be audited entry by entry.  The heads that spell out one fitted 1-D ReLU
+sum, one head per term, are stored once as a HeadFamily: attention computes
+the family's scalar feature once per token pair and evaluates the sum by
+prefix sums, and ``HeadFamily.to_heads`` gives back the heads themselves,
+which norms, ``describe`` and ``layer_heads`` read.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,14 +140,210 @@ class AttentionHead:
 
 
 @dataclass
+class HeadFamily:
+    """The heads of one fitted 1-D ReLU sum sum_m c_m relu(a_m z + b_m),
+    stored once and evaluated by prefix sums.
+
+    Head m has Q_m = Q * (1, a_m, b_m)[Qterm] entrywise (K_m likewise from K
+    and Kterm), the value block c_m V0 on V0's nonzero entries, and the
+    family's rows and cols.  ``embed`` is None or the (D, r') 0/1 row
+    embedding that ``compose`` conjugates heads by: head m's maps are then
+    Q_m @ embed.T and K_m @ embed.T.  ``to_heads`` returns these heads, and
+    ``after`` says how many of the layer's plain heads precede them in the
+    layer's head order (see ``layer_heads``).
+
+    A template row may scale by a_m or b_m on one side only, so every head's
+    score is affine in (a_m, b_m):
+
+        <Q_m h_i, K_m h_j> = a_m z_ij + b_m beta_ij + g_ij,
+
+    with bilinear forms z, beta and g shared by the family.  The builders
+    make beta the product of the constant rows, 1, and g a sender gate: 0 at
+    an open sender and a negative offset at a closed one.  With a_m >= 0 and
+    the terms in strictly increasing breakpoint order t_m = -b_m / a_m (-inf
+    for a constant term), the terms active at z are those with t_m < z, so
+
+        sum_m c_m relu(a_m z + b_m) = A(k) z + B(k),   k = #{m : t_m < z},
+
+    where A and B are the prefix sums of c_m a_m and c_m b_m, built once per
+    family.  ``attn_forward`` evaluates this at open senders only, after
+    checking that beta is 1 and that no closed sender's largest
+    pre-activation reaches its gate; otherwise it raises ForwardError, so the
+    family computes what its heads compute or stops.
+
+    Float error: A(k) z + B(k) takes k products and k - 1 additions per
+    prefix sum, one product by z and one final addition, so it lies within
+    gamma_{k+2} sum_{m<k} |c_m| (|a_m| |z| + |b_m|) of the exact sum.  That is
+    at most the fit's ``relu_approx.float_error``, gamma_{M+3} sum_m |c_m|
+    (|a_m| |z| + |b_m|): the bound charges |a_m| |z| and |b_m| apart rather
+    than |a_m z + b_m|, so it also covers the cancellation between A(k) z
+    and B(k), which the summation order of a head-by-head sum never meets.
+    """
+
+    Q: np.ndarray
+    K: np.ndarray
+    Qterm: np.ndarray
+    Kterm: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    V0: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    after: int = 0
+    embed: np.ndarray | None = None
+
+    def __repr__(self) -> str:
+        return (f"HeadFamily(terms={self.n_terms}, Q={self.Q.shape}, "
+                f"V0={self.V0.shape})")
+
+    @property
+    def n_terms(self) -> int:
+        return len(self.c)
+
+    def breakpoints(self) -> np.ndarray:
+        """-b_m / a_m, and -inf (+inf) for a constant term that is on (off)."""
+        a, b = self.a, self.b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(a > 0, -b / np.where(a > 0, a, 1.0),
+                            np.where(b > 0, -np.inf, np.inf))
+
+    def stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every head's Q, K and V block, stacked along a first axis."""
+        basis = np.stack([np.ones_like(self.a), self.a, self.b], axis=1)
+        Qs = self.Q * basis[:, self.Qterm]
+        Ks = self.K * basis[:, self.Kterm]
+        if self.embed is not None:
+            Qs = Qs @ self.embed.T
+            Ks = Ks @ self.embed.T
+        Vs = np.where(self.V0 != 0, self.c[:, None, None] * self.V0, self.V0)
+        return Qs, Ks, Vs
+
+    def to_heads(self) -> list[AttentionHead]:
+        Qs, Ks, Vs = self.stack()
+        return [AttentionHead(q, k, v, self.rows, self.cols)
+                for q, k, v in zip(Qs, Ks, Vs)]
+
+    def embedded(self, P: np.ndarray, idx: np.ndarray) -> "HeadFamily":
+        """This family on a wider stream: ``idx`` maps its rows there and P is
+        the matching row embedding, as in ``compose``."""
+        return dataclasses.replace(
+            self, rows=idx[self.rows], cols=idx[self.cols],
+            embed=P if self.embed is None else P @ self.embed)
+
+    @functools.cached_property
+    def _plan(self) -> dict:
+        """Bilinear forms for z, beta and g, the stream rows the template
+        reads, and the breakpoints with the prefix sums A and B."""
+        def part(M, term, t):
+            return np.where(term == t, M, 0.0)
+
+        QC, QA, QB = (part(self.Q, self.Qterm, t) for t in range(3))
+        KC, KA, KB = (part(self.K, self.Kterm, t) for t in range(3))
+
+        def form(Lq, Lk):
+            keep = np.any(Lq != 0, axis=1) & np.any(Lk != 0, axis=1)
+            return Lq[keep], Lk[keep]
+
+        return {
+            "z": form(np.vstack([QA, QC]), np.vstack([KC, KA])),
+            "beta": form(np.vstack([QB, QC]), np.vstack([KC, KB])),
+            "g": form(QC, KC),
+            "rows": None if self.embed is None else self.embed.argmax(axis=0),
+            "t": self.breakpoints(),
+            "A": np.concatenate([[0.0], np.cumsum(self.c * self.a)]),
+            "B": np.concatenate([[0.0], np.cumsum(self.c * self.b)]),
+        }
+
+
+def ridge_family(Qf: np.ndarray, Kf: np.ndarray, one: int, a, b, c,
+                 V0: np.ndarray, rows, cols, gate=None, after: int = 0) -> HeadFamily:
+    """The family whose head m scores z_ij = <Qf h_i, Kf h_j> through
+    Q_m = [a_m Qf; b_m e_one; q_g] and K_m = [Kf; e_one; k_g], where ``one``
+    is the constant row and ``gate`` None or the sender gate's row pair
+    (q_g, k_g)."""
+    e = np.zeros(Qf.shape[1])
+    e[one] = 1.0
+    q_g, k_g = ([], []) if gate is None else ([gate[0]], [gate[1]])
+    Q = np.vstack([Qf, e] + q_g)
+    K = np.vstack([Kf, e] + k_g)
+    Qterm = np.zeros(Q.shape, dtype=np.int8)
+    Qterm[:len(Qf)] = 1
+    Qterm[len(Qf), one] = 2
+    return HeadFamily(Q, K, Qterm, np.zeros(K.shape, dtype=np.int8),
+                      np.asarray(a), np.asarray(b), np.asarray(c), V0,
+                      np.asarray(rows), np.asarray(cols), after)
+
+
+def family_forms(fam: HeadFamily, H: np.ndarray):
+    """The family's z, beta and g (see HeadFamily) at every receiver i and
+    sender j of stream H, as (T, T) matrices."""
+    plan = fam._plan
+    Hp = H if plan["rows"] is None else H[plan["rows"]]
+    return tuple((Lq @ Hp).T @ (Lk @ Hp)
+                 for Lq, Lk in (plan["z"], plan["beta"], plan["g"]))
+
+
+def family_scores(fam: HeadFamily, H: np.ndarray) -> np.ndarray:
+    """(T, T) matrix of sum_m c_m relu(score_m) at receiver i and sender j,
+    zero at closed senders; see HeadFamily."""
+    z, beta, g = family_forms(fam, H)
+    if not np.all(beta == 1.0):
+        raise ForwardError("bias form is not 1 at every token pair")
+    plan = fam._plan
+    open_ = g == 0.0
+    if not open_.all():
+        # a_m >= 0: the largest pre-activation grows with z
+        closed = ~open_
+        top = float(np.max(fam.a * z[closed].max() + fam.b))
+        if not top + g[closed].max() <= 0.0:
+            raise ForwardError(
+                f"a sender is neither open (gate 0) nor closed: pre-activation "
+                f"{top:.6g} reaches the gate {-g[closed].max():.6g}")
+    F = np.zeros_like(z)
+    zo = z[open_]
+    k = np.searchsorted(plan["t"], zo)
+    F[open_] = plan["A"][k] * zo + plan["B"][k]
+    return F
+
+
+@dataclass
 class TransformerLayer:
     heads: list[AttentionHead]
     W1: np.ndarray
     W2: np.ndarray
+    families: tuple[HeadFamily, ...] = ()
 
     def __repr__(self) -> str:
+        terms = sum(f.n_terms for f in self.families)
         return (f"TransformerLayer(heads={len(self.heads)}, "
+                f"families={len(self.families)} ({terms} heads), "
                 f"W1={self.W1.shape}, W2={self.W2.shape})")
+
+
+def n_heads(layer: TransformerLayer) -> int:
+    """Plain heads plus family terms."""
+    return len(layer.heads) + sum(f.n_terms for f in layer.families)
+
+
+def _in_head_order(layer: TransformerLayer) -> list:
+    """Plain heads and families in the layer's head order."""
+    out, start = [], 0
+    for fam in layer.families:
+        out.extend(layer.heads[start:fam.after])
+        start = max(start, fam.after)
+        out.append(fam)
+    out.extend(layer.heads[start:])
+    return out
+
+
+def layer_heads(layer: TransformerLayer) -> list[AttentionHead]:
+    """Every head of the layer, families expanded by ``to_heads``, in head
+    order: family f's heads follow the first ``f.after`` plain heads."""
+    out = []
+    for item in _in_head_order(layer):
+        out.extend(item.to_heads() if isinstance(item, HeadFamily) else [item])
+    return out
 
 
 @dataclass
@@ -151,7 +353,7 @@ class Transformer:
     readout: tuple[str, int | None] = ("y", None)
 
     def __repr__(self) -> str:
-        heads = sum(len(layer.heads) for layer in self.layers)
+        heads = sum(n_heads(layer) for layer in self.layers)
         return (f"Transformer(layers={len(self.layers)}, heads={heads}, "
                 f"dim={self.layout.dim}, readout={self.readout})")
 
@@ -165,6 +367,8 @@ def attn_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
     """Apply the attention half of a layer.
 
     out_i = h_i + (1/T) sum_j sum_m relu(<Q_m h_i, K_m h_j>) V_m h_j
+
+    A family's heads are summed by ``family_scores``.
     """
     H = tm.data
     D, T = H.shape
@@ -173,6 +377,12 @@ def attn_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
         scores = (head.Q @ H).T @ (head.K @ H)
         np.maximum(scores, 0.0, out=scores)
         acc[head.rows] += (head.V @ H[head.cols]) @ scores.T / T
+    for f, fam in enumerate(layer.families):
+        try:
+            F = family_scores(fam, H)
+        except ForwardError as e:
+            raise ForwardError(f"family {f}: {e}") from e
+        acc[fam.rows] += (fam.V0 @ H[fam.cols]) @ F.T / T
     if not np.all(np.isfinite(acc)):
         raise ForwardError("non-finite value in attention output")
     return TokenMatrix(acc, tm.layout, tm.n_source, tm.n_target)
@@ -201,7 +411,12 @@ def shape_error(layer: TransformerLayer, D: int) -> str | None:
     every head's Q and K must be (r, D) with one r, its rows and cols
     distinct integer indices below D and V (len(rows), len(cols)), and W1 and
     W2 (h, D) and (D, h).  Heads are checked once per distinct combination
-    of shapes and index dtypes; the error names the first bad head."""
+    of shapes and index dtypes; the error names the first bad head.  Each
+    family must have nonnegative slopes a_m in strictly increasing
+    breakpoint order, a, b and c of one length, a Q/K template of width D
+    (or its embedding's width) with one-sided a_m / b_m entries, an
+    embedding into D, rows and cols as a head's, V0 (len(rows), len(cols)),
+    and ``after`` between the previous family's and len(heads)."""
     groups = _groups((h.Q.shape, h.K.shape, h.V.shape, h.rows.shape,
                       h.cols.shape, h.rows.dtype, h.cols.dtype)
                      for h in layer.heads)
@@ -226,9 +441,59 @@ def shape_error(layer: TransformerLayer, D: int) -> str | None:
             m = int(owner[bad.argmax()])
             return (f"head {m}: {name} {idx[m].tolist()} repeat or leave "
                     f"rows 0..{D - 1}")
+    after = 0
+    for f, fam in enumerate(layer.families):
+        err = _family_error(fam, D)
+        if err is None and not (isinstance(fam.after, (int, np.integer))
+                                and after <= fam.after <= len(layer.heads)):
+            err = (f"after {fam.after} is not between the previous family's "
+                   f"{after} and the {len(layer.heads)} plain heads")
+        if err is not None:
+            return f"family {f}: {err}"
+        after = fam.after
     if (layer.W1.ndim != 2 or layer.W1.shape[1] != D
             or layer.W2.shape != layer.W1.shape[::-1]):
         return f"W1 {layer.W1.shape} and W2 {layer.W2.shape} do not fit dim {D}"
+    return None
+
+
+def _index_error(name: str, idx: np.ndarray, D: int) -> str | None:
+    if (idx.ndim != 1 or idx.dtype.kind not in "iu"
+            or np.unique(idx).size != idx.size or np.any((idx < 0) | (idx >= D))):
+        return f"{name} {idx.tolist()} repeat or leave rows 0..{D - 1}"
+    return None
+
+
+def _family_error(fam: HeadFamily, D: int) -> str | None:
+    """Why a family cannot run on stream dim D, or None (see shape_error)."""
+    a, b, c = (np.asarray(v) for v in (fam.a, fam.b, fam.c))
+    if a.ndim != 1 or a.shape != b.shape or a.shape != c.shape or a.size == 0:
+        return f"a, b and c have shapes {a.shape}, {b.shape} and {c.shape}"
+    if not np.all(a >= 0):
+        return "negative slope a_m"
+    if not np.all(np.diff(fam.breakpoints()) > 0):
+        return "breakpoints -b_m / a_m are not strictly increasing"
+    if fam.embed is not None:
+        E = fam.embed
+        if (E.ndim != 2 or E.shape[0] != D or not np.all((E == 0) | (E == 1))
+                or np.any(E.sum(axis=0) != 1) or np.any(E.sum(axis=1) > 1)):
+            return f"embed {E.shape} is not a row embedding into dim {D}"
+    width = D if fam.embed is None else fam.embed.shape[1]
+    if (fam.Q.ndim != 2 or fam.Q.shape[1] != width or fam.K.shape != fam.Q.shape
+            or fam.Qterm.shape != fam.Q.shape or fam.Kterm.shape != fam.Q.shape):
+        return (f"Q {fam.Q.shape}, K {fam.K.shape}, Qterm {fam.Qterm.shape} and "
+                f"Kterm {fam.Kterm.shape} are not (r, {width})")
+    terms = np.concatenate([fam.Qterm.ravel(), fam.Kterm.ravel()])
+    if terms.dtype.kind not in "iu" or np.any((terms < 0) | (terms > 2)):
+        return "Qterm and Kterm entries must be 0 (constant), 1 (a_m) or 2 (b_m)"
+    if np.any(np.any(fam.Qterm != 0, axis=1) & np.any(fam.Kterm != 0, axis=1)):
+        return "a template row scales by a_m or b_m on both sides"
+    for name in ("rows", "cols"):
+        err = _index_error(name, getattr(fam, name), D)
+        if err is not None:
+            return err
+    if fam.V0.shape != (fam.rows.size, fam.cols.size):
+        return f"V0 {fam.V0.shape} does not fit rows {fam.rows.size} x cols {fam.cols.size}"
     return None
 
 
@@ -270,10 +535,8 @@ def head_norms(mats: list[np.ndarray]) -> np.ndarray:
     LAPACK call on every matrix of the stack, so each norm equals
     ``np.linalg.norm(M, 2)`` bit for bit."""
     out = np.zeros(len(mats))
-    for shape, idx in _groups(M.shape for M in mats).items():
-        if 0 not in shape:
-            stack = np.stack([mats[i] for i in idx])
-            out[idx] = np.linalg.svd(stack, compute_uv=False).max(axis=-1)
+    for idx in _groups(M.shape for M in mats).values():
+        out[idx] = _stack_norms(np.stack([mats[i] for i in idx]))
     return out
 
 
@@ -283,18 +546,37 @@ def operator_norm(M: np.ndarray) -> float:
 
 
 def layer_norm(layer: TransformerLayer) -> float:
-    """max_m max(|Q_m|, |K_m|) + sum_m |V_m| + |W1| + |W2|  (operator norms).
+    """max_m max(|Q_m|, |K_m|) + sum_m |V_m| + |W1| + |W2|  (operator norms)
+    over every head of the layer, family heads included.
 
-    The head norms come from ``head_norms`` (one batched SVD per matrix
-    shape); the V norms are summed left to right in head order, as a loop
-    over the heads would, so the result does not depend on the batching."""
+    Plain heads' norms come from ``head_norms`` and a family's from one
+    batched SVD of its stacked maps (numpy runs the same LAPACK call on each
+    matrix of a stack, so every norm is the matrix's own); the V norms are
+    summed left to right in head order, as a loop over ``layer_heads`` would,
+    so the result does not depend on the batching."""
     heads = layer.heads
     n = len(heads)
     norms = head_norms([h.Q for h in heads] + [h.K for h in heads]
                        + [h.V for h in heads])
-    qk = float(norms[:2 * n].max(initial=0.0))
-    vsum = float(np.cumsum(norms[2 * n:])[-1]) if heads else 0.0
-    return qk + vsum + operator_norm(layer.W1) + operator_norm(layer.W2)
+    qk = [float(norms[:2 * n].max(initial=0.0))]
+    vnorms, start = [], 2 * n
+    for fam in layer.families:
+        vnorms.append(norms[start:2 * n + fam.after])
+        start = 2 * n + fam.after
+        Qs, Ks, Vs = fam.stack()
+        qk += [_stack_norms(Qs).max(), _stack_norms(Ks).max()]
+        vnorms.append(_stack_norms(Vs))
+    vnorms.append(norms[start:])
+    v = np.concatenate(vnorms)
+    vsum = float(np.cumsum(v)[-1]) if v.size else 0.0
+    return float(max(qk)) + vsum + operator_norm(layer.W1) + operator_norm(layer.W2)
+
+
+def _stack_norms(S: np.ndarray) -> np.ndarray:
+    """Spectral norm of each matrix of a stack (see head_norms)."""
+    if 0 in S.shape[1:]:
+        return np.zeros(len(S))
+    return np.linalg.svd(S, compute_uv=False).max(axis=-1)
 
 
 def tf_norm(tf: Transformer) -> float:
@@ -313,9 +595,14 @@ def describe(tf: Transformer) -> dict:
             read |= np.any(head.Q, axis=0) | np.any(head.K, axis=0)
             read[head.cols[np.any(head.V, axis=0)]] = True
             written[head.rows[np.any(head.V, axis=1)]] = True
+        for fam in layer.families:
+            Qs, Ks, Vs = fam.stack()
+            read |= np.any(Qs, axis=(0, 1)) | np.any(Ks, axis=(0, 1))
+            read[fam.cols[np.any(Vs, axis=(0, 1))]] = True
+            written[fam.rows[np.any(Vs, axis=(0, 2))]] = True
         layers.append(
             {
-                "heads": len(layer.heads),
+                "heads": n_heads(layer),
                 "mlp_hidden": int(layer.W1.shape[0]),
                 "norm": layer_norm(layer),
                 "reads": sorted(n for n, a, b in tf.layout.ranges if read[a:b].any()),
@@ -400,8 +687,9 @@ def compose(
     """Stack parts sequentially on a unified stream.
 
     Each part's Q, K, W1 and W2 are conjugated by its row embedding and its
-    value blocks' rows and cols mapped through it; cross-part claims on the
-    same unified workspace slot are rejected.
+    value blocks' rows and cols mapped through it (a family keeps the
+    embedding, see HeadFamily.embedded); cross-part claims on the same
+    unified workspace slot are rejected.
     """
     if len(parts) != len(mappings):
         raise LayoutError("one mapping per part required")
@@ -424,12 +712,17 @@ def compose(
                 AttentionHead(h.Q @ P.T, h.K @ P.T, h.V, idx[h.rows], idx[h.cols])
                 for h in layer.heads
             ]
-            layers.append(TransformerLayer(heads, layer.W1 @ P.T, P @ layer.W2))
+            families = tuple(f.embedded(P, idx) for f in layer.families)
+            layers.append(TransformerLayer(heads, layer.W1 @ P.T, P @ layer.W2,
+                                           families))
     if readout is None:
         last = parts[-1]
         name, col = last.readout
         readout = (mappings[-1][name], col)
     return Transformer(layers, unified, readout)
+
+
+FAMILY_ARRAYS = ("Q", "K", "Qterm", "Kterm", "a", "b", "c", "V0", "rows", "cols")
 
 
 def to_json(tf: Transformer) -> str:
@@ -445,6 +738,12 @@ def to_json(tf: Transformer) -> str:
                 ],
                 "W1": layer.W1.tolist(),
                 "W2": layer.W2.tolist(),
+                "families": [
+                    {**{k: getattr(f, k).tolist() for k in FAMILY_ARRAYS},
+                     "after": f.after,
+                     "embed": None if f.embed is None else f.embed.tolist()}
+                    for f in layer.families
+                ],
             }
             for layer in tf.layers
         ],
@@ -454,8 +753,9 @@ def to_json(tf: Transformer) -> str:
 
 def from_json(s: str) -> Transformer:
     """Load a model written by to_json; a layout that is not contiguous from
-    row 0, a weight whose shape does not fit it or a value block whose rows
-    or cols repeat or leave it raises LayoutError."""
+    row 0, a weight whose shape does not fit it, a value block whose rows
+    or cols repeat or leave it, or a family that cannot run (see
+    shape_error) raises LayoutError."""
     obj = json.loads(s)
     layout = SlotLayout(tuple((n, a, b) for n, a, b in obj["layout"]))
     layers = []
@@ -470,7 +770,11 @@ def from_json(s: str) -> Transformer:
             W1 = W1.reshape(0, layout.dim)
         if W2.size == 0:
             W2 = W2.reshape(layout.dim, 0)
-        layers.append(TransformerLayer(heads, W1, W2))
+        families = tuple(
+            HeadFamily(*(np.array(f[k]) for k in FAMILY_ARRAYS), after=f["after"],
+                       embed=None if f["embed"] is None else np.array(f["embed"]))
+            for f in lobj.get("families", []))
+        layers.append(TransformerLayer(heads, W1, W2, families))
         err = shape_error(layers[-1], layout.dim)
         if err is not None:
             raise LayoutError(f"layer {i} {err}")

@@ -16,7 +16,7 @@ import icuda.relu_approx as ra
 import icuda.tfcore as tc
 import icuda.uda_ref as ur
 
-from test_tfcore import reference_layer_norm
+from test_tfcore import fit_float_error, head_scores, reference_layer_norm
 
 
 def stub_layout(d=1):
@@ -26,8 +26,8 @@ def stub_layout(d=1):
     ] + bs.SELECT_SLOTS)
 
 
-def attn_layer(heads, D):
-    return tc.TransformerLayer(heads, np.zeros((0, D)), np.zeros((D, 0)))
+def attn_layer(heads, D, families=()):
+    return tc.TransformerLayer(heads, np.zeros((0, D)), np.zeros((D, 0)), families)
 
 
 def encode(pair, layout):
@@ -50,9 +50,9 @@ class TestKernelHeads:
     def test_constant_kernel_stub_is_exact(self, tiny_pair):
         layout = stub_layout()
         kernel = ra.exact_terms([[0.0]], [1.0], [0.7], k=1)
-        heads = bs.build_kde_attn(kernel, layout, n=3, T=11, B_x=3.0)
+        heads, fams = bs.build_kde_attn(kernel, layout, n=3, T=11, B_x=3.0)
         tm = encode(tiny_pair, layout)
-        out = tc.attn_forward(attn_layer(heads, layout.dim), tm)
+        out = tc.attn_forward(attn_layer(heads, layout.dim, fams), tm)
         p = out.data[layout.row("p_kde"), :]
         assert_allclose(p, 0.7, atol=1e-12)
 
@@ -62,9 +62,9 @@ class TestKernelHeads:
         B_x = float(np.max(np.abs(np.concatenate(
             [tiny_pair.source_x, tiny_pair.target_x, tiny_pair.query_x]))))
         kernel, rep = bs.kernel_diff_fit(1, h, B_x, 2000, seed=0)
-        heads = bs.build_kde_attn(kernel, layout, n=3, T=11, B_x=B_x)
+        heads, fams = bs.build_kde_attn(kernel, layout, n=3, T=11, B_x=B_x)
         tm = encode(tiny_pair, layout)
-        out = tc.attn_forward(attn_layer(heads, layout.dim), tm)
+        out = tc.attn_forward(attn_layer(heads, layout.dim, fams), tm)
         all_x = np.concatenate(
             [tiny_pair.source_x, tiny_pair.target_x, tiny_pair.query_x])
         want = ur.kde_eval(tiny_pair.source_x, all_x, h)
@@ -114,8 +114,8 @@ class TestExponentialAndSum:
         tm = encode(tiny_pair, layout)
         T = tm.data.shape[1]
         kernel = ra.exact_terms([[0.0]], [1.0], [c], k=1)
-        kde = attn_layer(bs.build_kde_attn(kernel, layout, 3, T, 3.0),
-                         layout.dim)
+        heads, fams = bs.build_kde_attn(kernel, layout, 3, T, 3.0)
+        kde = attn_layer(heads, layout.dim, fams)
         knots = bs.exp_knot_grid(beta, -0.1, 1.1, 2000)
         efit, _ = ra.fit_knots(lambda p: np.exp(-beta * p), knots)
         exp_mlp = tc.TransformerLayer(
@@ -192,18 +192,24 @@ def assert_branch_rows_match_standalone(pair, build):
 
 
 @pytest.fixture(scope="module")
-def composed_build():
+def composed_pair():
     gcfg = dg.ShiftGaussConfig(d=1, n_source=25, n_target=10, n_eval=20,
                                mu_target=0.1, sigma_target=0.5, boundary=0.3,
                                seed=1)
+    return dg.gen_shifted_gaussians(gcfg)
+
+
+@pytest.fixture(scope="module")
+def composed_build(composed_pair):
     cfg = bs.IcudaBuildConfig(sel=ur.SelectorConfig(L1=6, L2=6, L=2))
-    return bs.build_icuda_transformer(dg.gen_shifted_gaussians(gcfg), cfg)
+    return bs.build_icuda_transformer(composed_pair, cfg)
 
 
 class TestComposedWeights:
     def test_value_maps_are_small_blocks(self, composed_build):
         # as dense D x D matrices the value maps took 174 MB
-        heads = [h for layer in composed_build.tf.layers for h in layer.heads]
+        heads = [h for layer in composed_build.tf.layers
+                 for h in tc.layer_heads(layer)]
         assert len(heads) > 20000
         assert sum(h.V.nbytes for h in heads) < 1e6
 
@@ -214,7 +220,7 @@ class TestComposedWeights:
         for layer, got in zip(tf.layers, info["layers"], strict=True):
             read = np.any(layer.W1, axis=0)
             written = np.any(layer.W2, axis=1)
-            for h in layer.heads:
+            for h in tc.layer_heads(layer):
                 V = np.zeros((D, D))
                 V[np.ix_(h.rows, h.cols)] = h.V
                 read |= np.any(h.Q, axis=0) | np.any(h.K, axis=0) | np.any(V, axis=0)
@@ -224,6 +230,34 @@ class TestComposedWeights:
             assert got["writes"] == sorted(n for n, a, b in names
                                            if written[a:b].any())
         assert "q_soft" in info["layers"][-2]["writes"]
+
+    def test_every_1d_fit_is_a_family(self, composed_build):
+        """Plain heads are left only for the exact (unfitted) heads and the
+        2-D product fit: alpha steps 4, readout 2, two u y terms per weight
+        step, sum 1, select 4."""
+        tf, dann = composed_build.tf, composed_build.dann
+        plain = sum(len(layer.heads) for layer in tf.layers)
+        product = 3 * dann.cfg.K * dann.fits["p"].n_terms * dann.cfg.L
+        assert plain == 4 * 6 + 2 + 2 * 6 + product + 1 + 4
+        assert sum(len(layer.families) for layer in tf.layers) > 0
+
+    def test_families_match_their_heads_within_float_error(
+            self, composed_pair, composed_build):
+        """On the streams of a real run, each family's prefix-sum scores and
+        its heads' head-by-head sum agree within the fit's float_error (the
+        value map and the 1/T average after it are the same for both)."""
+        tf = composed_build.tf
+        tm = bs.encode_icuda(composed_pair, composed_build)
+        _, trace = tc.forward_trace(tf, tm)
+        checked = 0
+        for layer, st in zip(tf.layers, [tm] + trace[:-1]):
+            for fam in layer.families:
+                z = tc.family_forms(fam, st.data)[0]
+                gap = np.max(np.abs(tc.family_scores(fam, st.data)
+                                    - head_scores(fam, st.data)))
+                assert gap <= fit_float_error(fam, z)
+                checked += 1
+        assert checked == sum(len(layer.families) for layer in tf.layers)
 
     def test_tf_norm_matches_per_head_reference(self, composed_build):
         layers = composed_build.tf.layers

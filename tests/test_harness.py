@@ -1,10 +1,16 @@
 """Command-line harness: config handling, artifacts, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import icuda.harness as hz
 
@@ -215,3 +221,78 @@ class TestCli:
         bcfg = hz._iwl_build_config(cfg, scfg, 1)
         assert bcfg.J == 3
         assert bcfg.grad_knots == 80
+
+
+# ---------------------------------------------------------------------------
+# malformed configs
+
+
+def _fits(value, kind):
+    """Test oracle: JSON value types each config field type accepts."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is int:
+        return isinstance(value, int)
+    if kind is float:
+        return isinstance(value, (int, float)) and bool(np.isfinite(value))
+    return kind is str and isinstance(value, str)
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                     st.floats(allow_nan=True), st.text(max_size=3))
+_ANY = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2),
+                 st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2))
+# a few typed fields of each parameter object (shift1d's generator config)
+_PARAMS = {
+    "gen_params": {"n_source": int, "mu_target": float, "boundary": float},
+    "hyper": {"L1": int, "beta": float, "activation": str, "a": float},
+    "build_params": {"kernel_knots": int, "feature_layer_cap": float},
+}
+
+
+def _bad_params(field):
+    keys = _PARAMS[field]
+    wrong_value = st.sampled_from(sorted(keys)).flatmap(
+        lambda k: _ANY.filter(lambda v: not _fits(v, keys[k])
+                              and not (v is None and k == "boundary"))
+        .map(lambda v: {k: v}))
+    unknown_key = st.text(min_size=1, max_size=4).map(lambda k: {"zz" + k: 1})
+    return st.one_of(_ANY.filter(lambda v: not isinstance(v, dict)),
+                     wrong_value, unknown_key)
+
+
+_BAD_FIELDS = st.one_of(
+    st.tuples(st.just("generator"), _ANY.filter(lambda v: v not in hz.GENERATORS)),
+    st.tuples(st.just("algo"), _ANY.filter(lambda v: v not in hz.ALGOS)),
+    st.tuples(st.just("out_dir"), _ANY.filter(lambda v: not isinstance(v, str))),
+    st.tuples(st.just("seeds"), st.one_of(
+        _ANY.filter(lambda v: not isinstance(v, list)),
+        st.lists(_ANY.filter(lambda v: not _fits(v, int) or v < 0),
+                 min_size=1, max_size=2))),
+    *(st.tuples(st.just(f), _bad_params(f)) for f in _PARAMS),
+)
+
+
+class TestMalformedConfig:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_BAD_FIELDS)
+    def test_wrong_field_is_a_config_error(self, field_value):
+        """A wrong-typed field, or a parameter its object does not take,
+        raises ValueError naming the field, and the CLI exits 2."""
+        field, value = field_value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(pathlib.Path(tmp), **{field: value})
+            with pytest.raises(ValueError, match=field if field != "algo"
+                               else "algo|algorithm"):
+                hz.load_config(path, {})
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert hz.main(["run", "--config", path]) == 2
+            assert err.getvalue().startswith("config error: ")
+
+    @pytest.mark.parametrize("text", ['{"seeds": 3}', '{"gen_params": {"bogus": 1}}',
+                                      '{"hyper": [1]}', '[1]'])
+    def test_reported_cases_exit_two(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert hz.main(["verify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")

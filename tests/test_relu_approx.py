@@ -121,20 +121,6 @@ class TestCertificate:
         assert err <= rep.sup_error
 
 
-class TestIndicatorPair:
-    def test_frozen_values(self):
-        ip = ra.indicator_pair(10.0)
-        assert ra.evaluate(ip, [0.05]) == pytest.approx(1.0, abs=1e-12)
-        assert ra.evaluate(ip, [-0.05]) == pytest.approx(0.0, abs=1e-12)
-        assert ra.evaluate(ip, [0.04]) == pytest.approx(0.9, abs=1e-12)
-        assert ra.evaluate(ip, [5.0]) == pytest.approx(1.0, abs=1e-12)
-        assert ra.evaluate(ip, [-5.0]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_nonpositive_sharpness(self):
-        with pytest.raises(ValueError):
-            ra.indicator_pair(0.0)
-
-
 class TestMultivariate:
     def test_fit_nd_radial_function(self):
         f = lambda z: np.exp(-0.5 * (z[..., 0] ** 2 + z[..., 1] ** 2))

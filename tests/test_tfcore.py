@@ -1,9 +1,12 @@
 """Stream algebra: attention/MLP forward passes, layouts, composition."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import icuda.tfcore as tc
@@ -48,7 +51,7 @@ def reference_norm(M):
 def reference_layer_norm(layer):
     """layer_norm as one SVD per matrix, summing V norms head by head."""
     qk = vsum = 0.0
-    for h in layer.heads:
+    for h in tc.layer_heads(layer):
         qk = max(qk, reference_norm(h.Q), reference_norm(h.K))
         vsum += reference_norm(h.V)
     return qk + vsum + reference_norm(layer.W1) + reference_norm(layer.W2)
@@ -373,3 +376,278 @@ class TestDiagnostics:
                "layers": [layer([[1.0]], [2], [2]), layer(*head2)]}
         with pytest.raises(tc.LayoutError, match=match):
             tc.from_json(json.dumps(obj))
+
+
+# ---------------------------------------------------------------------------
+# head families
+
+
+def gated_layout():
+    return toy_layout([("u", 2), ("out", 1)])
+
+
+def knot_terms(rng, M):
+    """Knot-table terms of a 1-D fit: a constant term, then unit-norm ramps
+    relu(a (z - k)) at increasing knots k, with random slope changes c."""
+    knots = np.sort(rng.uniform(-2.0, 2.0, M - 1))
+    kappa = 1.0 + np.abs(knots)
+    a = np.concatenate([[0.0], 1.0 / kappa])
+    b = np.concatenate([[1.0], -knots / kappa])
+    return a, b, rng.standard_normal(M)
+
+
+def ridge(layout, rng, M=40, gate=True, G=50.0, after=0):
+    """Family scoring z_ij = x_i . u_j, gated to source senders if asked,
+    writing into `out` from the `y` row."""
+    D = layout.dim
+    Qf = np.zeros((2, D))
+    Kf = np.zeros((2, D))
+    Qf[:, layout.rows("x")] = np.eye(2)
+    Kf[:, layout.rows("u")] = np.eye(2)
+    q_g = np.zeros(D)
+    k_g = np.zeros(D)
+    q_g[layout.row("one")] = -G
+    k_g[layout.row("one")] = 1.0
+    k_g[layout.row("t")] = -1.0
+    a, b, c = knot_terms(rng, M)
+    return tc.ridge_family(Qf, Kf, layout.row("one"), a, b, c, np.ones((1, 1)),
+                           np.r_[layout.row("out")], np.r_[layout.row("y")],
+                           gate=(q_g, k_g) if gate else None, after=after)
+
+
+def gated_stream(layout, T, rng, t=None):
+    H = rng.standard_normal((layout.dim, T))
+    H[layout.row("one")] = 1.0
+    H[layout.row("t")] = rng.integers(0, 2, T) if t is None else t
+    return tc.TokenMatrix(H, layout, n_source=T - 1, n_target=0)
+
+
+def head_scores(fam, H):
+    """sum_m c_m relu(score_m) as the family's heads compute it, head by head."""
+    F = np.zeros((H.shape[1], H.shape[1]))
+    for c, h in zip(fam.c, fam.to_heads()):
+        F += c * np.maximum((h.Q @ H).T @ (h.K @ H), 0.0)
+    return F
+
+
+def fit_float_error(fam, z):
+    """relu_approx.float_error of the family's terms at |z| = max |z|."""
+    import icuda.relu_approx as ra
+
+    rs = ra.ReluSum(fam.a[:, None], fam.b, fam.c, input_dim=1, radius=np.inf,
+                    sup_error=0.0)
+    return ra.float_error(rs, [float(np.max(np.abs(z)))])
+
+
+class TestHeadFamily:
+    def test_family_matches_its_heads(self, rng):
+        layout = gated_layout()
+        tm = gated_stream(layout, 9, rng)
+        zl = tc.zero_layer(layout.dim)
+        for gate in (False, True):
+            fam = ridge(layout, rng, gate=gate)
+            z = tc.family_forms(fam, tm.data)[0]
+            F = tc.family_scores(fam, tm.data)
+            heads = fam.to_heads()
+            assert np.max(np.abs(F - head_scores(fam, tm.data))) <= \
+                fit_float_error(fam, z)
+            got = tc.attn_forward(tc.TransformerLayer([], zl.W1, zl.W2, (fam,)), tm)
+            want = tc.attn_forward(tc.TransformerLayer(heads, zl.W1, zl.W2), tm)
+            assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+
+    def test_to_heads_scales_the_template_entrywise(self, rng):
+        layout = gated_layout()
+        fam = ridge(layout, rng, M=5)
+        for m, h in enumerate(fam.to_heads()):
+            assert_array_equal(h.Q[:2], fam.a[m] * fam.Q[:2])
+            assert h.Q[2, layout.row("one")] == fam.b[m]
+            assert_array_equal(h.Q[3], fam.Q[3])
+            assert_array_equal(h.K, fam.K)
+            assert_array_equal(h.V, [[fam.c[m]]])
+
+    def test_closed_senders_give_exact_zeros(self, rng):
+        layout = gated_layout()
+        fam = ridge(layout, rng)
+        t = np.array([1, 0, 1, 0, 0, 1, 0])
+        tm = gated_stream(layout, 7, rng, t)
+        F = tc.family_scores(fam, tm.data)
+        assert np.all(F[:, t == 0] == 0.0)
+        # the heads subtract the gate offset from the closed pre-activations
+        for h in fam.to_heads():
+            S = (h.Q @ tm.data).T @ (h.K @ tm.data)
+            assert np.all(np.maximum(S[:, t == 0], 0.0) == 0.0)
+
+    def test_half_open_gate_raises(self, rng):
+        layout = gated_layout()
+        fam = ridge(layout, rng, G=1.0)
+        tm = gated_stream(layout, 5, rng, np.array([1, 1, 0.5, 1, 0]))
+        tm.data[layout.rows("u")] *= 10.0
+        zl = tc.zero_layer(layout.dim)
+        layer = tc.TransformerLayer([], zl.W1, zl.W2, (fam,))
+        with pytest.raises(tc.ForwardError, match="family 0: a sender is neither"):
+            tc.layer_forward(layer, tm)
+
+    def test_closed_sender_past_its_gate_raises(self, rng):
+        layout = gated_layout()
+        fam = ridge(layout, rng, G=5.0)
+        tm = gated_stream(layout, 5, rng, np.array([1, 0, 1, 1, 1]))
+        tm.data[layout.rows("x")] = 1.0
+        tm.data[layout.rows("u"), 1] = 100.0
+        zl = tc.zero_layer(layout.dim)
+        layer = tc.TransformerLayer([], zl.W1, zl.W2, (fam,))
+        with pytest.raises(tc.ForwardError, match="reaches the gate"):
+            tc.layer_forward(layer, tm)
+        tm.data[layout.rows("u"), 1] = 0.1
+        tc.layer_forward(layer, tm)
+
+    def test_bias_row_must_be_one(self, rng):
+        layout = gated_layout()
+        tm = gated_stream(layout, 5, rng)
+        tm.data[layout.row("one"), 2] = 0.5
+        zl = tc.zero_layer(layout.dim)
+        layer = tc.TransformerLayer([], zl.W1, zl.W2, (ridge(layout, rng),))
+        with pytest.raises(tc.ForwardError, match="bias form"):
+            tc.layer_forward(layer, tm)
+
+    def test_layer_norm_and_describe_read_every_head_in_order(self, rng):
+        layout = gated_layout()
+        D = layout.dim
+        layer = random_layer(D, 5, 2, 3, rng)
+        layer.families = (ridge(layout, rng, after=0), ridge(layout, rng, after=2),
+                          ridge(layout, rng, gate=False, after=2))
+        heads = tc.layer_heads(layer)
+        assert len(heads) == tc.n_heads(layer) == 5 + 3 * 40
+        assert heads[0] is not layer.heads[0] and heads[40] is layer.heads[0]
+        assert heads[41] is layer.heads[1] and heads[122] is layer.heads[2]
+        assert tc.layer_norm(layer) == reference_layer_norm(layer)
+        expanded = tc.TransformerLayer(heads, layer.W1, layer.W2)
+        tf = tc.Transformer([layer], layout, ("y", None))
+        assert tc.describe(tf) == tc.describe(
+            tc.Transformer([expanded], layout, ("y", None)))
+
+    def test_json_round_trip_is_bitwise(self, rng):
+        layout = gated_layout()
+        layer = random_layer(layout.dim, 2, 2, 3, rng)
+        layer.families = (ridge(layout, rng), ridge(layout, rng, gate=False))
+        tf = tc.Transformer([layer], layout, ("y", None))
+        tm = gated_stream(layout, 6, rng)
+        assert_array_equal(tc.forward(tc.from_json(tc.to_json(tf)), tm).data,
+                           tc.forward(tf, tm).data)
+
+    def test_compose_conjugates_family_heads_as_plain_heads(self, rng):
+        layout = gated_layout()
+        layer = tc.TransformerLayer([], np.zeros((0, layout.dim)),
+                                    np.zeros((layout.dim, 0)),
+                                    (ridge(layout, rng, M=6),))
+        part = tc.Transformer([layer], layout, ("out", None))
+        unified, maps = tc.union_layout([part, part], ["a", "b"])
+        tf = tc.compose([part, part], unified, maps)
+        idx = tc.embed_rows(layout, unified, maps[1])
+        P = np.zeros((unified.dim, layout.dim))
+        P[idx, np.arange(layout.dim)] = 1.0
+        for h, ch in zip(tc.layer_heads(layer), tc.layer_heads(tf.layers[1]),
+                         strict=True):
+            for got, want in ((ch.Q, h.Q @ P.T), (ch.K, h.K @ P.T), (ch.V, h.V),
+                              (ch.rows, idx[h.rows]), (ch.cols, idx[h.cols])):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("change, match", [
+        (lambda f: dict(a=f.a[[0, 2, 1, 3]], b=f.b[[0, 2, 1, 3]]), "breakpoints"),
+        (lambda f: dict(a=f.a[[0, 1, 1, 2]], b=f.b[[0, 1, 1, 2]]), "breakpoints"),
+        (lambda f: dict(a=f.a * [1, 1, -1, 1]), "negative slope"),
+        (lambda f: dict(c=f.c[:3]), r"a, b and c have shapes \(4,\), \(4,\) and \(3,\)"),
+        (lambda f: dict(Q=f.Q[:, :-1], Qterm=f.Qterm[:, :-1]), r"Q \(4, 8\), K \(4, 9\)"),
+        (lambda f: dict(embed=np.eye(f.Q.shape[1] + 1, f.Q.shape[1])),
+         r"embed \(10, 9\) is not a row embedding into dim 9"),
+        (lambda f: dict(V0=np.ones((1, 2))), r"V0 \(1, 2\) does not fit"),
+    ], ids=["unsorted_breakpoints", "repeated_breakpoint", "negative_slope",
+            "length_mismatch", "template_not_r_by_D", "gate_row_outside_dim",
+            "value_block_shape"])
+    def test_bad_family_rejected(self, rng, change, match):
+        """A family that cannot run is named, with its layer, both when a
+        model is loaded and when it runs.  Its gate reads stream rows through
+        the template and the embedding, so a gate row outside the stream is
+        an embedding that does not fit it."""
+        layout = gated_layout()
+        good = ridge(layout, rng, M=4)
+        bad = dataclasses.replace(good, **change(good))
+        zl = tc.zero_layer(layout.dim)
+        tf = tc.Transformer([zl, tc.TransformerLayer([], zl.W1, zl.W2, (bad,))],
+                            layout, ("y", None))
+        with pytest.raises(tc.ForwardError, match="layer 1: family 0: " + match):
+            tc.forward(tf, gated_stream(layout, 4, rng))
+        with pytest.raises(tc.LayoutError, match="layer 1 family 0: " + match):
+            tc.from_json(tc.to_json(tf))
+
+
+def private_layer(layout, private, rng):
+    """Random layer mixing plain heads and gated families that writes only
+    the rows in `private`."""
+    D = layout.dim
+
+    def block():
+        out = rng.permutation(private)[: rng.integers(1, len(private) + 1)]
+        cols = rng.permutation(D)[: rng.integers(1, D + 1)]
+        return 0.3 * rng.standard_normal((len(out), len(cols))), out, cols
+
+    def rand(r):
+        return 0.3 * rng.standard_normal((r, D))
+
+    heads = [tc.AttentionHead(rand(r), rand(r), *block())
+             for r in rng.integers(1, 3, int(rng.integers(0, 4)))]
+    q_g = np.zeros(D)
+    k_g = np.zeros(D)
+    q_g[layout.row("one")] = -1e3
+    k_g[layout.row("one")] = 1.0
+    k_g[layout.row("t")] = -1.0
+    families, after = [], 0
+    for _ in range(int(rng.integers(0, 3))):
+        after = int(rng.integers(after, len(heads) + 1))
+        r = int(rng.integers(1, 3))
+        a, b, c = knot_terms(rng, int(rng.integers(2, 9)))
+        families.append(tc.ridge_family(
+            rand(r), rand(r), layout.row("one"), a, b, 0.1 * c, *block(),
+            gate=(q_g, k_g) if rng.integers(0, 2) else None, after=after))
+    hidden = int(rng.integers(0, 3))
+    W2 = np.zeros((D, hidden))
+    W2[private] = 0.3 * rng.standard_normal((len(private), hidden))
+    return tc.TransformerLayer(heads, rand(hidden), W2, tuple(families))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3),
+                min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_compose_of_random_parts(widths, seed):
+    """union_layout gives each part an injective row map with a workspace of
+    its own, and the composed model computes every part's own stream on the
+    part's rows."""
+    rng = np.random.default_rng(seed)
+    base = [("x", 2), ("y", 1), ("t", 1), ("s", 1), ("one", 1)]
+    parts = []
+    for ws in widths:
+        layout = tc.SlotLayout.build(base + [(f"w{i}", w) for i, w in enumerate(ws)])
+        private = np.arange(6, layout.dim)
+        layers = [private_layer(layout, private, rng)
+                  for _ in range(int(rng.integers(1, 3)))]
+        parts.append(tc.Transformer(layers, layout, ("w0", None)))
+    unified, maps = tc.union_layout(parts, [f"p{i}" for i in range(len(parts))])
+    tf = tc.compose(parts, unified, maps)
+    rows = [tc.embed_rows(p.layout, unified, m) for p, m in zip(parts, maps)]
+    for r in rows:
+        assert np.unique(r).size == r.size
+        assert_array_equal(r[:6], np.arange(6))
+    private = np.concatenate([r[6:] for r in rows])
+    assert np.unique(private).size == private.size
+
+    H = rng.standard_normal((unified.dim, 7))
+    H[unified.row("one")] = 1.0
+    H[unified.row("t")] = rng.integers(0, 2, 7)
+    _, trace = tc.forward_trace(tf, tc.TokenMatrix(H, unified, 6, 0))
+    first = 0
+    for part, r in zip(parts, rows):
+        _, alone = tc.forward_trace(part, tc.TokenMatrix(H[r], part.layout, 6, 0))
+        for k, st_ in enumerate(alone):
+            assert_allclose(trace[first + k].data[r], st_.data, rtol=1e-12,
+                            atol=1e-12)
+        first += len(alone)
