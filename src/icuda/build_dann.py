@@ -69,7 +69,6 @@ class DannBuildConfig:
     gl_knots: int = 700
     p_terms: int = 520
     proj_terms: int = 600
-    out_name: str = "fdann"
     seed: int = 0
 
     def params(self) -> ur.DannParams:
@@ -169,19 +168,27 @@ def product_fit(name: str, R1: float, terms: int, seed: int = 0):
 
 def projection_fit(B: float, R_blk: float, dim: int, terms: int, seed: int = 0):
     """Componentwise fits of the ball-projection correction
-    z -> z (min(1, B/|z|) - 1) over the box of radius R_blk."""
+    z -> z (min(1, B/|z|) - 1) over the box of radius R_blk.
+
+    A block of width 1 needs no fit: its correction clip(z, -B, B) - z is
+    the exact pair -relu(z - B) + relu(-z - B)."""
     key = ("proj", B, R_blk, dim, terms)
     if key not in _FIT_CACHE:
         fits = []
         errs = []
-        for i in range(dim):
-            def f(P, i=i):
-                nrm = np.linalg.norm(P, axis=1)
-                scale = np.minimum(1.0, B / np.maximum(nrm, 1e-300)) - 1.0
-                return P[:, i] * scale
-            rs, rep = ra.fit_nd(f, dim, R_blk, terms, seed=seed + i)
-            fits.append(rs)
-            errs.append(rep.sup_error)
+        if dim == 1:
+            fits.append(ra.exact_terms([[1.0], [-1.0]], [-B, -B], [-1.0, 1.0],
+                                       1, R_blk))
+            errs.append(0.0)
+        else:
+            for i in range(dim):
+                def f(P, i=i):
+                    nrm = np.linalg.norm(P, axis=1)
+                    scale = np.minimum(1.0, B / np.maximum(nrm, 1e-300)) - 1.0
+                    return P[:, i] * scale
+                rs, rep = ra.fit_nd(f, dim, R_blk, terms, seed=seed + i)
+                fits.append(rs)
+                errs.append(rep.sup_error)
         _FIT_CACHE[key] = _freeze((tuple(fits), np.array(errs)))
     return _FIT_CACHE[key]
 
@@ -385,7 +392,7 @@ def build_readout_layer(layout: SlotLayout, cfg: DannBuildConfig, R1: float,
     query token only."""
     families = build_forward_attn(layout, cfg, R1)
     return TransformerLayer([], *build_copy_mlp(layout, R_lam + 2.0, "lam",
-                                                cfg.out_name), families)
+                                                "fdann"), families)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +486,7 @@ def build_dann_transformer(pair: DomainPair, cfg: DannBuildConfig,
     for _ in range(cfg.L):
         layers += [dataclasses.replace(layer) for layer in (layer_a, layer_b, layer_c)]
     layers.append(build_readout_layer(layout, cfg, R1, R_lam))
-    tf = Transformer(layers, layout, readout=(cfg.out_name, None))
+    tf = Transformer(layers, layout, readout=("fdann", None))
 
     bounds = {"B_x": B_x, "R1": R1, "R_lam": R_lam, "R_del": R_del,
               "R_sc": R_sc, "B_g": B_g, "S1": S1, "S3": S3, "R_blk": R_blk,
@@ -624,7 +631,7 @@ def certify_dann(build: DannBuild, pair: DomainPair, trace: list[np.ndarray],
     cum_final = float(np.linalg.norm(final.flat() - ref_final.flat()))
     cumulative = eps_r * float(np.sum(np.abs(final.w))) + G_lam * cum
 
-    pred_tf = float(trace[-1][layout.row(cfg.out_name), q])
+    pred_tf = float(trace[-1][layout.row("fdann"), q])
     pred_ref = float(ur.dann_predict(ref_final,
                                      pair.query_x[query_index : query_index + 1],
                                      cfg.activation)[0])

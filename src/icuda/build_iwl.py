@@ -27,7 +27,6 @@ from .tfcore import (
     Transformer,
     TransformerLayer,
     forward_trace,
-    head_norms,
     operator_norm,
     read_output,
     ridge_family,
@@ -45,10 +44,14 @@ class IwlBuildConfig:
     eta2: float = 0.1
     L2: int = 20
     feature_knots: int = 400
-    feature_terms_2d: int = 700
     grad_knots: int = 160
-    feature_layer_cap: float = 4.0
     seed: int = 0
+
+
+# terms of each multivariate feature fit, and the summed |value coefficient|
+# a feature layer may carry
+FEATURE_TERMS_ND = 700
+FEATURE_LAYER_CAP = 4.0
 
 
 def iwl_layout(d: int, J: int) -> SlotLayout:
@@ -115,9 +118,10 @@ def build_feature_layers(layout: SlotLayout, fmap: ur.RbfFeatureMap,
     """Fit each feature component over the instance's coordinate box.
 
     Heads are packed into as many layers as needed to keep each layer's
-    summed value-coefficient mass under the cap; the feature slot writes are
-    additive, so splitting layers does not change the computed values.  A
-    family split between layers becomes one term slice per layer.
+    summed value-coefficient mass |c_m| under FEATURE_LAYER_CAP; the feature
+    slot writes are additive, so splitting layers does not change the
+    computed values.  A family split between layers becomes one term slice
+    per layer.
     """
     d = fmap.centers.shape[1]
     fits, errs = [], []
@@ -129,19 +133,18 @@ def build_feature_layers(layout: SlotLayout, fmap: ur.RbfFeatureMap,
         else:
             def comp(P, j=j):
                 return fmap(P)[:, j]
-            rs, rep = ra.fit_nd(comp, d, x_radius, cfg.feature_terms_2d,
+            rs, rep = ra.fit_nd(comp, d, x_radius, FEATURE_TERMS_ND,
                                 seed=cfg.seed + 7 * j)
         fits.append(rs)
         errs.append(rep.sup_error)
     units = feature_heads(layout, fits, phi_name)
-    heads = [h for u in units
-             for h in (u.to_heads() if isinstance(u, HeadFamily) else [u])]
-    # unit u's terms are heads[first[u]:first[u + 1]]
+    # unit u's terms are terms first[u]:first[u + 1] of the fits, in order;
+    # each term's value block is the 1 x 1 [[c_m]]
     first = np.cumsum([0] + [u.n_terms if isinstance(u, HeadFamily) else 1
                              for u in units])
+    masses = np.abs(np.concatenate([rs.c for rs in fits]))
     layers = []
-    for start, stop in _term_slices(head_norms([h.V for h in heads]),
-                                    cfg.feature_layer_cap):
+    for start, stop in _term_slices(masses, FEATURE_LAYER_CAP):
         plain, families = [], []
         for u, unit in enumerate(units):
             lo, hi = max(start, first[u]), min(stop, first[u + 1])

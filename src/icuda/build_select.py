@@ -15,7 +15,7 @@ at a known cap above the decision threshold and the routing stays certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -215,25 +215,41 @@ def build_select_attn(layout: SlotLayout, delta: float, a: float, G: float,
 
 @dataclass
 class IcudaBuildConfig:
+    """The one table of build settings for the composed model and for
+    either branch built alone.
+
+    ``sel`` holds the algorithm's hyperparameters and ``a`` the selector's
+    indicator sharpness; both come from a config's ``hyper``.  Every other
+    field is a build knob (BUILD_KNOBS): the knot or term count of one
+    fitted part, named as the part's builder names it and applied wherever
+    that part is built: ``iwl_config`` passes the IWL knobs, ``dann_config``
+    the DANN knobs, and the composed build also reads the selector knobs.
+
+    - selector: ``kernel_knots`` (source-density kernel), ``exp_knots``
+      (soft-min exponential), ``log_knots`` (its logarithm);
+    - IWL: ``feature_knots`` (each RBF feature), ``grad_knots`` (the
+      weighted-gradient surrogate's quadratic);
+    - DANN: ``r_knots`` (activation), ``gl_knots`` (loss gradient),
+      ``p_terms`` (the 2-D product fit's terms).
+    """
+
     sel: ur.SelectorConfig = field(default_factory=ur.SelectorConfig)
     a: float = 100.0
     kernel_knots: int = 2500
     exp_knots: int = 3500
-    exp_tail: int = 33
     log_knots: int = 3000
-    s_floor: float | None = None
-    iwl_feature_knots: int = 400
-    iwl_grad_knots: int = 160
-    dann_r_knots: int = 600
-    dann_gl_knots: int = 700
-    dann_p_terms: int = 520
+    feature_knots: int = 400
+    grad_knots: int = 160
+    r_knots: int = 600
+    gl_knots: int = 700
+    p_terms: int = 520
 
     def iwl_config(self, d: int) -> IwlBuildConfig:
         s = self.sel
         return IwlBuildConfig(
             d=d, J=s.J, lam=s.lam, eta1=s.eta1, L1=s.L1, eta2=s.eta2,
-            L2=s.L2, feature_knots=self.iwl_feature_knots,
-            grad_knots=self.iwl_grad_knots, seed=s.seed,
+            L2=s.L2, feature_knots=self.feature_knots,
+            grad_knots=self.grad_knots, seed=s.seed,
         )
 
     def dann_config(self, d: int) -> DannBuildConfig:
@@ -241,10 +257,13 @@ class IcudaBuildConfig:
         return DannBuildConfig(
             d=d, K=s.K, eta=s.eta, lam=s.lam_dann, L=s.L,
             delta_gamma=s.delta_gamma, B_u=s.B_u, B_w=s.B_w, B_v=s.B_v,
-            activation=s.activation, r_knots=self.dann_r_knots,
-            gl_knots=self.dann_gl_knots, p_terms=self.dann_p_terms,
-            seed=s.seed,
+            activation=s.activation, r_knots=self.r_knots,
+            gl_knots=self.gl_knots, p_terms=self.p_terms, seed=s.seed,
         )
+
+
+BUILD_KNOBS = tuple(f.name for f in fields(IcudaBuildConfig)
+                    if f.name not in ("sel", "a"))
 
 
 @dataclass
@@ -306,19 +325,17 @@ def build_icuda_transformer(pair: DomainPair, cfg: IcudaBuildConfig) -> IcudaBui
     exp_hi = 1.0 + 4.0 * eps1 + 1e-4
     exp_fit, erep = ra.fit_knots(
         lambda p: np.exp(-s.beta * np.asarray(p, dtype=float)),
-        exp_knot_grid(s.beta, exp_lo, exp_hi, cfg.exp_knots, cfg.exp_tail))
+        exp_knot_grid(s.beta, exp_lo, exp_hi, cfg.exp_knots))
     eps2 = exp_fit.sup_error
 
     # the flat left tail of the log interpolant caps q at -log(s_floor)/beta;
     # the floor must stay below any reachable sum yet keep that cap above the
     # routing threshold, and high enough that the interpolant's slopes do not
     # wreck float accumulation
-    s_floor = cfg.s_floor
-    if s_floor is None:
-        s_floor = max(
-            min(np.exp(-s.beta * (s.delta + 0.5 / cfg.a + 0.02)),
-                0.5 * pair.n_prime * np.exp(-s.beta * exp_hi)),
-            1e-8)
+    s_floor = max(
+        min(np.exp(-s.beta * (s.delta + 0.5 / cfg.a + 0.02)),
+            0.5 * pair.n_prime * np.exp(-s.beta * exp_hi)),
+        1e-8)
     S_hi = pair.n_prime * (np.exp(-s.beta * exp_lo) + eps2) + 1.0
     log_fit, lrep = ra.fit_knots(
         np.log, log_knot_grid(float(s_floor), float(S_hi), cfg.log_knots))
@@ -407,7 +424,7 @@ def verify_icuda(build: IcudaBuild, pair: DomainPair,
     S_hat = float(out.data[layout.row("e_sum"), q_col])
     sum_err = abs(S_hat - float(np.sum(e_hat[pair.n : pair.n + pair.n_prime])))
     q_tf = float(out.data[layout.row("q_soft"), q_col])
-    q_direct = -float(ra.evaluate(build.fits["log"], [S_hat])) / s.beta
+    q_direct = -build.fits["log"]([S_hat]) / s.beta
     q_err = abs(q_tf - q_direct)
 
     # rigorous overlap bracket from the oracle densities at target tokens,
@@ -423,10 +440,8 @@ def verify_icuda(build: IcudaBuild, pair: DomainPair,
     S_up = float(np.sum(e_up)) + sum_err + g * float(np.sum(np.abs(e_up)))
     S_dn = float(np.sum(e_dn)) - sum_err - g * float(np.sum(np.abs(e_dn)))
     fl_hat = ra.float_error(log_fit, [S_hat])
-    q_lo = -(float(ra.evaluate(log_fit, [S_up]))
-             + fl_hat + ra.float_error(log_fit, [S_up])) / s.beta
-    q_hi = -(float(ra.evaluate(log_fit, [S_dn]))
-             - fl_hat - ra.float_error(log_fit, [S_dn])) / s.beta
+    q_lo = -(log_fit([S_up]) + fl_hat + ra.float_error(log_fit, [S_up])) / s.beta
+    q_hi = -(log_fit([S_dn]) - fl_hat - ra.float_error(log_fit, [S_dn])) / s.beta
     band = 0.5 / cfg.a
 
     if q_lo >= s.delta + band:

@@ -26,13 +26,13 @@ import numpy as np
 
 from . import uda_ref as ur
 from .build_dann import build_dann_transformer, verify_dann
-from .build_iwl import (
-    SOUNDNESS_CHECKS,
-    IwlBuildConfig,
-    build_iwl_transformer,
-    verify_iwl,
+from .build_iwl import SOUNDNESS_CHECKS, build_iwl_transformer, verify_iwl
+from .build_select import (
+    BUILD_KNOBS,
+    IcudaBuildConfig,
+    build_icuda_transformer,
+    verify_icuda,
 )
-from .build_select import IcudaBuildConfig, build_icuda_transformer, verify_icuda
 from .datagen import (
     ShiftGaussConfig,
     TwoMoonConfig,
@@ -59,8 +59,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Raise ValueError naming the first field that is malformed: a
-        wrong type, an unknown name, or a parameter the generator or the
-        builders do not take."""
+        wrong type, an unknown name, a parameter the generator or the
+        builders do not take, or a value below its field's minimum."""
         for name in ("generator", "algo", "out_dir"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string, "
@@ -78,16 +78,19 @@ class ExperimentConfig:
         gen = TwoMoonConfig if self.generator == "two_moon" else ShiftGaussConfig
         # make_pair sets d and seed itself
         _check_params("gen_params", self.gen_params, typing.get_type_hints(gen),
-                      pinned={"d", "seed"})
+                      pinned={"d", "seed"}, minimum=SAMPLE_MINIMUM)
         _check_params("hyper", self.hyper, HYPER_TYPES)
-        _check_params("build_params", self.build_params,
-                      {**typing.get_type_hints(IcudaBuildConfig),
-                       **typing.get_type_hints(IwlBuildConfig)}, pinned={"sel"})
+        _check_params("build_params", self.build_params, BUILD_TYPES,
+                      minimum=dict.fromkeys(BUILD_KNOBS, 2))
 
 
 # SelectorConfig's fields plus the selector's indicator sharpness, which the
 # composed build reads
 HYPER_TYPES = {**typing.get_type_hints(ur.SelectorConfig), "a": float}
+# the knot and term counts of the fitted parts; no fit takes fewer than 2
+BUILD_TYPES = {k: typing.get_type_hints(IcudaBuildConfig)[k] for k in BUILD_KNOBS}
+# sample sizes of both generators
+SAMPLE_MINIMUM = dict.fromkeys(("n_source", "n_target", "n_query", "n_eval"), 1)
 
 
 def _fits(value, hint) -> bool:
@@ -108,9 +111,11 @@ def _fits(value, hint) -> bool:
     return False
 
 
-def _check_params(what: str, params, hints: dict, pinned=frozenset()) -> None:
+def _check_params(what: str, params, hints: dict, pinned=frozenset(),
+                  minimum=None) -> None:
     """``params`` must be an object whose keys name fields in ``hints`` (not
-    ``pinned``) and whose values fit those fields' types."""
+    ``pinned``) and whose values fit those fields' types and are at least
+    the field's ``minimum``, where one is given."""
     if not isinstance(params, dict):
         raise ValueError(f"{what} must be an object, got {params!r}")
     bad = sorted(k for k in params if k not in hints or k in pinned)
@@ -121,6 +126,9 @@ def _check_params(what: str, params, hints: dict, pinned=frozenset()) -> None:
             kinds = typing.get_args(hints[key]) or (hints[key],)
             names = " or ".join(k.__name__ for k in kinds)
             raise ValueError(f"{what}.{key} must be {names}, got {value!r}")
+        low = (minimum or {}).get(key)
+        if low is not None and value < low:
+            raise ValueError(f"{what}.{key} must be at least {low}, got {value!r}")
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
@@ -271,23 +279,12 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _iwl_build_config(cfg: ExperimentConfig, scfg: ur.SelectorConfig,
-                      d: int) -> IwlBuildConfig:
-    pinned = {"d", "J", "lam", "eta1", "L1", "eta2", "L2", "seed"}
-    known = {f.name for f in dataclasses.fields(IwlBuildConfig)} - pinned
-    extra = {k: v for k, v in cfg.build_params.items() if k in known}
-    return IwlBuildConfig(
-        d=d, J=scfg.J, lam=scfg.lam, eta1=scfg.eta1, L1=scfg.L1,
-        eta2=scfg.eta2, L2=scfg.L2, seed=scfg.seed, **extra)
-
-
-def _icuda_build_config(cfg: ExperimentConfig,
-                        scfg: ur.SelectorConfig) -> IcudaBuildConfig:
-    known = {f.name for f in dataclasses.fields(IcudaBuildConfig)} - {"sel"}
-    extra = {k: v for k, v in cfg.build_params.items() if k in known}
-    if "a" in cfg.hyper:
-        extra["a"] = cfg.hyper["a"]
-    return IcudaBuildConfig(sel=scfg, **extra)
+def build_config(cfg: ExperimentConfig,
+                 scfg: ur.SelectorConfig) -> IcudaBuildConfig:
+    """The build table of a validated config: the hyperparameters, the
+    indicator sharpness ``a`` if the hyper sets it, and the build knobs."""
+    sharpness = {"a": cfg.hyper["a"]} if "a" in cfg.hyper else {}
+    return IcudaBuildConfig(sel=scfg, **sharpness, **cfg.build_params)
 
 
 def _iwl_record(build, pair) -> dict:
@@ -348,13 +345,13 @@ def _icuda_record(build, pair) -> dict:
 # verdict fields of one seed, the caller adds seed and tf_norm
 ALGO_TABLE = {
     "iwl": (lambda cfg, scfg, pair: build_iwl_transformer(
-                pair, _iwl_build_config(cfg, scfg, pair.d)),
+                pair, build_config(cfg, scfg).iwl_config(pair.d)),
             _iwl_record),
     "dann": (lambda cfg, scfg, pair: build_dann_transformer(
-                 pair, _icuda_build_config(cfg, scfg).dann_config(pair.d)),
+                 pair, build_config(cfg, scfg).dann_config(pair.d)),
              _dann_record),
     "icuda": (lambda cfg, scfg, pair: build_icuda_transformer(
-                  pair, _icuda_build_config(cfg, scfg)),
+                  pair, build_config(cfg, scfg)),
               _icuda_record),
 }
 

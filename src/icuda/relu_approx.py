@@ -25,9 +25,9 @@ import numpy as np
 class ReluSum:
     """f(z) = sum_m c[m] * relu(a[m] . (z - center) ... ); a has shape (M, k).
 
-    The domain of validity is the box |z - center|_inf <= radius (axes may be
-    restricted further, see FitReport.axis_values).  Terms are stored in the
-    original input coordinates; center only shifts the validity box.
+    The domain of validity is the box |z - center|_inf <= radius.  Terms are
+    stored in the original input coordinates; center only shifts the
+    validity box.
     """
 
     a: np.ndarray
@@ -65,10 +65,6 @@ class ReluSum:
         return float(np.maximum(self.a @ z + self.b, 0.0) @ self.c)
 
 
-def evaluate(rs: ReluSum, z) -> float:
-    return rs(z)
-
-
 def eval_batch(rs: ReluSum, Z: np.ndarray, chunk: int = 8192) -> np.ndarray:
     """Evaluate at Z of shape (P, k) in chunks."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
@@ -89,9 +85,6 @@ class FitReport:
     grid_sup: float
     margin: float
     float_error: float = 0.0
-    rank: int | None = None
-    rank_deficient: bool = False
-    axis_values: tuple | None = None
     breakpoints: np.ndarray | None = None
 
 
@@ -230,43 +223,28 @@ def _directions(k: int, n_random: int, rng: np.random.Generator) -> np.ndarray:
     return np.array(dirs)
 
 
-def _axis_grid(R: float, axis_values, k: int, n_cont: int, midpoints: bool = False):
-    axes = []
-    for i in range(k):
-        if axis_values is not None and axis_values[i] is not None:
-            axes.append(np.asarray(axis_values[i], dtype=float))
-        elif midpoints:
-            h = 2.0 * R / n_cont
-            axes.append(np.linspace(-R + 0.5 * h, R - 0.5 * h, n_cont))
-        else:
-            axes.append(np.linspace(-R, R, n_cont))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    shape = tuple(len(ax) for ax in axes)
-    return pts, shape
+def _axis_grid(R: float, k: int, n: int, midpoints: bool = False):
+    """The points of the n^k grid on [-R, R]^k (cell midpoints if
+    ``midpoints``), in C order."""
+    if midpoints:
+        h = 2.0 * R / n
+        axis = np.linspace(-R + 0.5 * h, R - 0.5 * h, n)
+    else:
+        axis = np.linspace(-R, R, n)
+    mesh = np.meshgrid(*[axis] * k, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def fit_nd(
-    f,
-    k: int,
-    R: float,
-    M: int,
-    seed: int = 0,
-    axis_values: tuple | None = None,
-) -> tuple[ReluSum, FitReport]:
+def fit_nd(f, k: int, R: float, M: int, seed: int = 0) -> tuple[ReluSum, FitReport]:
     """Least-squares ridge fit of f on the box [-R, R]^k (k in {2, 3}).
 
     The dictionary holds a fixed fan of directions on the l1 sphere (canonical
     axes/diagonals plus a seeded quasi-random fill), each with an equispaced
     bias grid; coefficients are solved on a training grid and sup_error is
-    measured on a disjoint denser grid.  An axis may be restricted to a finite
-    value set (e.g. binary labels) via axis_values; the certificate then covers
-    the restricted box only.
+    measured on a disjoint denser grid.
     """
     if k not in (2, 3):
         raise ValueError("fit_nd supports input dimension 2 or 3")
-    if axis_values is not None and len(axis_values) != k:
-        raise ValueError("axis_values must have one entry per axis")
     rng = np.random.default_rng(seed)
 
     n_random = 16 if M >= 400 else 8
@@ -277,20 +255,13 @@ def fit_nd(
     m_can = max((budget - n_random * m_rand) // n_can, 4)
     knots_per_dir = [m_can] * n_can + [m_rand] * n_random
 
-    def axis_bounds(i):
-        if axis_values is not None and axis_values[i] is not None:
-            v = np.asarray(axis_values[i], dtype=float)
-            return float(np.min(v)), float(np.max(v))
-        return -R, R
-
-    bounds = [axis_bounds(i) for i in range(k)]
     a_rows, b_rows = [], []
     for d, m in zip(dirs, knots_per_dir):
-        lo = sum(min(d[i] * bounds[i][0], d[i] * bounds[i][1]) for i in range(k))
-        hi = sum(max(d[i] * bounds[i][0], d[i] * bounds[i][1]) for i in range(k))
-        if hi - lo < 1e-12:
+        # d . z ranges over [-hi, hi] on the box
+        hi = sum(abs(d[i]) * R for i in range(k))
+        if 2.0 * hi < 1e-12:
             continue
-        ts = np.linspace(lo, hi, m, endpoint=False)
+        ts = np.linspace(-hi, hi, m, endpoint=False)
         for t in ts:
             a_rows.append(d)
             b_rows.append(-t)
@@ -299,40 +270,25 @@ def fit_nd(
     A = np.array(a_rows)
     B = np.array(b_rows)
 
-    n_disc = 1
-    n_cont_axes = 0
-    for i in range(k):
-        if axis_values is not None and axis_values[i] is not None:
-            n_disc *= len(axis_values[i])
-        else:
-            n_cont_axes += 1
     base = {2: 41, 3: 17}[k]
-    need = int(np.ceil((2.0 * len(B) / n_disc) ** (1.0 / max(n_cont_axes, 1)))) + 1
+    need = int(np.ceil((2.0 * len(B)) ** (1.0 / k))) + 1
     n_train = max(base, need)
-    pts, _ = _axis_grid(R, axis_values, k, n_train)
+    pts = _axis_grid(R, k, n_train)
     y = np.asarray(f(pts), dtype=float)
     Phi = np.maximum(pts @ A.T + B, 0.0)
-    coef, _, rank, _ = np.linalg.lstsq(Phi, y, rcond=1e-10)
-    rank_deficient = rank < A.shape[0]
+    coef = np.linalg.lstsq(Phi, y, rcond=1e-10)[0]
 
     a, b, c = _normalize_terms(A, B, coef)
     rs = ReluSum(a, b, c, input_dim=k, radius=float(R), sup_error=0.0)
 
     n_test = max({2: 120, 3: 50}[k], 3 * max(knots_per_dir))
-    tpts, tshape = _axis_grid(R, axis_values, k, n_test, midpoints=True)
-    resid = (eval_batch(rs, tpts) - np.asarray(f(tpts), dtype=float)).reshape(tshape)
+    tpts = _axis_grid(R, k, n_test, midpoints=True)
+    resid = eval_batch(rs, tpts) - np.asarray(f(tpts), dtype=float)
+    resid = resid.reshape((n_test,) * k)
     grid_sup = float(np.max(np.abs(resid)))
     margin = _second_diff_margin(resid)
     rs.sup_error = grid_sup + margin
-    report = FitReport(
-        sup_error=rs.sup_error,
-        grid_sup=grid_sup,
-        margin=margin,
-        rank=int(rank),
-        rank_deficient=bool(rank_deficient),
-        axis_values=axis_values,
-    )
-    return rs, report
+    return rs, FitReport(sup_error=rs.sup_error, grid_sup=grid_sup, margin=margin)
 
 
 def lift(rs: ReluSum, d: np.ndarray, k: int) -> ReluSum:
@@ -407,7 +363,7 @@ def fit_binary_gated(f, lo: float, hi: float, M: int) -> tuple[ReluSum, FitRepor
     out.sup_error = worst.grid_sup + worst.margin + fl_err
     report = FitReport(
         sup_error=out.sup_error, grid_sup=worst.grid_sup, margin=worst.margin,
-        float_error=fl_err, axis_values=(None, (0.0, 1.0)),
+        float_error=fl_err,
     )
     return out, report
 

@@ -77,6 +77,28 @@ class TestProjectionPath:
             assert row.ok
         assert cert.final_gap <= cert.cumulative
 
+    def test_scalar_blocks_project_exactly(self):
+        """In d = 1 each u_k block is an interval, projected by the exact
+        pair -relu(z - B) + relu(-z - B)."""
+        import icuda.uda_ref as ur
+
+        pair = dg.gen_shifted_gaussians(dg.ShiftGaussConfig(
+            d=1, n_source=10, n_target=8, mu_target=0.8, boundary=0.5, seed=5))
+        cfg = bd.DannBuildConfig(d=1, K=2, eta=0.5, lam=1.0, L=2,
+                                 delta_gamma=0.05, B_u=0.4, B_w=0.25,
+                                 B_v=0.25, proj_terms=300, seed=5)
+        state = ur.init_dann(cfg.params(), 1, 5)
+        state.u *= cfg.B_u / np.abs(state.u)
+        state.w *= cfg.B_w / np.linalg.norm(state.w)
+        state.v *= cfg.B_v / np.linalg.norm(state.v)
+        build = bd.build_dann_transformer(pair, cfg, state0=state)
+        assert build.proj_enabled
+        assert build.eps_proj["u"] == 0.0
+        cert = bd.verify_dann(build, pair)
+        for row in cert.rows:
+            assert row.ok
+        assert cert.final_gap <= cert.cumulative
+
     def test_roomy_balls_skip_projection(self, moon_build):
         build, _ = moon_build
         assert not build.proj_enabled

@@ -1,6 +1,8 @@
 """Command-line harness: config handling, artifacts, exit codes."""
 
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -211,16 +213,81 @@ class TestCli:
             hz.main(["verify", "--algo", "bogus"])
         assert exc.value.code == 2
 
-    def test_build_params_may_repeat_pinned_fields(self, tmp_path):
-        cfg = hz.load_config(
-            write_config(tmp_path, **dict(SMALL_IWL,
-                                          build_params={"J": 5,
-                                                        "grad_knots": 80})),
-            {})
-        scfg = hz.selector_config(cfg, 3)
-        bcfg = hz._iwl_build_config(cfg, scfg, 1)
-        assert bcfg.J == 3
-        assert bcfg.grad_knots == 80
+    def test_build_params_other_than_the_knobs_exit_two(self, tmp_path, capsys):
+        """Hyperparameters, the old per-branch names and the settings that
+        became constants are not build knobs."""
+        for name in ("J", "iwl_grad_knots", "dann_r_knots", "a", "exp_tail",
+                     "s_floor", "feature_layer_cap", "feature_terms_2d"):
+            path = write_config(tmp_path, build_params={name: 5})
+            assert hz.main(["describe", "--config", path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ")
+            assert repr(name) in err
+
+    def test_build_config_reads_knobs_and_sharpness(self, tmp_path):
+        cfg = hz.load_config(write_config(
+            tmp_path, **dict(SMALL_IWL, hyper=dict(SMALL_IWL["hyper"], a=50.0),
+                             build_params={"grad_knots": 80, "r_knots": 90})), {})
+        bcfg = hz.build_config(cfg, hz.selector_config(cfg, 3))
+        assert (bcfg.a, bcfg.grad_knots, bcfg.r_knots) == (50.0, 80, 90)
+        assert bcfg.iwl_config(1).grad_knots == 80
+        assert bcfg.iwl_config(1).J == 3
+        assert bcfg.dann_config(1).r_knots == 90
+
+
+def _digest(layers) -> str:
+    """sha256 over every weight array of some layers."""
+    h = hashlib.sha256()
+    for layer in layers:
+        for unit in (*layer.heads, *layer.families):
+            for f in dataclasses.fields(unit):
+                h.update(np.asarray(getattr(unit, f.name)).tobytes())
+        h.update(layer.W1.tobytes())
+        h.update(layer.W2.tobytes())
+    return h.hexdigest()
+
+
+# the build knobs each part of the model reads
+KNOB_PARTS = {"iwl": ("feature_knots", "grad_knots"),
+              "dann": ("r_knots", "gl_knots", "p_terms"),
+              "select": ("kernel_knots", "exp_knots", "log_knots")}
+SMALL_KNOBS = {"kernel_knots": 40, "exp_knots": 40, "log_knots": 40,
+               "feature_knots": 30, "grad_knots": 20, "r_knots": 30,
+               "gl_knots": 30, "p_terms": 150}
+
+
+def _part_digests(algo: str, build_params: dict) -> dict:
+    """Weight digest of each part that ``icuda verify --algo algo`` builds."""
+    cfg = hz.ExperimentConfig(algo=algo, gen_params=SMALL_IWL["gen_params"],
+                              hyper={"J": 3, "L1": 2, "L2": 2, "L": 1},
+                              build_params=build_params)
+    cfg.validate()
+    build = hz.ALGO_TABLE[algo][0](cfg, hz.selector_config(cfg, 3),
+                                   hz.make_pair(cfg, 3))
+    if algo != "icuda":
+        return {algo: _digest(build.tf.layers)}
+    return {"iwl": _digest(build.iwl.tf.layers),
+            "dann": _digest(build.dann.tf.layers),
+            # the overlap, sum and blend layers on top of both branches
+            "select": _digest(build.tf.layers[-3:])}
+
+
+class TestBuildKnobs:
+    def test_knobs_are_the_knot_and_term_counts(self):
+        assert set(hz.BUILD_KNOBS) == set(SMALL_KNOBS)
+        assert sorted(sum(KNOB_PARTS.values(), ())) == sorted(hz.BUILD_KNOBS)
+
+    @pytest.mark.parametrize("algo", hz.ALGOS)
+    def test_each_knob_changes_only_its_part(self, algo):
+        """Every knob reaches its part under every algorithm that builds
+        the part, and leaves the other parts as they were."""
+        base = _part_digests(algo, SMALL_KNOBS)
+        for part in base:
+            for knob in KNOB_PARTS[part]:
+                moved = _part_digests(
+                    algo, dict(SMALL_KNOBS, **{knob: 2 * SMALL_KNOBS[knob]}))
+                for other, digest in base.items():
+                    assert (moved[other] != digest) == (other == part), (knob, other)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +313,10 @@ _ANY = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2),
 _PARAMS = {
     "gen_params": {"n_source": int, "mu_target": float, "boundary": float},
     "hyper": {"L1": int, "beta": float, "activation": str, "a": float},
-    "build_params": {"kernel_knots": int, "feature_layer_cap": float},
+    "build_params": {"kernel_knots": int, "grad_knots": int},
 }
+# the smallest value of the fields that have one: a sample size, knot counts
+_MINIMUM = {"n_source": 1, "kernel_knots": 2, "grad_knots": 2}
 
 
 def _bad_params(field):
@@ -256,9 +325,11 @@ def _bad_params(field):
         lambda k: _ANY.filter(lambda v: not _fits(v, keys[k])
                               and not (v is None and k == "boundary"))
         .map(lambda v: {k: v}))
+    below = [st.integers(max_value=_MINIMUM[k] - 1).map(lambda v, k=k: {k: v})
+             for k in sorted(keys) if k in _MINIMUM]
     unknown_key = st.text(min_size=1, max_size=4).map(lambda k: {"zz" + k: 1})
     return st.one_of(_ANY.filter(lambda v: not isinstance(v, dict)),
-                     wrong_value, unknown_key)
+                     wrong_value, unknown_key, *below)
 
 
 _BAD_FIELDS = st.one_of(
@@ -277,8 +348,9 @@ class TestMalformedConfig:
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(_BAD_FIELDS)
     def test_wrong_field_is_a_config_error(self, field_value):
-        """A wrong-typed field, or a parameter its object does not take,
-        raises ValueError naming the field, and the CLI exits 2."""
+        """A wrong-typed field, a parameter its object does not take, or a
+        value below its field's minimum raises ValueError naming the field,
+        and the CLI exits 2."""
         field, value = field_value
         with tempfile.TemporaryDirectory() as tmp:
             path = write_config(pathlib.Path(tmp), **{field: value})
@@ -290,7 +362,9 @@ class TestMalformedConfig:
             assert err.getvalue().startswith("config error: ")
 
     @pytest.mark.parametrize("text", ['{"seeds": 3}', '{"gen_params": {"bogus": 1}}',
-                                      '{"hyper": [1]}', '[1]'])
+                                      '{"hyper": [1]}', '[1]',
+                                      '{"build_params": {"grad_knots": 1}}',
+                                      '{"gen_params": {"n_source": 0}}'])
     def test_reported_cases_exit_two(self, tmp_path, capsys, text):
         path = tmp_path / "config.json"
         path.write_text(text)

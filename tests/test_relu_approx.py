@@ -33,11 +33,6 @@ class TestFit1d:
         rs, _ = ra.fit_1d(lambda t: np.exp(-t), 1.0, 65)
         assert rs.max_norm <= 1.0 + 1e-12
 
-    def test_evaluate_matches_call(self):
-        rs, _ = ra.fit_1d(np.abs, 1.0, 9)
-        for z in (-0.7, 0.0, 0.3):
-            assert ra.evaluate(rs, [z]) == pytest.approx(rs([z]), abs=0)
-
 
 class TestFitKnots:
     def test_interpolates_at_knots(self):
@@ -45,12 +40,12 @@ class TestFitKnots:
         f = lambda t: np.exp(-t)
         rs, _ = ra.fit_knots(f, knots)
         for k in knots:
-            assert ra.evaluate(rs, [k]) == pytest.approx(f(k), abs=1e-12)
+            assert rs([k]) == pytest.approx(f(k), abs=1e-12)
 
     def test_flat_left_extrapolation(self):
         knots = np.linspace(1.0, 4.0, 7)
         rs, _ = ra.fit_knots(np.log, knots)
-        left = ra.evaluate(rs, [-50.0])
+        left = rs([-50.0])
         assert left == pytest.approx(np.log(1.0), abs=1e-9)
 
     def test_monotone_data_stays_monotone_on_line(self):
@@ -145,16 +140,14 @@ class TestMultivariate:
         d = np.array([0.6, -0.8, 0.0])
         lifted = ra.lift(rs, d, 3)
         for z in (np.array([0.3, 0.1, 5.0]), np.array([-0.2, 0.4, -1.0])):
-            assert ra.evaluate(lifted, z) == pytest.approx(
-                ra.evaluate(rs, [d @ z]), abs=1e-12)
+            assert lifted(z) == pytest.approx(rs([d @ z]), abs=1e-12)
 
     def test_combine_sums_parts(self):
         r1, _ = ra.fit_1d(np.abs, 1.0, 9)
         r2 = ra.exact_terms([[1.0]], [0.0], [2.0], k=1)
         both = ra.combine([r1, r2], 1, radius=1.0)
         z = [0.4]
-        assert ra.evaluate(both, z) == pytest.approx(
-            ra.evaluate(r1, z) + ra.evaluate(r2, z), abs=1e-12)
+        assert both(z) == pytest.approx(r1(z) + r2(z), abs=1e-12)
 
 
 class TestExactTerms:
@@ -162,12 +155,12 @@ class TestExactTerms:
         rs = ra.exact_terms([[2.0], [-1.0]], [0.5, 0.0], [1.0, 3.0], k=1)
         z = 0.25
         expected = max(2.0 * z + 0.5, 0.0) + 3.0 * max(-z, 0.0)
-        assert ra.evaluate(rs, [z]) == pytest.approx(expected, abs=1e-12)
+        assert rs([z]) == pytest.approx(expected, abs=1e-12)
 
     def test_constant_term(self):
         rs = ra.exact_terms([[0.0]], [1.0], [0.7], k=1)
         for z in (-3.0, 0.0, 11.0):
-            assert ra.evaluate(rs, [z]) == pytest.approx(0.7, abs=0)
+            assert rs([z]) == pytest.approx(0.7, abs=0)
 
 
 class TestSerialization:
@@ -183,5 +176,5 @@ class TestSerialization:
         rs, _ = ra.fit_1d(np.abs, 1.0, 17)
         Z = np.linspace(-1.0, 1.0, 23)[:, None]
         batch = ra.eval_batch(rs, Z)
-        loop = np.array([ra.evaluate(rs, z) for z in Z])
+        loop = np.array([rs(z) for z in Z])
         assert_allclose(batch, loop, atol=1e-13)
