@@ -25,12 +25,12 @@ from . import uda_ref as ur
 from .datagen import DomainPair, encode_tokens
 from .tfcore import (
     AttentionHead,
+    HeadFamily,
     SlotLayout,
     TokenMatrix,
     Transformer,
     TransformerLayer,
     forward_trace,
-    ridge_family,
 )
 
 # fits shared by every build in the process; their arrays are made
@@ -152,9 +152,11 @@ def lossgrad_lipschitz(R_score: float, delta: float) -> float:
     return 1.1 * worst
 
 
-def product_fit(name: str, R1: float, terms: int, seed: int = 0):
+def product_fit(name: str, R1: float, terms: int):
     """2-D fit of (s, z) -> s * r'(R1 z) on the unit box; s carries the
-    prescaled weight-times-gradient product."""
+    prescaled weight-times-gradient product.  The fit's dictionary is drawn
+    from the fixed seed 0, so the cache key names everything the fit
+    depends on."""
     key = ("prod", name, R1, terms)
     if key not in _FIT_CACHE:
         _, dr = ur.get_activation(name)
@@ -162,13 +164,14 @@ def product_fit(name: str, R1: float, terms: int, seed: int = 0):
         def f(P):
             return P[:, 0] * dr(R1 * P[:, 1])
 
-        _FIT_CACHE[key] = _freeze(ra.fit_nd(f, 2, 1.0, terms, seed=seed))
+        _FIT_CACHE[key] = _freeze(ra.fit_nd(f, 2, 1.0, terms, seed=0))
     return _FIT_CACHE[key]
 
 
-def projection_fit(B: float, R_blk: float, dim: int, terms: int, seed: int = 0):
+def projection_fit(B: float, R_blk: float, dim: int, terms: int):
     """Componentwise fits of the ball-projection correction
-    z -> z (min(1, B/|z|) - 1) over the box of radius R_blk.
+    z -> z (min(1, B/|z|) - 1) over the box of radius R_blk; component i's
+    dictionary is drawn from the fixed seed i.
 
     A block of width 1 needs no fit: its correction clip(z, -B, B) - z is
     the exact pair -relu(z - B) + relu(-z - B)."""
@@ -186,7 +189,7 @@ def projection_fit(B: float, R_blk: float, dim: int, terms: int, seed: int = 0):
                     nrm = np.linalg.norm(P, axis=1)
                     scale = np.minimum(1.0, B / np.maximum(nrm, 1e-300)) - 1.0
                     return P[:, i] * scale
-                rs, rep = ra.fit_nd(f, dim, R_blk, terms, seed=seed + i)
+                rs, rep = ra.fit_nd(f, dim, R_blk, terms, seed=i)
                 fits.append(rs)
                 errs.append(rep.sup_error)
         _FIT_CACHE[key] = _freeze((tuple(fits), np.array(errs)))
@@ -214,8 +217,8 @@ def build_forward_attn(layout: SlotLayout, cfg: DannBuildConfig, R1: float):
         Kf = np.zeros((d, D))
         Qf[:, xs] = np.eye(d)
         Kf[:, layout.rows(f"u{k}")] = np.eye(d)
-        families.append(ridge_family(
-            Qf, Kf, one, rfit.a[:, 0], rfit.b, rfit.c, np.eye(2), rows,
+        families.append(HeadFamily(
+            Qf, Kf, one, None, rfit.a[:, 0], rfit.b, rfit.c, np.eye(2), rows,
             np.r_[wsl.start + k, vsl.start + k]))
     return tuple(families)
 
@@ -272,7 +275,7 @@ def build_gd_attn(layout: SlotLayout, cfg: DannBuildConfig, n: int, n_prime: int
     N = n + n_prime
     d = cfg.d
     eta, lam = cfg.eta, cfg.lam
-    pfit, _ = product_fit(cfg.activation, R1, cfg.p_terms, seed=cfg.seed)
+    pfit, _ = product_fit(cfg.activation, R1, cfg.p_terms)
     rfit, _ = activation_fit(cfg.activation, R1, cfg.r_knots)
     G = 2.0
     heads = []
@@ -289,7 +292,7 @@ def build_gd_attn(layout: SlotLayout, cfg: DannBuildConfig, n: int, n_prime: int
         else:
             k_g[s_r] = -1.0
             k_g[t_r] = 1.0
-        return q_g, k_g
+        return np.stack([q_g, k_g])
 
     for k in range(cfg.K):
         usl = layout.rows(f"u{k}")
@@ -327,10 +330,10 @@ def build_gd_attn(layout: SlotLayout, cfg: DannBuildConfig, n: int, n_prime: int
                                    ("tgt", -(N + 1) * lam * eta / n_prime)]),
         ):
             for kind, vcoef in specs:
-                families.append(ridge_family(
-                    Qf, Kf, one, rfit.a[:, 0], rfit.b, vcoef * rfit.c,
-                    np.ones((1, 1)), np.r_[out_row], np.r_[grad_row],
-                    gate=gate_rows(kind) if kind else None, after=len(heads)))
+                families.append(HeadFamily(
+                    Qf, Kf, one, gate_rows(kind) if kind else None, rfit.a[:, 0],
+                    rfit.b, vcoef * rfit.c, np.ones((1, 1)), np.r_[out_row],
+                    np.r_[grad_row]))
     return heads, tuple(families), pfit, rfit
 
 
@@ -353,7 +356,7 @@ def build_projection_mlp(layout: SlotLayout, cfg: DannBuildConfig,
         specs = [(f"u{k}", cfg.B_u, cfg.d, "u") for k in range(cfg.K)]
         specs += [("w", cfg.B_w, cfg.K, "w"), ("v", cfg.B_v, cfg.K, "v")]
         for slot, B, dim, tag in specs:
-            fits, errs = projection_fit(B, R_blk, dim, cfg.proj_terms, seed=cfg.seed)
+            fits, errs = projection_fit(B, R_blk, dim, cfg.proj_terms)
             sl = layout.rows(slot)
             for i, rs in enumerate(fits):
                 for m in range(rs.n_terms):

@@ -29,8 +29,6 @@ from .tfcore import (
     forward_trace,
     operator_norm,
     read_output,
-    ridge_family,
-    tf_norm,
 )
 
 
@@ -68,8 +66,8 @@ def iwl_layout(d: int, J: int) -> SlotLayout:
 def feature_heads(layout: SlotLayout, fits: list[ra.ReluSum], phi_name: str = "phi"):
     """One head per fit term; the score depends only on the receiving token,
     and averaging the constant value column over senders leaves it unchanged.
-    1-D fits give one HeadFamily each (z_i = x_i), multivariate fits plain
-    heads."""
+    1-D fits give one HeadFamily each (z_ij = x_i, read as x_i times the
+    sender's constant row), multivariate fits plain heads."""
     D = layout.dim
     xs = layout.rows("x")
     one = layout.row("one")
@@ -82,13 +80,8 @@ def feature_heads(layout: SlotLayout, fits: list[ra.ReluSum], phi_name: str = "p
         K[0, one] = 1.0
         if rs.input_dim == 1:
             Q[0, xs] = 1.0
-            Q[0, one] = 1.0
-            Qterm = np.zeros((1, D), dtype=np.int8)
-            Qterm[0, xs] = 1
-            Qterm[0, one] = 2
-            out.append(HeadFamily(Q, K, Qterm, np.zeros((1, D), dtype=np.int8),
-                                  rs.a[:, 0], rs.b, rs.c, np.ones((1, 1)),
-                                  rows, cols))
+            out.append(HeadFamily(Q, K, one, None, rs.a[:, 0], rs.b, rs.c,
+                                  np.ones((1, 1)), rows, cols))
             continue
         for m in range(rs.n_terms):
             Qm = Q.copy()
@@ -258,9 +251,9 @@ def build_w_layer(layout: SlotLayout, n: int, N: int, eta2: float,
         Kf[J, ty] = 1.0
         Qf[J + 1:, alpha] = sign * np.eye(J)
         Kf[J + 1:, phi] = np.eye(J)
-        families.append(ridge_family(
-            Qf, Kf, one, grad_fit.a[part, 0], grad_fit.b[part], coef[part],
-            np.eye(J), rows, cols, gate=(gate_q, gate_k)))
+        families.append(HeadFamily(
+            Qf, Kf, one, np.stack([gate_q, gate_k]), grad_fit.a[part, 0],
+            grad_fit.b[part], coef[part], np.eye(J), rows, cols))
     heads = []
     for m in range(2 * M, grad_fit.n_terms):
         a_s, a_y, a_u = grad_fit.a[m]

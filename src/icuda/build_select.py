@@ -126,16 +126,15 @@ def build_kde_attn(kernel_fit: ra.ReluSum, layout: SlotLayout, n: int, T: int,
     K[2, t_r] = -1.0
     coef = kernel_fit.c * T / n
     if kernel_fit.input_dim == 1:
-        Q[0, xs] = 1.0
-        K[1, xs] = -1.0
-        K[1, one] = 1.0
-        Qterm = np.zeros((3, D), dtype=np.int8)
-        Kterm = np.zeros((3, D), dtype=np.int8)
-        Qterm[0, xs] = 1
-        Kterm[1, xs] = 1
-        Kterm[1, one] = 2
-        return [], (HeadFamily(Q, K, Qterm, Kterm, kernel_fit.a[:, 0], kernel_fit.b,
-                               coef, np.ones((1, 1)), rows, cols),)
+        Qf = np.zeros((2, D))
+        Kf = np.zeros((2, D))
+        Qf[0, xs] = 1.0
+        Kf[0, one] = 1.0
+        Qf[1, one] = 1.0
+        Kf[1, xs] = -1.0
+        return [], (HeadFamily(Qf, Kf, one, np.stack([Q[2], K[2]]),
+                               kernel_fit.a[:, 0], kernel_fit.b, coef,
+                               np.ones((1, 1)), rows, cols),)
     heads = []
     for m in range(kernel_fit.n_terms):
         a = kernel_fit.a[m]

@@ -9,7 +9,7 @@ into the column-per-token prompt matrix used by the transformer constructions.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -60,7 +60,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ValueError naming the first field that is malformed: a
         wrong type, an unknown name, a parameter the generator or the
-        builders do not take, or a value below its field's minimum."""
+        builders do not take, or a value outside its field's range."""
         for name in ("generator", "algo", "out_dir"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string, "
@@ -79,7 +79,7 @@ class ExperimentConfig:
         # make_pair sets d and seed itself
         _check_params("gen_params", self.gen_params, typing.get_type_hints(gen),
                       pinned={"d", "seed"}, minimum=SAMPLE_MINIMUM)
-        _check_params("hyper", self.hyper, HYPER_TYPES)
+        _check_hyper(self.hyper)
         _check_params("build_params", self.build_params, BUILD_TYPES,
                       minimum=dict.fromkeys(BUILD_KNOBS, 2))
 
@@ -87,6 +87,10 @@ class ExperimentConfig:
 # SelectorConfig's fields plus the selector's indicator sharpness, which the
 # composed build reads
 HYPER_TYPES = {**typing.get_type_hints(ur.SelectorConfig), "a": float}
+# the feature and hidden-unit counts; the soft-minimum sharpness and the
+# kernel bandwidth divide
+HYPER_MINIMUM = {"J": 1, "K": 1}
+HYPER_POSITIVE = frozenset({"beta", "kde_h"})
 # the knot and term counts of the fitted parts; no fit takes fewer than 2
 BUILD_TYPES = {k: typing.get_type_hints(IcudaBuildConfig)[k] for k in BUILD_KNOBS}
 # sample sizes of both generators
@@ -112,10 +116,11 @@ def _fits(value, hint) -> bool:
 
 
 def _check_params(what: str, params, hints: dict, pinned=frozenset(),
-                  minimum=None) -> None:
+                  minimum=None, positive=frozenset()) -> None:
     """``params`` must be an object whose keys name fields in ``hints`` (not
-    ``pinned``) and whose values fit those fields' types and are at least
-    the field's ``minimum``, where one is given."""
+    ``pinned``) and whose values fit those fields' types, are at least the
+    field's ``minimum``, where one is given, and are above 0 (or None) for
+    the fields in ``positive``."""
     if not isinstance(params, dict):
         raise ValueError(f"{what} must be an object, got {params!r}")
     bad = sorted(k for k in params if k not in hints or k in pinned)
@@ -129,6 +134,13 @@ def _check_params(what: str, params, hints: dict, pinned=frozenset(),
         low = (minimum or {}).get(key)
         if low is not None and value < low:
             raise ValueError(f"{what}.{key} must be at least {low}, got {value!r}")
+        if key in positive and value is not None and not value > 0:
+            raise ValueError(f"{what}.{key} must be positive, got {value!r}")
+
+
+def _check_hyper(hyper) -> None:
+    _check_params("hyper", hyper, HYPER_TYPES, minimum=HYPER_MINIMUM,
+                  positive=HYPER_POSITIVE)
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
@@ -154,7 +166,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def selector_config(cfg: ExperimentConfig, seed: int) -> ur.SelectorConfig:
-    _check_params("hyper", cfg.hyper, HYPER_TYPES)
+    _check_hyper(cfg.hyper)
     known = {f.name for f in dataclasses.fields(ur.SelectorConfig)}
     fields = {k: v for k, v in cfg.hyper.items() if k in known}
     fields["seed"] = seed

@@ -367,32 +367,3 @@ def fit_binary_gated(f, lo: float, hi: float, M: int) -> tuple[ReluSum, FitRepor
     )
     return out, report
 
-
-def to_json(rs: ReluSum) -> str:
-    import json
-
-    obj = {
-        "input_dim": rs.input_dim,
-        "radius": rs.radius if np.isfinite(rs.radius) else None,
-        "sup_error": rs.sup_error,
-        "center": rs.center.tolist(),
-        "terms": [[rs.a[m].tolist(), float(rs.b[m]), float(rs.c[m])] for m in range(rs.n_terms)],
-    }
-    return json.dumps(obj)
-
-
-def from_json(s: str) -> ReluSum:
-    import json
-
-    obj = json.loads(s)
-    a = np.array([t[0] for t in obj["terms"]])
-    b = np.array([t[1] for t in obj["terms"]])
-    c = np.array([t[2] for t in obj["terms"]])
-    radius = obj["radius"] if obj["radius"] is not None else np.inf
-    return ReluSum(
-        a, b, c,
-        input_dim=obj["input_dim"],
-        radius=radius,
-        sup_error=obj["sup_error"],
-        center=np.array(obj["center"]),
-    )

@@ -6,10 +6,13 @@ Attention adds (1/T) * sum_j sum_m relu(<Q_m h_i, K_m h_j>) V_m h_j to token i,
 the MLP adds W2 relu(W1 h_i).  Q, K, W1 and W2 are dense matrices and each V_m
 is stored as the block it writes (see AttentionHead), so that constructions
 can be audited entry by entry.  The heads that spell out one fitted 1-D ReLU
-sum, one head per term, are stored once as a HeadFamily: attention computes
-the family's scalar feature once per token pair and evaluates the sum by
-prefix sums, and ``HeadFamily.to_heads`` gives back the heads themselves,
-which norms, ``describe`` and ``layer_heads`` read.
+sum sum_m c_m relu(a_m z + b_m), one head per term, are stored once as a
+HeadFamily in ridge form: the bilinear score z = <Qf h_i, Kf h_j> shared by
+every term, the constant row that carries the biases b_m, an optional
+sender gate, and the fit's (a, b, c).  Attention computes z once per token
+pair and evaluates the sum by prefix sums, and ``HeadFamily.to_heads``
+gives back the heads themselves, which norms, ``describe`` and
+``layer_heads`` read.  A layer's families precede its plain heads.
 """
 
 from __future__ import annotations
@@ -144,32 +147,34 @@ class HeadFamily:
     """The heads of one fitted 1-D ReLU sum sum_m c_m relu(a_m z + b_m),
     stored once and evaluated by prefix sums.
 
-    Head m has Q_m = Q * (1, a_m, b_m)[Qterm] entrywise (K_m likewise from K
-    and Kterm), the value block c_m V0 on V0's nonzero entries, and the
-    family's rows and cols.  ``embed`` is None or the (D, r') 0/1 row
-    embedding that ``compose`` conjugates heads by: head m's maps are then
-    Q_m @ embed.T and K_m @ embed.T.  ``to_heads`` returns these heads, and
-    ``after`` says how many of the layer's plain heads precede them in the
-    layer's head order (see ``layer_heads``).
+    The ridge variable z_ij = <Qf h_i, Kf h_j> is one bilinear score shared
+    by every term.  Head m is
 
-    A template row may scale by a_m or b_m on one side only, so every head's
-    score is affine in (a_m, b_m):
+        Q_m = [a_m Qf; b_m e_one; q_g],   K_m = [Kf; e_one; k_g],
 
-        <Q_m h_i, K_m h_j> = a_m z_ij + b_m beta_ij + g_ij,
+    with value block c_m V0 (on V0's nonzero entries) at the family's rows
+    and cols, so that
 
-    with bilinear forms z, beta and g shared by the family.  The builders
-    make beta the product of the constant rows, 1, and g a sender gate: 0 at
-    an open sender and a negative offset at a closed one.  With a_m >= 0 and
-    the terms in strictly increasing breakpoint order t_m = -b_m / a_m (-inf
-    for a constant term), the terms active at z are those with t_m < z, so
+        <Q_m h_i, K_m h_j> = a_m z_ij + b_m + g_ij.
+
+    The bias row pairs e_one with e_one, so b_m is added where the stream's
+    constant row ``one`` is 1; ``attn_forward`` checks that it is.  ``gate``
+    is None or the (2, D) row pair (q_g, k_g) of a sender gate g: 0 at an
+    open sender and a negative offset that keeps every term off at a closed
+    one, so a family can sum over a subset of the senders.
+
+    With a_m >= 0 and the terms in strictly increasing breakpoint order
+    t_m = -b_m / a_m (-inf for a constant term), the terms active at z are
+    those with t_m < z, so
 
         sum_m c_m relu(a_m z + b_m) = A(k) z + B(k),   k = #{m : t_m < z},
 
     where A and B are the prefix sums of c_m a_m and c_m b_m, built once per
     family.  ``attn_forward`` evaluates this at open senders only, after
-    checking that beta is 1 and that no closed sender's largest
+    checking that the bias row reads 1 and that no closed sender's largest
     pre-activation reaches its gate; otherwise it raises ForwardError, so the
-    family computes what its heads compute or stops.
+    family computes what its heads compute or stops.  ``to_heads`` gives the
+    heads themselves, which norms, ``describe`` and ``layer_heads`` read.
 
     Float error: A(k) z + B(k) takes k products and k - 1 additions per
     prefix sum, one product by z and one final addition, so it lies within
@@ -180,21 +185,19 @@ class HeadFamily:
     and B(k), which the summation order of a head-by-head sum never meets.
     """
 
-    Q: np.ndarray
-    K: np.ndarray
-    Qterm: np.ndarray
-    Kterm: np.ndarray
+    Qf: np.ndarray
+    Kf: np.ndarray
+    one: int
+    gate: np.ndarray | None
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     V0: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    after: int = 0
-    embed: np.ndarray | None = None
 
     def __repr__(self) -> str:
-        return (f"HeadFamily(terms={self.n_terms}, Q={self.Q.shape}, "
+        return (f"HeadFamily(terms={self.n_terms}, Qf={self.Qf.shape}, "
                 f"V0={self.V0.shape})")
 
     @property
@@ -208,80 +211,52 @@ class HeadFamily:
             return np.where(a > 0, -b / np.where(a > 0, a, 1.0),
                             np.where(b > 0, -np.inf, np.inf))
 
+    def _unit(self) -> np.ndarray:
+        e = np.zeros((1, self.Qf.shape[1]))
+        e[0, self.one] = 1.0
+        return e
+
+    def _gate(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gate's (1, D) query and key rows, or two (0, D) blocks."""
+        if self.gate is None:
+            none = np.zeros((0, self.Qf.shape[1]))
+            return none, none
+        return self.gate[:1], self.gate[1:]
+
     def stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every head's Q, K and V block, stacked along a first axis."""
-        basis = np.stack([np.ones_like(self.a), self.a, self.b], axis=1)
-        Qs = self.Q * basis[:, self.Qterm]
-        Ks = self.K * basis[:, self.Kterm]
-        if self.embed is not None:
-            Qs = Qs @ self.embed.T
-            Ks = Ks @ self.embed.T
+        M, D = self.n_terms, self.Qf.shape[1]
+        q_g, k_g = self._gate()
+        bias = np.zeros((M, 1, D))
+        bias[:, 0, self.one] = self.b
+        Qs = np.concatenate([self.a[:, None, None] * self.Qf, bias,
+                             np.broadcast_to(q_g, (M, *q_g.shape))], axis=1)
+        K = np.vstack([self.Kf, self._unit(), k_g])
+        Ks = np.broadcast_to(K, (M, *K.shape))
         Vs = np.where(self.V0 != 0, self.c[:, None, None] * self.V0, self.V0)
         return Qs, Ks, Vs
 
     def to_heads(self) -> list[AttentionHead]:
         Qs, Ks, Vs = self.stack()
-        return [AttentionHead(q, k, v, self.rows, self.cols)
+        return [AttentionHead(q, k.copy(), v, self.rows, self.cols)
                 for q, k, v in zip(Qs, Ks, Vs)]
-
-    def embedded(self, P: np.ndarray, idx: np.ndarray) -> "HeadFamily":
-        """This family on a wider stream: ``idx`` maps its rows there and P is
-        the matching row embedding, as in ``compose``."""
-        return dataclasses.replace(
-            self, rows=idx[self.rows], cols=idx[self.cols],
-            embed=P if self.embed is None else P @ self.embed)
 
     @functools.cached_property
     def _plan(self) -> dict:
-        """Bilinear forms for z, beta and g, the stream rows the template
-        reads, and the breakpoints with the prefix sums A and B."""
-        def part(M, term, t):
-            return np.where(term == t, M, 0.0)
-
-        QC, QA, QB = (part(self.Q, self.Qterm, t) for t in range(3))
-        KC, KA, KB = (part(self.K, self.Kterm, t) for t in range(3))
-
-        def form(Lq, Lk):
-            keep = np.any(Lq != 0, axis=1) & np.any(Lk != 0, axis=1)
-            return Lq[keep], Lk[keep]
-
+        """The breakpoints and the prefix sums A and B."""
         return {
-            "z": form(np.vstack([QA, QC]), np.vstack([KC, KA])),
-            "beta": form(np.vstack([QB, QC]), np.vstack([KC, KB])),
-            "g": form(QC, KC),
-            "rows": None if self.embed is None else self.embed.argmax(axis=0),
             "t": self.breakpoints(),
             "A": np.concatenate([[0.0], np.cumsum(self.c * self.a)]),
             "B": np.concatenate([[0.0], np.cumsum(self.c * self.b)]),
         }
 
 
-def ridge_family(Qf: np.ndarray, Kf: np.ndarray, one: int, a, b, c,
-                 V0: np.ndarray, rows, cols, gate=None, after: int = 0) -> HeadFamily:
-    """The family whose head m scores z_ij = <Qf h_i, Kf h_j> through
-    Q_m = [a_m Qf; b_m e_one; q_g] and K_m = [Kf; e_one; k_g], where ``one``
-    is the constant row and ``gate`` None or the sender gate's row pair
-    (q_g, k_g)."""
-    e = np.zeros(Qf.shape[1])
-    e[one] = 1.0
-    q_g, k_g = ([], []) if gate is None else ([gate[0]], [gate[1]])
-    Q = np.vstack([Qf, e] + q_g)
-    K = np.vstack([Kf, e] + k_g)
-    Qterm = np.zeros(Q.shape, dtype=np.int8)
-    Qterm[:len(Qf)] = 1
-    Qterm[len(Qf), one] = 2
-    return HeadFamily(Q, K, Qterm, np.zeros(K.shape, dtype=np.int8),
-                      np.asarray(a), np.asarray(b), np.asarray(c), V0,
-                      np.asarray(rows), np.asarray(cols), after)
-
-
 def family_forms(fam: HeadFamily, H: np.ndarray):
-    """The family's z, beta and g (see HeadFamily) at every receiver i and
-    sender j of stream H, as (T, T) matrices."""
-    plan = fam._plan
-    Hp = H if plan["rows"] is None else H[plan["rows"]]
-    return tuple((Lq @ Hp).T @ (Lk @ Hp)
-                 for Lq, Lk in (plan["z"], plan["beta"], plan["g"]))
+    """The family's z, bias and gate scores (see HeadFamily) at every
+    receiver i and sender j of stream H, as (T, T) matrices."""
+    e = fam._unit()
+    return tuple((Lq @ H).T @ (Lk @ H)
+                 for Lq, Lk in ((fam.Qf, fam.Kf), (e, e), fam._gate()))
 
 
 def family_scores(fam: HeadFamily, H: np.ndarray) -> np.ndarray:
@@ -326,24 +301,11 @@ def n_heads(layer: TransformerLayer) -> int:
     return len(layer.heads) + sum(f.n_terms for f in layer.families)
 
 
-def _in_head_order(layer: TransformerLayer) -> list:
-    """Plain heads and families in the layer's head order."""
-    out, start = [], 0
-    for fam in layer.families:
-        out.extend(layer.heads[start:fam.after])
-        start = max(start, fam.after)
-        out.append(fam)
-    out.extend(layer.heads[start:])
-    return out
-
-
 def layer_heads(layer: TransformerLayer) -> list[AttentionHead]:
-    """Every head of the layer, families expanded by ``to_heads``, in head
-    order: family f's heads follow the first ``f.after`` plain heads."""
-    out = []
-    for item in _in_head_order(layer):
-        out.extend(item.to_heads() if isinstance(item, HeadFamily) else [item])
-    return out
+    """Every head of the layer in head order: the families' heads (see
+    ``HeadFamily.to_heads``), then the plain heads."""
+    out = [h for fam in layer.families for h in fam.to_heads()]
+    return out + list(layer.heads)
 
 
 @dataclass
@@ -413,10 +375,9 @@ def shape_error(layer: TransformerLayer, D: int) -> str | None:
     W2 (h, D) and (D, h).  Heads are checked once per distinct combination
     of shapes and index dtypes; the error names the first bad head.  Each
     family must have nonnegative slopes a_m in strictly increasing
-    breakpoint order, a, b and c of one length, a Q/K template of width D
-    (or its embedding's width) with one-sided a_m / b_m entries, an
-    embedding into D, rows and cols as a head's, V0 (len(rows), len(cols)),
-    and ``after`` between the previous family's and len(heads)."""
+    breakpoint order, a, b and c of one length, Qf and Kf of one shape
+    (r, D), a gate None or (2, D), ``one`` a row below D, rows and cols as a
+    head's and V0 (len(rows), len(cols))."""
     groups = _groups((h.Q.shape, h.K.shape, h.V.shape, h.rows.shape,
                       h.cols.shape, h.rows.dtype, h.cols.dtype)
                      for h in layer.heads)
@@ -441,16 +402,10 @@ def shape_error(layer: TransformerLayer, D: int) -> str | None:
             m = int(owner[bad.argmax()])
             return (f"head {m}: {name} {idx[m].tolist()} repeat or leave "
                     f"rows 0..{D - 1}")
-    after = 0
     for f, fam in enumerate(layer.families):
         err = _family_error(fam, D)
-        if err is None and not (isinstance(fam.after, (int, np.integer))
-                                and after <= fam.after <= len(layer.heads)):
-            err = (f"after {fam.after} is not between the previous family's "
-                   f"{after} and the {len(layer.heads)} plain heads")
         if err is not None:
             return f"family {f}: {err}"
-        after = fam.after
     if (layer.W1.ndim != 2 or layer.W1.shape[1] != D
             or layer.W2.shape != layer.W1.shape[::-1]):
         return f"W1 {layer.W1.shape} and W2 {layer.W2.shape} do not fit dim {D}"
@@ -473,21 +428,13 @@ def _family_error(fam: HeadFamily, D: int) -> str | None:
         return "negative slope a_m"
     if not np.all(np.diff(fam.breakpoints()) > 0):
         return "breakpoints -b_m / a_m are not strictly increasing"
-    if fam.embed is not None:
-        E = fam.embed
-        if (E.ndim != 2 or E.shape[0] != D or not np.all((E == 0) | (E == 1))
-                or np.any(E.sum(axis=0) != 1) or np.any(E.sum(axis=1) > 1)):
-            return f"embed {E.shape} is not a row embedding into dim {D}"
-    width = D if fam.embed is None else fam.embed.shape[1]
-    if (fam.Q.ndim != 2 or fam.Q.shape[1] != width or fam.K.shape != fam.Q.shape
-            or fam.Qterm.shape != fam.Q.shape or fam.Kterm.shape != fam.Q.shape):
-        return (f"Q {fam.Q.shape}, K {fam.K.shape}, Qterm {fam.Qterm.shape} and "
-                f"Kterm {fam.Kterm.shape} are not (r, {width})")
-    terms = np.concatenate([fam.Qterm.ravel(), fam.Kterm.ravel()])
-    if terms.dtype.kind not in "iu" or np.any((terms < 0) | (terms > 2)):
-        return "Qterm and Kterm entries must be 0 (constant), 1 (a_m) or 2 (b_m)"
-    if np.any(np.any(fam.Qterm != 0, axis=1) & np.any(fam.Kterm != 0, axis=1)):
-        return "a template row scales by a_m or b_m on both sides"
+    if fam.Qf.ndim != 2 or fam.Qf.shape[1] != D or fam.Kf.shape != fam.Qf.shape:
+        return f"Qf {fam.Qf.shape} and Kf {fam.Kf.shape} are not one (r, {D})"
+    if fam.gate is not None and fam.gate.shape != (2, D):
+        return f"gate {fam.gate.shape} is not (2, {D})"
+    if (not isinstance(fam.one, (int, np.integer)) or isinstance(fam.one, bool)
+            or not 0 <= fam.one < D):
+        return f"one {fam.one!r} is not a row of 0..{D - 1}"
     for name in ("rows", "cols"):
         err = _index_error(name, getattr(fam, name), D)
         if err is not None:
@@ -551,22 +498,21 @@ def layer_norm(layer: TransformerLayer) -> float:
 
     Plain heads' norms come from ``head_norms`` and a family's from one
     batched SVD of its stacked maps (numpy runs the same LAPACK call on each
-    matrix of a stack, so every norm is the matrix's own); the V norms are
-    summed left to right in head order, as a loop over ``layer_heads`` would,
-    so the result does not depend on the batching."""
+    matrix of a stack, so every norm is the matrix's own; the family's heads
+    share one K); the V norms are summed left to right in head order, as a
+    loop over ``layer_heads`` would, so the result does not depend on the
+    batching."""
     heads = layer.heads
     n = len(heads)
     norms = head_norms([h.Q for h in heads] + [h.K for h in heads]
                        + [h.V for h in heads])
     qk = [float(norms[:2 * n].max(initial=0.0))]
-    vnorms, start = [], 2 * n
+    vnorms = []
     for fam in layer.families:
-        vnorms.append(norms[start:2 * n + fam.after])
-        start = 2 * n + fam.after
         Qs, Ks, Vs = fam.stack()
-        qk += [_stack_norms(Qs).max(), _stack_norms(Ks).max()]
+        qk += [_stack_norms(Qs).max(), _stack_norms(Ks[:1]).max()]
         vnorms.append(_stack_norms(Vs))
-    vnorms.append(norms[start:])
+    vnorms.append(norms[2 * n:])
     v = np.concatenate(vnorms)
     vsum = float(np.cumsum(v)[-1]) if v.size else 0.0
     return float(max(qk)) + vsum + operator_norm(layer.W1) + operator_norm(layer.W2)
@@ -686,10 +632,10 @@ def compose(
 ) -> Transformer:
     """Stack parts sequentially on a unified stream.
 
-    Each part's Q, K, W1 and W2 are conjugated by its row embedding and its
-    value blocks' rows and cols mapped through it (a family keeps the
-    embedding, see HeadFamily.embedded); cross-part claims on the same
-    unified workspace slot are rejected.
+    Each part's Q, K, W1 and W2 (a family's Qf, Kf and gate) are conjugated
+    by its row embedding, and its value blocks' rows and cols (a family's
+    constant row) mapped through it; cross-part claims on the same unified
+    workspace slot are rejected.
     """
     if len(parts) != len(mappings):
         raise LayoutError("one mapping per part required")
@@ -712,7 +658,12 @@ def compose(
                 AttentionHead(h.Q @ P.T, h.K @ P.T, h.V, idx[h.rows], idx[h.cols])
                 for h in layer.heads
             ]
-            families = tuple(f.embedded(P, idx) for f in layer.families)
+            families = tuple(
+                dataclasses.replace(
+                    f, Qf=f.Qf @ P.T, Kf=f.Kf @ P.T, one=int(idx[f.one]),
+                    gate=None if f.gate is None else f.gate @ P.T,
+                    rows=idx[f.rows], cols=idx[f.cols])
+                for f in layer.families)
             layers.append(TransformerLayer(heads, layer.W1 @ P.T, P @ layer.W2,
                                            families))
     if readout is None:
@@ -722,7 +673,7 @@ def compose(
     return Transformer(layers, unified, readout)
 
 
-FAMILY_ARRAYS = ("Q", "K", "Qterm", "Kterm", "a", "b", "c", "V0", "rows", "cols")
+FAMILY_ARRAYS = ("Qf", "Kf", "a", "b", "c", "V0", "rows", "cols")
 
 
 def to_json(tf: Transformer) -> str:
@@ -740,8 +691,8 @@ def to_json(tf: Transformer) -> str:
                 "W2": layer.W2.tolist(),
                 "families": [
                     {**{k: getattr(f, k).tolist() for k in FAMILY_ARRAYS},
-                     "after": f.after,
-                     "embed": None if f.embed is None else f.embed.tolist()}
+                     "one": int(f.one),
+                     "gate": None if f.gate is None else f.gate.tolist()}
                     for f in layer.families
                 ],
             }
@@ -771,8 +722,9 @@ def from_json(s: str) -> Transformer:
         if W2.size == 0:
             W2 = W2.reshape(layout.dim, 0)
         families = tuple(
-            HeadFamily(*(np.array(f[k]) for k in FAMILY_ARRAYS), after=f["after"],
-                       embed=None if f["embed"] is None else np.array(f["embed"]))
+            HeadFamily(one=f["one"],
+                       gate=None if f["gate"] is None else np.array(f["gate"]),
+                       **{k: np.array(f[k]) for k in FAMILY_ARRAYS})
             for f in lobj.get("families", []))
         layers.append(TransformerLayer(heads, W1, W2, families))
         err = shape_error(layers[-1], layout.dim)

@@ -5,6 +5,7 @@ import pytest
 
 import icuda.build_dann as bd
 import icuda.datagen as dg
+import icuda.harness as hz
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +129,42 @@ class TestActivationFit:
                          for t in grid])
         ref = ur.logistic(grid)
         assert np.max(np.abs(vals - ref)) <= rep.sup_error + 1e-12
+
+
+def _weights(tf) -> list:
+    """Every weight array of a model, families' fields included."""
+    out = []
+    for layer in tf.layers:
+        for unit in (*layer.heads, *layer.families):
+            out += [np.asarray(v) for v in vars(unit).values()
+                    if isinstance(v, (np.ndarray, int))]
+        out += [layer.W1, layer.W2]
+    return out
+
+
+class TestFitCache:
+    def test_build_does_not_depend_on_earlier_builds(self, monkeypatch):
+        """Seeds 2 and 3 of the shift1d dann defaults share the product
+        fit's cache key (both have R1 = 7); seed 3 gives the same weights
+        and certificate whether or not seed 2 was built first."""
+        def build(seed):
+            cfg = hz.ExperimentConfig(algo="dann", seeds=[seed])
+            pair = hz.make_pair(cfg, seed)
+            bcfg = hz.build_config(cfg, hz.selector_config(cfg, seed))
+            b = bd.build_dann_transformer(pair, bcfg.dann_config(pair.d))
+            return _weights(b.tf), repr(bd.verify_dann(b, pair))
+
+        def products():
+            return {k for k in bd._FIT_CACHE if k[0] == "prod"}
+
+        monkeypatch.setattr(bd, "_FIT_CACHE", {})
+        alone = build(3)
+        monkeypatch.setattr(bd, "_FIT_CACHE", {})
+        build(2)
+        shared = products()
+        after = build(3)
+        assert products() == shared and len(shared) == 1
+        assert len(alone[0]) == len(after[0])
+        for x, y in zip(alone[0], after[0]):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert alone[1] == after[1]

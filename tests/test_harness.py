@@ -364,7 +364,9 @@ class TestMalformedConfig:
     @pytest.mark.parametrize("text", ['{"seeds": 3}', '{"gen_params": {"bogus": 1}}',
                                       '{"hyper": [1]}', '[1]',
                                       '{"build_params": {"grad_knots": 1}}',
-                                      '{"gen_params": {"n_source": 0}}'])
+                                      '{"gen_params": {"n_source": 0}}',
+                                      '{"hyper": {"beta": 0}}', '{"hyper": {"K": 0}}',
+                                      '{"hyper": {"J": 0}}', '{"hyper": {"kde_h": 0}}'])
     def test_reported_cases_exit_two(self, tmp_path, capsys, text):
         path = tmp_path / "config.json"
         path.write_text(text)

@@ -164,14 +164,6 @@ class TestExactTerms:
 
 
 class TestSerialization:
-    def test_json_round_trip(self):
-        rs, _ = ra.fit_1d(lambda t: np.exp(-t), 1.0, 33)
-        back = ra.from_json(ra.to_json(rs))
-        grid = np.linspace(-1.0, 1.0, 101)
-        assert_allclose(ra.eval_batch(back, grid[:, None]),
-                        ra.eval_batch(rs, grid[:, None]), atol=0)
-        assert back.radius == rs.radius
-
     def test_eval_batch_matches_loop(self):
         rs, _ = ra.fit_1d(np.abs, 1.0, 17)
         Z = np.linspace(-1.0, 1.0, 23)[:, None]

@@ -396,7 +396,7 @@ def knot_terms(rng, M):
     return a, b, rng.standard_normal(M)
 
 
-def ridge(layout, rng, M=40, gate=True, G=50.0, after=0):
+def ridge(layout, rng, M=40, gate=True, G=50.0):
     """Family scoring z_ij = x_i . u_j, gated to source senders if asked,
     writing into `out` from the `y` row."""
     D = layout.dim
@@ -410,9 +410,10 @@ def ridge(layout, rng, M=40, gate=True, G=50.0, after=0):
     k_g[layout.row("one")] = 1.0
     k_g[layout.row("t")] = -1.0
     a, b, c = knot_terms(rng, M)
-    return tc.ridge_family(Qf, Kf, layout.row("one"), a, b, c, np.ones((1, 1)),
-                           np.r_[layout.row("out")], np.r_[layout.row("y")],
-                           gate=(q_g, k_g) if gate else None, after=after)
+    return tc.HeadFamily(Qf, Kf, layout.row("one"),
+                         np.stack([q_g, k_g]) if gate else None, a, b, c,
+                         np.ones((1, 1)), np.r_[layout.row("out")],
+                         np.r_[layout.row("y")])
 
 
 def gated_stream(layout, T, rng, t=None):
@@ -456,14 +457,18 @@ class TestHeadFamily:
             assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
 
     def test_to_heads_scales_the_template_entrywise(self, rng):
+        """Head m is Q_m = [a_m Qf; b_m e_one; q_g], K_m = [Kf; e_one; k_g]
+        and V_m = c_m V0."""
         layout = gated_layout()
-        fam = ridge(layout, rng, M=5)
-        for m, h in enumerate(fam.to_heads()):
-            assert_array_equal(h.Q[:2], fam.a[m] * fam.Q[:2])
-            assert h.Q[2, layout.row("one")] == fam.b[m]
-            assert_array_equal(h.Q[3], fam.Q[3])
-            assert_array_equal(h.K, fam.K)
-            assert_array_equal(h.V, [[fam.c[m]]])
+        e_one = np.eye(layout.dim)[layout.row("one")]
+        for gate in (True, False):
+            fam = ridge(layout, rng, M=5, gate=gate)
+            g = fam.gate[:, None] if gate else np.zeros((2, 0, layout.dim))
+            for m, h in enumerate(fam.to_heads()):
+                assert_array_equal(h.Q, np.vstack([fam.a[m] * fam.Qf,
+                                                   fam.b[m] * e_one, *g[:1]]))
+                assert_array_equal(h.K, np.vstack([fam.Kf, e_one, *g[1:]]))
+                assert_array_equal(h.V, [[fam.c[m]]])
 
     def test_closed_senders_give_exact_zeros(self, rng):
         layout = gated_layout()
@@ -513,12 +518,12 @@ class TestHeadFamily:
         layout = gated_layout()
         D = layout.dim
         layer = random_layer(D, 5, 2, 3, rng)
-        layer.families = (ridge(layout, rng, after=0), ridge(layout, rng, after=2),
-                          ridge(layout, rng, gate=False, after=2))
+        layer.families = (ridge(layout, rng), ridge(layout, rng),
+                          ridge(layout, rng, gate=False))
         heads = tc.layer_heads(layer)
-        assert len(heads) == tc.n_heads(layer) == 5 + 3 * 40
-        assert heads[0] is not layer.heads[0] and heads[40] is layer.heads[0]
-        assert heads[41] is layer.heads[1] and heads[122] is layer.heads[2]
+        assert len(heads) == tc.n_heads(layer) == 3 * 40 + 5
+        # the families' heads come first, then the plain heads
+        assert heads[119] is not layer.heads[0] and heads[120:] == layer.heads
         assert tc.layer_norm(layer) == reference_layer_norm(layer)
         expanded = tc.TransformerLayer(heads, layer.W1, layer.W2)
         tf = tc.Transformer([layer], layout, ("y", None))
@@ -549,25 +554,29 @@ class TestHeadFamily:
                          strict=True):
             for got, want in ((ch.Q, h.Q @ P.T), (ch.K, h.K @ P.T), (ch.V, h.V),
                               (ch.rows, idx[h.rows]), (ch.cols, idx[h.cols])):
-                assert got.tobytes() == want.tobytes()
+                # the same weights: -0.0 and +0.0 may trade places
+                assert got.shape == want.shape and np.array_equal(got, want)
 
     @pytest.mark.parametrize("change, match", [
         (lambda f: dict(a=f.a[[0, 2, 1, 3]], b=f.b[[0, 2, 1, 3]]), "breakpoints"),
         (lambda f: dict(a=f.a[[0, 1, 1, 2]], b=f.b[[0, 1, 1, 2]]), "breakpoints"),
         (lambda f: dict(a=f.a * [1, 1, -1, 1]), "negative slope"),
         (lambda f: dict(c=f.c[:3]), r"a, b and c have shapes \(4,\), \(4,\) and \(3,\)"),
-        (lambda f: dict(Q=f.Q[:, :-1], Qterm=f.Qterm[:, :-1]), r"Q \(4, 8\), K \(4, 9\)"),
-        (lambda f: dict(embed=np.eye(f.Q.shape[1] + 1, f.Q.shape[1])),
-         r"embed \(10, 9\) is not a row embedding into dim 9"),
+        (lambda f: dict(Kf=f.Kf[:1]), r"Qf \(2, 9\) and Kf \(1, 9\) are not one \(r, 9\)"),
+        (lambda f: dict(Qf=f.Qf[:, :-1], Kf=f.Kf[:, :-1]),
+         r"Qf \(2, 8\) and Kf \(2, 8\) are not one \(r, 9\)"),
+        (lambda f: dict(gate=np.hstack([f.gate, np.ones((2, 1))])),
+         r"gate \(2, 10\) is not \(2, 9\)"),
+        (lambda f: dict(gate=f.gate[:1]), r"gate \(1, 9\) is not \(2, 9\)"),
+        (lambda f: dict(one=9), r"one 9 is not a row of 0..8"),
         (lambda f: dict(V0=np.ones((1, 2))), r"V0 \(1, 2\) does not fit"),
     ], ids=["unsorted_breakpoints", "repeated_breakpoint", "negative_slope",
-            "length_mismatch", "template_not_r_by_D", "gate_row_outside_dim",
+            "length_mismatch", "qf_kf_shapes_differ", "qf_kf_not_r_by_D",
+            "gate_row_outside_dim", "gate_not_two_rows", "one_outside_dim",
             "value_block_shape"])
     def test_bad_family_rejected(self, rng, change, match):
         """A family that cannot run is named, with its layer, both when a
-        model is loaded and when it runs.  Its gate reads stream rows through
-        the template and the embedding, so a gate row outside the stream is
-        an embedding that does not fit it."""
+        model is loaded and when it runs."""
         layout = gated_layout()
         good = ridge(layout, rng, M=4)
         bad = dataclasses.replace(good, **change(good))
@@ -600,14 +609,13 @@ def private_layer(layout, private, rng):
     q_g[layout.row("one")] = -1e3
     k_g[layout.row("one")] = 1.0
     k_g[layout.row("t")] = -1.0
-    families, after = [], 0
+    families = []
     for _ in range(int(rng.integers(0, 3))):
-        after = int(rng.integers(after, len(heads) + 1))
         r = int(rng.integers(1, 3))
         a, b, c = knot_terms(rng, int(rng.integers(2, 9)))
-        families.append(tc.ridge_family(
-            rand(r), rand(r), layout.row("one"), a, b, 0.1 * c, *block(),
-            gate=(q_g, k_g) if rng.integers(0, 2) else None, after=after))
+        gate = np.stack([q_g, k_g]) if rng.integers(0, 2) else None
+        families.append(tc.HeadFamily(rand(r), rand(r), layout.row("one"), gate,
+                                      a, b, 0.1 * c, *block()))
     hidden = int(rng.integers(0, 3))
     W2 = np.zeros((D, hidden))
     W2[private] = 0.3 * rng.standard_normal((len(private), hidden))
