@@ -33,9 +33,11 @@ from .tfcore import (
     forward_trace,
 )
 
-# fits shared by every build in the process; their arrays are made
-# read-only, so no caller can change a fit another build relies on
+# fits shared by every build in the process, at most _FIT_CACHE_SIZE of
+# them (the oldest is dropped first); their arrays are made read-only, so no
+# caller can change a fit another build relies on
 _FIT_CACHE: dict = {}
+_FIT_CACHE_SIZE = 256
 
 
 def _freeze(obj):
@@ -47,6 +49,15 @@ def _freeze(obj):
     elif isinstance(obj, (ra.ReluSum, ra.FitReport)):
         _freeze(tuple(vars(obj).values()))
     return obj
+
+
+def _cached(key: tuple, fit):
+    """The frozen result of ``fit()`` stored under ``key``, fitted on a miss."""
+    if key not in _FIT_CACHE:
+        if len(_FIT_CACHE) >= _FIT_CACHE_SIZE:
+            del _FIT_CACHE[next(iter(_FIT_CACHE))]
+        _FIT_CACHE[key] = _freeze(fit())
+    return _FIT_CACHE[key]
 
 
 def _round_up(x: float, step: float = 0.5) -> float:
@@ -112,28 +123,25 @@ def activation_fit(name: str, R1: float, knots: int):
     |a t + b| <= 1 for |t| <= R1, which the source and target gates of the
     parameter-update heads rely on.
     """
-    key = ("act", name, R1, knots)
-    if key not in _FIT_CACHE:
+    def fit():
         r, _ = ur.get_activation(name)
         rs, rep = ra.fit_1d(lambda z: r(R1 * np.asarray(z, dtype=float)), 1.0, knots)
         rs = ra.ReluSum(rs.a / R1, rs.b, rs.c, input_dim=1, radius=R1,
                         sup_error=rs.sup_error)
-        _FIT_CACHE[key] = _freeze((rs, rep))
-    return _FIT_CACHE[key]
+        return rs, rep
+    return _cached(("act", name, R1, knots), fit)
 
 
 def lossgrad_fit(name: str, R_score: float, delta: float, knots: int):
     """Per-token loss gradient d gamma(clamp(sig(score)), label) / d score as
     a binary-gated fit over (score, label)."""
-    key = ("lg", name, R_score, delta, knots)
-    if key not in _FIT_CACHE:
-        def f(t, v):
-            t = np.asarray(t, dtype=float)
-            p = ur.logistic(t)
-            _, d1 = ur.gamma_value_deriv(p, np.full_like(t, v), delta)
-            return d1 * ur.dlogistic(t)
-        _FIT_CACHE[key] = _freeze(ra.fit_binary_gated(f, -R_score, R_score, knots))
-    return _FIT_CACHE[key]
+    def f(t, v):
+        t = np.asarray(t, dtype=float)
+        p = ur.logistic(t)
+        _, d1 = ur.gamma_value_deriv(p, np.full_like(t, v), delta)
+        return d1 * ur.dlogistic(t)
+    return _cached(("lg", name, R_score, delta, knots),
+                   lambda: ra.fit_binary_gated(f, -R_score, R_score, knots))
 
 
 def lossgrad_lipschitz(R_score: float, delta: float) -> float:
@@ -157,15 +165,13 @@ def product_fit(name: str, R1: float, terms: int):
     prescaled weight-times-gradient product.  The fit's dictionary is drawn
     from the fixed seed 0, so the cache key names everything the fit
     depends on."""
-    key = ("prod", name, R1, terms)
-    if key not in _FIT_CACHE:
-        _, dr = ur.get_activation(name)
+    _, dr = ur.get_activation(name)
 
-        def f(P):
-            return P[:, 0] * dr(R1 * P[:, 1])
+    def f(P):
+        return P[:, 0] * dr(R1 * P[:, 1])
 
-        _FIT_CACHE[key] = _freeze(ra.fit_nd(f, 2, 1.0, terms, seed=0))
-    return _FIT_CACHE[key]
+    return _cached(("prod", name, R1, terms),
+                   lambda: ra.fit_nd(f, 2, 1.0, terms, seed=0))
 
 
 def projection_fit(B: float, R_blk: float, dim: int, terms: int):
@@ -175,25 +181,22 @@ def projection_fit(B: float, R_blk: float, dim: int, terms: int):
 
     A block of width 1 needs no fit: its correction clip(z, -B, B) - z is
     the exact pair -relu(z - B) + relu(-z - B)."""
-    key = ("proj", B, R_blk, dim, terms)
-    if key not in _FIT_CACHE:
+    def fit():
+        if dim == 1:
+            return (ra.exact_terms([[1.0], [-1.0]], [-B, -B], [-1.0, 1.0],
+                                   1, R_blk),), np.array([0.0])
         fits = []
         errs = []
-        if dim == 1:
-            fits.append(ra.exact_terms([[1.0], [-1.0]], [-B, -B], [-1.0, 1.0],
-                                       1, R_blk))
-            errs.append(0.0)
-        else:
-            for i in range(dim):
-                def f(P, i=i):
-                    nrm = np.linalg.norm(P, axis=1)
-                    scale = np.minimum(1.0, B / np.maximum(nrm, 1e-300)) - 1.0
-                    return P[:, i] * scale
-                rs, rep = ra.fit_nd(f, dim, R_blk, terms, seed=i)
-                fits.append(rs)
-                errs.append(rep.sup_error)
-        _FIT_CACHE[key] = _freeze((tuple(fits), np.array(errs)))
-    return _FIT_CACHE[key]
+        for i in range(dim):
+            def f(P, i=i):
+                nrm = np.linalg.norm(P, axis=1)
+                scale = np.minimum(1.0, B / np.maximum(nrm, 1e-300)) - 1.0
+                return P[:, i] * scale
+            rs, rep = ra.fit_nd(f, dim, R_blk, terms, seed=i)
+            fits.append(rs)
+            errs.append(rep.sup_error)
+        return tuple(fits), np.array(errs)
+    return _cached(("proj", B, R_blk, dim, terms), fit)
 
 
 # ---------------------------------------------------------------------------

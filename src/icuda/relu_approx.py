@@ -9,9 +9,12 @@ Every 1-D fit is one knot-table interpolant (fit_knots; fit_1d and
 fit_interval choose equispaced knots).  Its certificate reads the exact
 interpolant off the knot table with np.interp, adds a curvature margin, and
 adds an explicit bound on the float error of evaluating the ReLU sum
-(float_error), so it covers the forward pass's own arithmetic.  The
-multivariate least-squares fit (fit_nd) measures its float ReLU sum on a
-dense grid plus a curvature margin.
+(float_error), so it covers the forward pass's own arithmetic.  The fit
+checks its terms at the knots in O(M) with prefix_sum_eval, the prefix-sum
+evaluator the forward pass runs on a head family; float_error bounds that
+summation order as well as a term-by-term one, because it charges
+|a_m| |z| and |b_m| apart.  The multivariate least-squares fit (fit_nd)
+measures its float ReLU sum on a dense grid plus a curvature margin.
 """
 
 from __future__ import annotations
@@ -65,10 +68,12 @@ class ReluSum:
         return float(np.maximum(self.a @ z + self.b, 0.0) @ self.c)
 
 
-def eval_batch(rs: ReluSum, Z: np.ndarray, chunk: int = 8192) -> np.ndarray:
-    """Evaluate at Z of shape (P, k) in chunks."""
+def eval_batch(rs: ReluSum, Z: np.ndarray) -> np.ndarray:
+    """Evaluate at Z of shape (P, k) in chunks of about 2**20 ReLUs (an
+    8 MB temporary)."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     out = np.empty(Z.shape[0])
+    chunk = max(1, 2**20 // max(rs.n_terms, 1))
     for i in range(0, Z.shape[0], chunk):
         block = Z[i : i + chunk]
         out[i : i + chunk] = np.maximum(block @ rs.a.T + rs.b, 0.0) @ rs.c
@@ -131,6 +136,47 @@ def float_error(rs: ReluSum, z) -> float:
     return gamma(rs.n_terms + rs.input_dim + 2) * float(np.abs(rs.c) @ scale)
 
 
+def breakpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """-b_m / a_m, and -inf (+inf) for a constant term that is on (off)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a > 0, -b / np.where(a > 0, a, 1.0),
+                        np.where(b > 0, -np.inf, np.inf))
+
+
+def prefix_sum_eval(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """The function z -> sum_m c_m relu(a_m z + b_m) of 1-D terms with
+    a_m >= 0 in strictly increasing breakpoint order, evaluated in O(log M)
+    per point.
+
+    The terms active at z are those with breakpoint t_m < z, so
+
+        sum_m c_m relu(a_m z + b_m) = A(k) z + B(k),   k = #{m : t_m < z},
+
+    where A and B are the prefix sums of c_m a_m and c_m b_m, built once
+    here; k is a ``searchsorted`` of z in the breakpoints.
+
+    Float error: A(k) z + B(k) takes k products and k - 1 additions per
+    prefix sum, one product by z and one final addition, so it lies within
+    gamma_{k+2} sum_{m<k} |c_m| (|a_m| |z| + |b_m|) of the exact sum.  That is
+    at most ``float_error``, gamma_{M+3} sum_m |c_m| (|a_m| |z| + |b_m|): the
+    bound charges |a_m| |z| and |b_m| apart rather than |a_m z + b_m|, so it
+    also covers the cancellation between A(k) z and B(k), which the
+    summation order of a term-by-term sum never meets.  A term whose rounded
+    breakpoint falls on the wrong side of z (z within a relative u/2 of it)
+    adds or drops at most (u/2) |c_m a_m z|, which the one spare rounding of
+    gamma_{M+3} over gamma_{k+2} (k <= M) covers.
+    """
+    t = breakpoints(a, b)
+    A = np.concatenate([[0.0], np.cumsum(c * a)])
+    B = np.concatenate([[0.0], np.cumsum(c * b)])
+
+    def evaluate(z: np.ndarray) -> np.ndarray:
+        k = np.searchsorted(t, z)
+        return A[k] * z + B[k]
+
+    return evaluate
+
+
 def fit_knots(f, knots: np.ndarray) -> tuple[ReluSum, FitReport]:
     """Exact piecewise-linear interpolant of f at a sorted knot grid, as the
     constant f(knots[0]) plus slope-change ReLUs; the left extrapolation is
@@ -142,6 +188,9 @@ def fit_knots(f, knots: np.ndarray) -> tuple[ReluSum, FitReport]:
     largest second difference of that residual within a knot interval; and
     float_error is float_error() at the largest knot magnitude.  The emitted
     terms must match the knot values within float_error, or the fit raises.
+    That check evaluates the terms with prefix_sum_eval, the evaluator the
+    forward pass runs on a fitted head family, in O(M) time and memory; its
+    summation order is within float_error (see prefix_sum_eval).
     """
     knots = np.asarray(knots, dtype=float).ravel()
     if knots.size < 2:
@@ -170,7 +219,7 @@ def fit_knots(f, knots: np.ndarray) -> tuple[ReluSum, FitReport]:
     grid_sup = float(np.max(np.abs(resid)))
     margin = 0.5 * float(np.max(np.abs(np.diff(resid, n=2, axis=1))))
     fl_err = float_error(rs, [max(abs(knots[0]), abs(knots[-1]))])
-    at_knots = np.abs(eval_batch(rs, knots[:, None]) - vals)
+    at_knots = np.abs(prefix_sum_eval(rs.a[:, 0], rs.b, rs.c)(knots) - vals)
     if np.max(at_knots) > fl_err:
         raise RuntimeError(
             f"ReLU terms miss the knot values by {np.max(at_knots):.3g}, "

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .relu_approx import breakpoints, prefix_sum_eval
+
 
 class LayoutError(ValueError):
     pass
@@ -164,25 +166,16 @@ class HeadFamily:
     one, so a family can sum over a subset of the senders.
 
     With a_m >= 0 and the terms in strictly increasing breakpoint order
-    t_m = -b_m / a_m (-inf for a constant term), the terms active at z are
-    those with t_m < z, so
-
-        sum_m c_m relu(a_m z + b_m) = A(k) z + B(k),   k = #{m : t_m < z},
-
-    where A and B are the prefix sums of c_m a_m and c_m b_m, built once per
-    family.  ``attn_forward`` evaluates this at open senders only, after
-    checking that the bias row reads 1 and that no closed sender's largest
-    pre-activation reaches its gate; otherwise it raises ForwardError, so the
-    family computes what its heads compute or stops.  ``to_heads`` gives the
-    heads themselves, which norms, ``describe`` and ``layer_heads`` read.
-
-    Float error: A(k) z + B(k) takes k products and k - 1 additions per
-    prefix sum, one product by z and one final addition, so it lies within
-    gamma_{k+2} sum_{m<k} |c_m| (|a_m| |z| + |b_m|) of the exact sum.  That is
-    at most the fit's ``relu_approx.float_error``, gamma_{M+3} sum_m |c_m|
-    (|a_m| |z| + |b_m|): the bound charges |a_m| |z| and |b_m| apart rather
-    than |a_m z + b_m|, so it also covers the cancellation between A(k) z
-    and B(k), which the summation order of a head-by-head sum never meets.
+    t_m = -b_m / a_m (-inf for a constant term), the sum is A(k) z + B(k)
+    with A and B prefix sums and k = #{m : t_m < z}; the evaluator,
+    ``relu_approx.prefix_sum_eval``, is built once per family, and its float
+    error is within the fit's ``relu_approx.float_error``.  ``fit_knots``
+    checks every 1-D fit at its knots with the same evaluator.
+    ``attn_forward`` evaluates it at open senders only, after checking that
+    the bias row reads 1 and that no closed sender's largest pre-activation
+    reaches its gate; otherwise it raises ForwardError, so the family
+    computes what its heads compute or stops.  ``to_heads`` gives the heads
+    themselves, which norms, ``describe`` and ``layer_heads`` read.
     """
 
     Qf: np.ndarray
@@ -203,13 +196,6 @@ class HeadFamily:
     @property
     def n_terms(self) -> int:
         return len(self.c)
-
-    def breakpoints(self) -> np.ndarray:
-        """-b_m / a_m, and -inf (+inf) for a constant term that is on (off)."""
-        a, b = self.a, self.b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(a > 0, -b / np.where(a > 0, a, 1.0),
-                            np.where(b > 0, -np.inf, np.inf))
 
     def _unit(self) -> np.ndarray:
         e = np.zeros((1, self.Qf.shape[1]))
@@ -242,13 +228,9 @@ class HeadFamily:
                 for q, k, v in zip(Qs, Ks, Vs)]
 
     @functools.cached_property
-    def _plan(self) -> dict:
-        """The breakpoints and the prefix sums A and B."""
-        return {
-            "t": self.breakpoints(),
-            "A": np.concatenate([[0.0], np.cumsum(self.c * self.a)]),
-            "B": np.concatenate([[0.0], np.cumsum(self.c * self.b)]),
-        }
+    def _plan(self):
+        """The prefix-sum evaluator of the family's ReLU sum."""
+        return prefix_sum_eval(self.a, self.b, self.c)
 
 
 def family_forms(fam: HeadFamily, H: np.ndarray):
@@ -265,7 +247,6 @@ def family_scores(fam: HeadFamily, H: np.ndarray) -> np.ndarray:
     z, beta, g = family_forms(fam, H)
     if not np.all(beta == 1.0):
         raise ForwardError("bias form is not 1 at every token pair")
-    plan = fam._plan
     open_ = g == 0.0
     if not open_.all():
         # a_m >= 0: the largest pre-activation grows with z
@@ -276,9 +257,7 @@ def family_scores(fam: HeadFamily, H: np.ndarray) -> np.ndarray:
                 f"a sender is neither open (gate 0) nor closed: pre-activation "
                 f"{top:.6g} reaches the gate {-g[closed].max():.6g}")
     F = np.zeros_like(z)
-    zo = z[open_]
-    k = np.searchsorted(plan["t"], zo)
-    F[open_] = plan["A"][k] * zo + plan["B"][k]
+    F[open_] = fam._plan(z[open_])
     return F
 
 
@@ -426,7 +405,7 @@ def _family_error(fam: HeadFamily, D: int) -> str | None:
         return f"a, b and c have shapes {a.shape}, {b.shape} and {c.shape}"
     if not np.all(a >= 0):
         return "negative slope a_m"
-    if not np.all(np.diff(fam.breakpoints()) > 0):
+    if not np.all(np.diff(breakpoints(a, b)) > 0):
         return "breakpoints -b_m / a_m are not strictly increasing"
     if fam.Qf.ndim != 2 or fam.Qf.shape[1] != D or fam.Kf.shape != fam.Qf.shape:
         return f"Qf {fam.Qf.shape} and Kf {fam.Kf.shape} are not one (r, {D})"

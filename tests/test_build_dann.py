@@ -143,6 +143,22 @@ def _weights(tf) -> list:
 
 
 class TestFitCache:
+    def test_cache_keeps_the_newest_fits(self, monkeypatch):
+        monkeypatch.setattr(bd, "_FIT_CACHE", {})
+        radii = 1.0 + 0.01 * np.arange(bd._FIT_CACHE_SIZE + 4)
+        first, rep = bd.activation_fit("logistic", radii[0], 8)
+        for R1 in radii[1:]:
+            bd.activation_fit("logistic", R1, 8)
+        assert len(bd._FIT_CACHE) == bd._FIT_CACHE_SIZE
+        assert list(bd._FIT_CACHE) == [("act", "logistic", R1, 8)
+                                       for R1 in radii[4:]]
+        again, rep2 = bd.activation_fit("logistic", radii[0], 8)
+        assert again is not first and not again.c.flags.writeable
+        for part in ("a", "b", "c"):
+            assert getattr(again, part).tobytes() == getattr(first, part).tobytes()
+        assert rep2.sup_error == rep.sup_error
+        assert len(bd._FIT_CACHE) == bd._FIT_CACHE_SIZE
+
     def test_build_does_not_depend_on_earlier_builds(self, monkeypatch):
         """Seeds 2 and 3 of the shift1d dann defaults share the product
         fit's cache key (both have R1 = 7); seed 3 gives the same weights

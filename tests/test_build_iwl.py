@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 import icuda.build_iwl as bi
 import icuda.datagen as dg

@@ -1,5 +1,7 @@
 """Piecewise-linear approximators: exactness, certificates, normalization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,14 +89,49 @@ class TestCertificate:
 
     def test_knot_check_catches_construction_faults(self, monkeypatch):
         normalize = ra._normalize_terms
+        swap = [0, 1, 2, 15, *range(4, 15), 3, 16, 17, 18, 19]
+        faults = [
+            lambda a, b, c: (a, b, c * (1.0 + 1e-6)),
+            # a swap leaves the sum unchanged, but at the knots between the
+            # swapped terms no prefix of the terms is the active set
+            lambda a, b, c: (a[swap], b[swap], c[swap]),
+            lambda a, b, c: tuple(np.delete(v, 5, axis=0) for v in (a, b, c)),
+        ]
+        for fault in faults:
+            monkeypatch.setattr(ra, "_normalize_terms",
+                                lambda a, b, c, fault=fault: fault(*normalize(a, b, c)))
+            with pytest.raises(RuntimeError, match="knot values"):
+                ra.fit_knots(np.exp, np.linspace(0.0, 1.0, 20))
 
-        def off_by_a_millionth(a, b, c):
-            a, b, c = normalize(a, b, c)
-            return a, b, c * (1.0 + 1e-6)
+    @staticmethod
+    def assert_prefix_sums_match_term_sums(f, knots):
+        rs, rep = ra.fit_knots(f, knots)
+        got = ra.prefix_sum_eval(rs.a[:, 0], rs.b, rs.c)(knots)
+        gap = np.abs(got - ra.eval_batch(rs, knots[:, None]))
+        assert np.all(gap <= rep.float_error)
 
-        monkeypatch.setattr(ra, "_normalize_terms", off_by_a_millionth)
-        with pytest.raises(RuntimeError, match="knot values"):
-            ra.fit_knots(np.exp, np.linspace(0.0, 1.0, 20))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(start=st.floats(-50.0, 50.0),
+           steps=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=60),
+           omega=st.floats(0.0, 20.0))
+    def test_prefix_sums_match_term_sums_at_random_knots(self, start, steps, omega):
+        knots = start + np.concatenate([[0.0], np.cumsum(steps)])
+        self.assert_prefix_sums_match_term_sums(
+            lambda t: np.sin(omega * t) + 0.1 * t ** 2, knots)
+
+    def test_prefix_sums_match_term_sums_on_the_log_grid(self):
+        self.assert_prefix_sums_match_term_sums(np.log, np.geomspace(1e-8, 11.0, 3000))
+
+    def test_knot_check_runs_in_linear_memory(self):
+        knots = np.geomspace(1e-8, 11.0, 3000)
+        tracemalloc.start()
+        try:
+            ra.fit_knots(np.log, knots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an M x M evaluation of the 3000 terms would take 72 MB
+        assert peak < 8 * 2**20
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(amp=st.floats(0.0, 5.0), omega=st.floats(0.1, 30.0),
