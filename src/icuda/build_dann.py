@@ -24,7 +24,6 @@ from . import relu_approx as ra
 from . import uda_ref as ur
 from .datagen import DomainPair, encode_tokens
 from .tfcore import (
-    AttentionHead,
     HeadFamily,
     SlotLayout,
     TokenMatrix,
@@ -46,7 +45,7 @@ def _freeze(obj):
     elif isinstance(obj, tuple):
         for item in obj:
             _freeze(item)
-    elif isinstance(obj, (ra.ReluSum, ra.FitReport)):
+    elif isinstance(obj, (ra.ReluSum, ra.FitReport, ra.Ridges)):
         _freeze(tuple(vars(obj).values()))
     return obj
 
@@ -259,12 +258,15 @@ def build_lossgrad_mlp(layout: SlotLayout, cfg: DannBuildConfig, R_lam: float,
 
 def build_gd_attn(layout: SlotLayout, cfg: DannBuildConfig, n: int, n_prime: int,
                   R1: float, S1: float, S3: float):
-    """The six update families as gated attention heads.
+    """The six update families as gated head families.
 
     Families 1/3 rebuild weight-times-gradient-times-slope terms through the
-    2-D product fit and deliver the sender's point (plain heads); families
-    2/4 rebuild the activation value at z_ij = u_k,i . x_j and deliver the
-    sender's loss gradient (one HeadFamily each).
+    2-D product fit and deliver the sender's point: one HeadFamily per
+    direction (d_s, d_z) of the fit's dictionary (``ra.ridge_parts``), whose
+    ridge variable is d_s s + d_z z with s = w_k gl_j / scale and
+    z = u_k . x_j / R1.  Families 2/4 rebuild the activation value at
+    z_ij = u_k,i . x_j and deliver the sender's loss gradient (one
+    HeadFamily each).
     """
     D = layout.dim
     xs = layout.rows("x")
@@ -279,9 +281,9 @@ def build_gd_attn(layout: SlotLayout, cfg: DannBuildConfig, n: int, n_prime: int
     d = cfg.d
     eta, lam = cfg.eta, cfg.lam
     pfit, _ = product_fit(cfg.activation, R1, cfg.p_terms)
+    parts = ra.ridge_parts(pfit)
     rfit, _ = activation_fit(cfg.activation, R1, cfg.r_knots)
     G = 2.0
-    heads = []
     families = []
 
     def gate_rows(kind):
@@ -306,22 +308,17 @@ def build_gd_attn(layout: SlotLayout, cfg: DannBuildConfig, n: int, n_prime: int
             (vsl.start + k, S3, gd_r, [("src", (N + 1) * lam * eta / n),
                                        ("tgt", (N + 1) * lam * eta / n_prime)]),
         ):
+            Kf = np.zeros((1 + d, D))
+            Kf[0, grad_row] = 1.0
+            Kf[1:, xs] = np.eye(d)
             for kind, vcoef in specs:
-                q_g, k_g = gate_rows(kind)
-                for m in range(pfit.n_terms):
-                    a_s, a_z = pfit.a[m]
-                    Q = np.zeros((d + 3, D))
-                    K = np.zeros((d + 3, D))
-                    Q[0, coef_slot] = a_s / scale
-                    K[0, grad_row] = 1.0
-                    Q[1 : 1 + d, usl] = (a_z / R1) * np.eye(d)
-                    K[1 : 1 + d, xs] = np.eye(d)
-                    Q[1 + d, one] = pfit.b[m]
-                    K[1 + d, one] = 1.0
-                    Q[2 + d] = q_g
-                    K[2 + d] = k_g
-                    V = np.diag([vcoef * scale * pfit.c[m]] * d)
-                    heads.append(AttentionHead(Q, K, V, u_rows, x_cols))
+                for (d_s, d_z), alpha, b, c in parts:
+                    Qf = np.zeros((1 + d, D))
+                    Qf[0, coef_slot] = d_s / scale
+                    Qf[1:, usl] = (d_z / R1) * np.eye(d)
+                    families.append(HeadFamily(
+                        Qf, Kf, one, gate_rows(kind), alpha, b, c,
+                        vcoef * scale * np.eye(d), u_rows, x_cols))
         # families 2, 4a, 4b: updates of w_k and v_k
         Qf = np.zeros((d, D))
         Kf = np.zeros((d, D))
@@ -337,7 +334,7 @@ def build_gd_attn(layout: SlotLayout, cfg: DannBuildConfig, n: int, n_prime: int
                     Qf, Kf, one, gate_rows(kind) if kind else None, rfit.a[:, 0],
                     rfit.b, vcoef * rfit.c, np.ones((1, 1)), np.r_[out_row],
                     np.r_[grad_row]))
-    return heads, tuple(families), pfit, rfit
+    return tuple(families), pfit, rfit
 
 
 def build_projection_mlp(layout: SlotLayout, cfg: DannBuildConfig,
@@ -481,10 +478,9 @@ def build_dann_transformer(pair: DomainPair, cfg: DannBuildConfig,
     D = layout.dim
     W1_lg, W2_lg, gl_fit, gd_fit = build_lossgrad_mlp(layout, cfg, R_sc, R_sc)
     layer_a = TransformerLayer([], W1_lg, W2_lg, build_forward_attn(layout, cfg, R1))
-    gd_heads, gd_families, pfit, rfit = build_gd_attn(
+    gd_families, pfit, rfit = build_gd_attn(
         layout, cfg, pair.n, pair.n_prime, R1, S1, S3)
-    layer_b = TransformerLayer(gd_heads, np.zeros((0, D)), np.zeros((D, 0)),
-                               gd_families)
+    layer_b = TransformerLayer([], np.zeros((0, D)), np.zeros((D, 0)), gd_families)
     W1_p, W2_p, eps_proj = build_projection_mlp(layout, cfg, enable_proj, R_blk)
     layer_c = TransformerLayer([], W1_p, W2_p)
 

@@ -13,8 +13,11 @@ adds an explicit bound on the float error of evaluating the ReLU sum
 checks its terms at the knots in O(M) with prefix_sum_eval, the prefix-sum
 evaluator the forward pass runs on a head family; float_error bounds that
 summation order as well as a term-by-term one, because it charges
-|a_m| |z| and |b_m| apart.  The multivariate least-squares fit (fit_nd)
-measures its float ReLU sum on a dense grid plus a curvature margin.
+|a_m| |z| and |b_m| apart.  The multivariate least-squares fit (fit_nd) is a
+sum of 1-D ridge sums, one per dictionary direction (ridge_parts); it
+measures its ReLU sum on a dense grid, adds a curvature margin, and adds
+float_error at the box corner, because the forward pass sums the terms
+direction by direction and by prefix sums, not in the grid's order.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ class ReluSum:
 
     The domain of validity is the box |z - center|_inf <= radius.  Terms are
     stored in the original input coordinates; center only shifts the
-    validity box.
+    validity box.  ``ridges`` is fit_nd's dictionary (see Ridges), None for
+    every other sum.
     """
 
     a: np.ndarray
@@ -40,6 +44,7 @@ class ReluSum:
     radius: float
     sup_error: float
     center: np.ndarray | None = None
+    ridges: Ridges | None = None
 
     def __post_init__(self):
         self.a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -81,10 +86,22 @@ def eval_batch(rs: ReluSum, Z: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class FitReport:
-    """How a fit's sup_error is made up: grid_sup + margin + float_error.
+class Ridges:
+    """The dictionary of a fit_nd ReluSum: term m is
+    c_m relu(alpha_m (directions[index_m] . z) + b_m), so its a_m is
+    alpha_m directions[index_m] as computed; index_m is -1 (and alpha_m 0)
+    for the constant term."""
 
-    float_error is 0 where grid_sup samples the float ReLU sum (fit_nd)."""
+    directions: np.ndarray
+    index: np.ndarray
+    alpha: np.ndarray
+
+
+@dataclass
+class FitReport:
+    """How a fit's sup_error is made up: grid_sup + margin + float_error,
+    where float_error bounds the float error of evaluating the ReLU sum on
+    the fit's box in any summation order (see float_error)."""
 
     sup_error: float
     grid_sup: float
@@ -289,8 +306,11 @@ def fit_nd(f, k: int, R: float, M: int, seed: int = 0) -> tuple[ReluSum, FitRepo
 
     The dictionary holds a fixed fan of directions on the l1 sphere (canonical
     axes/diagonals plus a seeded quasi-random fill), each with an equispaced
-    bias grid; coefficients are solved on a training grid and sup_error is
-    measured on a disjoint denser grid.
+    bias grid; coefficients are solved on a training grid.  The terms come
+    direction by direction, the constant term last, and ``ridges`` keeps
+    the dictionary (see ridge_parts).  sup_error is the residual measured on
+    a disjoint denser grid, a curvature margin, and float_error at the box
+    corner.
     """
     if k not in (2, 3):
         raise ValueError("fit_nd supports input dimension 2 or 3")
@@ -304,8 +324,8 @@ def fit_nd(f, k: int, R: float, M: int, seed: int = 0) -> tuple[ReluSum, FitRepo
     m_can = max((budget - n_random * m_rand) // n_can, 4)
     knots_per_dir = [m_can] * n_can + [m_rand] * n_random
 
-    a_rows, b_rows = [], []
-    for d, m in zip(dirs, knots_per_dir):
+    a_rows, b_rows, index = [], [], []
+    for j, (d, m) in enumerate(zip(dirs, knots_per_dir)):
         # d . z ranges over [-hi, hi] on the box
         hi = sum(abs(d[i]) * R for i in range(k))
         if 2.0 * hi < 1e-12:
@@ -314,10 +334,13 @@ def fit_nd(f, k: int, R: float, M: int, seed: int = 0) -> tuple[ReluSum, FitRepo
         for t in ts:
             a_rows.append(d)
             b_rows.append(-t)
+            index.append(j)
     a_rows.append(np.zeros(k))
     b_rows.append(1.0)
+    index.append(-1)
     A = np.array(a_rows)
     B = np.array(b_rows)
+    index = np.array(index)
 
     base = {2: 41, 3: 17}[k]
     need = int(np.ceil((2.0 * len(B)) ** (1.0 / k))) + 1
@@ -327,8 +350,13 @@ def fit_nd(f, k: int, R: float, M: int, seed: int = 0) -> tuple[ReluSum, FitRepo
     Phi = np.maximum(pts @ A.T + B, 0.0)
     coef = np.linalg.lstsq(Phi, y, rcond=1e-10)[0]
 
-    a, b, c = _normalize_terms(A, B, coef)
-    rs = ReluSum(a, b, c, input_dim=k, radius=float(R), sup_error=0.0)
+    # |a_m|_1 + |b_m| <= 1 as in _normalize_terms, with a_m kept as the
+    # product alpha_m d that ridge_parts hands out
+    kappa = np.sum(np.abs(A), axis=1) + np.abs(B)
+    alpha = np.where(index >= 0, 1.0 / kappa, 0.0)
+    a = alpha[:, None] * dirs[index]
+    rs = ReluSum(a, B / kappa, coef * kappa, input_dim=k, radius=float(R),
+                 sup_error=0.0, ridges=Ridges(dirs, index, alpha))
 
     n_test = max({2: 120, 3: 50}[k], 3 * max(knots_per_dir))
     tpts = _axis_grid(R, k, n_test, midpoints=True)
@@ -336,8 +364,38 @@ def fit_nd(f, k: int, R: float, M: int, seed: int = 0) -> tuple[ReluSum, FitRepo
     resid = resid.reshape((n_test,) * k)
     grid_sup = float(np.max(np.abs(resid)))
     margin = _second_diff_margin(resid)
-    rs.sup_error = grid_sup + margin
-    return rs, FitReport(sup_error=rs.sup_error, grid_sup=grid_sup, margin=margin)
+    fl_err = float_error(rs, np.full(k, R))
+    rs.sup_error = grid_sup + margin + fl_err
+    return rs, FitReport(sup_error=rs.sup_error, grid_sup=grid_sup,
+                         margin=margin, float_error=fl_err)
+
+
+def ridge_parts(rs: ReluSum) -> list[tuple[np.ndarray, np.ndarray, np.ndarray,
+                                          np.ndarray]]:
+    """A fit_nd sum as one 1-D ReLU sum per dictionary direction: a list of
+    (d, alpha, b, c), one per direction in dictionary order, so that
+
+        rs(z) = sum over the parts of sum_m c_m relu(alpha_m (d . z) + b_m).
+
+    Each part's slopes alpha_m are nonnegative and its terms in increasing
+    breakpoint order -b_m / alpha_m; the constant term opens the first part
+    with alpha 0 (breakpoint -inf).
+
+    Summing each part by prefix_sum_eval at its ridge variable d . z and
+    then adding the P parts stays within float_error(rs, z): a term of a
+    part of m terms meets at most m + 2 roundings in the prefix sums,
+    input_dim + 1 in alpha_m (d . z) and P - 1 in the sum over the parts,
+    and m + P - 1 <= M because every other part holds a term."""
+    if rs.ridges is None:
+        raise ValueError("ridge_parts needs a fit_nd sum")
+    r = rs.ridges
+    parts = []
+    for i, d in enumerate(r.directions):
+        sel = np.flatnonzero(r.index == i)
+        if i == 0:
+            sel = np.r_[np.flatnonzero(r.index < 0), sel]
+        parts.append((d, r.alpha[sel], rs.b[sel], rs.c[sel]))
+    return parts
 
 
 def lift(rs: ReluSum, d: np.ndarray, k: int) -> ReluSum:

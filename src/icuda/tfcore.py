@@ -5,14 +5,16 @@ The forward pass treats the token matrix H (D x T) as a residual stream.
 Attention adds (1/T) * sum_j sum_m relu(<Q_m h_i, K_m h_j>) V_m h_j to token i,
 the MLP adds W2 relu(W1 h_i).  Q, K, W1 and W2 are dense matrices and each V_m
 is stored as the block it writes (see AttentionHead), so that constructions
-can be audited entry by entry.  The heads that spell out one fitted 1-D ReLU
-sum sum_m c_m relu(a_m z + b_m), one head per term, are stored once as a
+can be audited entry by entry.  The heads that spell out one fitted ReLU
+sum along one direction, sum_m c_m relu(a_m z + b_m) (a 1-D fit, or one
+direction of an n-D ridge fit), one head per term, are stored once as a
 HeadFamily in ridge form: the bilinear score z = <Qf h_i, Kf h_j> shared by
 every term, the constant row that carries the biases b_m, an optional
-sender gate, and the fit's (a, b, c).  Attention computes z once per token
-pair and evaluates the sum by prefix sums, and ``HeadFamily.to_heads``
-gives back the heads themselves, which norms, ``describe`` and
-``layer_heads`` read.  A layer's families precede its plain heads.
+sender gate, and the (a, b, c) of the terms.  Attention computes z only at
+the open token pairs and evaluates the sum there by prefix sums, and
+``HeadFamily.to_heads`` gives back the heads themselves, which norms,
+``describe`` and ``layer_heads`` read.  A layer's families precede its plain
+heads.
 """
 
 from __future__ import annotations
@@ -146,8 +148,10 @@ class AttentionHead:
 
 @dataclass
 class HeadFamily:
-    """The heads of one fitted 1-D ReLU sum sum_m c_m relu(a_m z + b_m),
-    stored once and evaluated by prefix sums.
+    """The heads of one ReLU sum along one direction,
+    sum_m c_m relu(a_m z + b_m), stored once and evaluated by prefix sums:
+    a fitted 1-D sum, or the terms of an n-D ridge fit on one of its
+    dictionary directions (``relu_approx.ridge_parts``).
 
     The ridge variable z_ij = <Qf h_i, Kf h_j> is one bilinear score shared
     by every term.  Head m is
@@ -160,10 +164,11 @@ class HeadFamily:
         <Q_m h_i, K_m h_j> = a_m z_ij + b_m + g_ij.
 
     The bias row pairs e_one with e_one, so b_m is added where the stream's
-    constant row ``one`` is 1; ``attn_forward`` checks that it is.  ``gate``
-    is None or the (2, D) row pair (q_g, k_g) of a sender gate g: 0 at an
-    open sender and a negative offset that keeps every term off at a closed
-    one, so a family can sum over a subset of the senders.
+    constant row ``one`` is 1; ``attn_forward`` checks that it is 1 at every
+    token.  ``gate`` is None or the (2, D) row pair (q_g, k_g) of a sender
+    gate g_ij = (q_g . h_i)(k_g . h_j): 0 at an open pair and a negative
+    offset that keeps every term off at a closed one, so a family can sum
+    over a subset of the senders.
 
     With a_m >= 0 and the terms in strictly increasing breakpoint order
     t_m = -b_m / a_m (-inf for a constant term), the sum is A(k) z + B(k)
@@ -171,11 +176,12 @@ class HeadFamily:
     ``relu_approx.prefix_sum_eval``, is built once per family, and its float
     error is within the fit's ``relu_approx.float_error``.  ``fit_knots``
     checks every 1-D fit at its knots with the same evaluator.
-    ``attn_forward`` evaluates it at open senders only, after checking that
-    the bias row reads 1 and that no closed sender's largest pre-activation
-    reaches its gate; otherwise it raises ForwardError, so the family
-    computes what its heads compute or stops.  ``to_heads`` gives the heads
-    themselves, which norms, ``describe`` and ``layer_heads`` read.
+    ``attn_forward`` (``family_scores``) computes z and the sum only at open
+    pairs, and once for all receivers when they share Qf h_i and q_g . h_i;
+    it first checks that no closed pair's largest pre-activation reaches its
+    gate, and raises ForwardError otherwise, so the family computes what its
+    heads compute or stops.  ``to_heads`` gives the heads themselves, which
+    norms, ``describe`` and ``layer_heads`` read.
     """
 
     Qf: np.ndarray
@@ -233,31 +239,35 @@ class HeadFamily:
         return prefix_sum_eval(self.a, self.b, self.c)
 
 
-def family_forms(fam: HeadFamily, H: np.ndarray):
-    """The family's z, bias and gate scores (see HeadFamily) at every
-    receiver i and sender j of stream H, as (T, T) matrices."""
-    e = fam._unit()
-    return tuple((Lq @ H).T @ (Lk @ H)
-                 for Lq, Lk in ((fam.Qf, fam.Kf), (e, e), fam._gate()))
-
-
 def family_scores(fam: HeadFamily, H: np.ndarray) -> np.ndarray:
-    """(T, T) matrix of sum_m c_m relu(score_m) at receiver i and sender j,
-    zero at closed senders; see HeadFamily."""
-    z, beta, g = family_forms(fam, H)
-    if not np.all(beta == 1.0):
-        raise ForwardError("bias form is not 1 at every token pair")
-    open_ = g == 0.0
-    if not open_.all():
+    """sum_m c_m relu(score_m) at receiver i and sender j, zero at closed
+    pairs (see HeadFamily): a (T, T) matrix, or its one (1, T) row when
+    every receiver has the same Qf h_i and gate factor (a state that every
+    token carries, such as the DANN parameters)."""
+    if not np.all(H[fam.one] == 1.0):
+        raise ForwardError("bias form: the constant row is not 1 at every token")
+    # g_ij = (q_g . h_i)(k_g . h_j): (i, j) is open where either factor is 0
+    g = np.zeros((2, H.shape[1])) if fam.gate is None else fam.gate @ H
+    Q = np.vstack([fam.Qf @ H, g[:1]])
+    if np.all(Q == Q[:, :1]):
+        Q = Q[:, :1]
+    QH, gq = Q[:-1], Q[-1]
+    KH, gk = fam.Kf @ H, g[1]
+    senders, closed = np.flatnonzero(gk == 0.0), np.flatnonzero(gk)
+    receivers, shut = np.flatnonzero(gq == 0.0), np.flatnonzero(gq)
+    if closed.size and shut.size:
         # a_m >= 0: the largest pre-activation grows with z
-        closed = ~open_
-        top = float(np.max(fam.a * z[closed].max() + fam.b))
-        if not top + g[closed].max() <= 0.0:
+        zmax = (QH[:, shut].T @ KH[:, closed]).max()
+        top = float(np.max(fam.a * zmax + fam.b))
+        gmax = np.outer(gq[shut], gk[closed]).max()
+        if not top + gmax <= 0.0:
             raise ForwardError(
                 f"a sender is neither open (gate 0) nor closed: pre-activation "
-                f"{top:.6g} reaches the gate {-g[closed].max():.6g}")
-    F = np.zeros_like(z)
-    F[open_] = fam._plan(z[open_])
+                f"{top:.6g} reaches the gate {-gmax:.6g}")
+    F = np.zeros((QH.shape[1], H.shape[1]))
+    F[:, senders] = fam._plan(QH.T @ KH[:, senders])
+    if closed.size and receivers.size:
+        F[np.ix_(receivers, closed)] = fam._plan(QH[:, receivers].T @ KH[:, closed])
     return F
 
 
@@ -323,6 +333,7 @@ def attn_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
             F = family_scores(fam, H)
         except ForwardError as e:
             raise ForwardError(f"family {f}: {e}") from e
+        # a (1, T) F is every receiver's row; its one column broadcasts
         acc[fam.rows] += (fam.V0 @ H[fam.cols]) @ F.T / T
     if not np.all(np.isfinite(acc)):
         raise ForwardError("non-finite value in attention output")

@@ -6,6 +6,9 @@ import pytest
 import icuda.build_dann as bd
 import icuda.datagen as dg
 import icuda.harness as hz
+import icuda.tfcore as tc
+
+from test_tfcore import fit_float_error, ridge_z
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +187,99 @@ class TestFitCache:
         for x, y in zip(alone[0], after[0]):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
         assert alone[1] == after[1]
+
+
+@pytest.fixture(scope="module")
+def shift_build():
+    """The seed-0 build of the shift1d dann defaults, and its pair."""
+    cfg = hz.ExperimentConfig(algo="dann", seeds=[0])
+    pair = hz.make_pair(cfg, 0)
+    bcfg = hz.build_config(cfg, hz.selector_config(cfg, 0))
+    return bd.build_dann_transformer(pair, bcfg.dann_config(pair.d)), pair
+
+
+def product_heads(build, pair, k, coef_slot, scale, grad_row, kind, vcoef):
+    """The heads of one product-fit update family, one plain head per term
+    of ``fits["p"]`` in the fit's term order: the score
+    a_s w_k gl_j / scale + a_z u_k . x_j / R1 + b + gate (-2 at every
+    receiver times k_g at the sender) and the value vcoef scale c I on the
+    sender's point."""
+    layout, pfit = build.layout, build.fits["p"]
+    D, d, R1 = layout.dim, build.cfg.d, build.bounds["R1"]
+    one, usl, xs = layout.row("one"), layout.rows(f"u{k}"), layout.rows("x")
+    k_g = np.zeros(D)
+    k_g[one] = 1.0
+    if kind == "src":
+        k_g[layout.row("t")] = -1.0
+    else:
+        k_g[layout.row("s")] = -1.0
+        k_g[layout.row("t")] = 1.0
+    heads = []
+    for m in range(pfit.n_terms):
+        a_s, a_z = pfit.a[m]
+        Q = np.zeros((d + 3, D))
+        K = np.zeros((d + 3, D))
+        Q[0, coef_slot] = a_s / scale
+        K[0, grad_row] = 1.0
+        Q[1 : 1 + d, usl] = (a_z / R1) * np.eye(d)
+        K[1 : 1 + d, xs] = np.eye(d)
+        Q[1 + d, one] = pfit.b[m]
+        K[1 + d, one] = 1.0
+        Q[2 + d, one] = -2.0
+        K[2 + d] = k_g
+        V = np.diag([vcoef * scale * pfit.c[m]] * d)
+        heads.append(tc.AttentionHead(Q, K, V, np.r_[usl], np.r_[xs]))
+    return heads
+
+
+class TestUpdateFamilies:
+    def test_product_families_expand_to_the_per_term_heads(self, shift_build):
+        """Each product-fit family's heads are the fit's per-term heads
+        (the constant term first, then direction by direction) to 1e-15
+        relative: a_m is alpha_m d as fit_nd computes it, and the heads
+        scale d / scale by alpha_m instead."""
+        build, pair = shift_build
+        cfg, B = build.cfg, build.bounds
+        layout = build.layout
+        N = pair.n + pair.n_prime
+        order = np.argsort(build.fits["p"].ridges.index, kind="stable")
+        heads = tc.layer_heads(build.tf.layers[1])
+        per_k = len(heads) // cfg.K
+        for k in range(cfg.K):
+            w, v = layout.start("w") + k, layout.start("v") + k
+            specs = [(w, B["S1"], layout.row("gl"), "src",
+                      -(N + 1) * cfg.eta / pair.n),
+                     (v, B["S3"], layout.row("gd"), "src",
+                      (N + 1) * cfg.lam * cfg.eta / pair.n),
+                     (v, B["S3"], layout.row("gd"), "tgt",
+                      (N + 1) * cfg.lam * cfg.eta / pair.n_prime)]
+            want = []
+            for spec in specs:
+                terms = product_heads(build, pair, k, *spec)
+                want += [terms[m] for m in order]
+            got = heads[k * per_k : k * per_k + len(want)]
+            assert len(got) == len(want) == 3 * build.fits["p"].n_terms
+            for g, h in zip(got, want):
+                for x, y in ((g.Q, h.Q), (g.K, h.K), (g.V, h.V)):
+                    np.testing.assert_allclose(x, y, rtol=1e-15, atol=0)
+                assert np.array_equal(g.rows, h.rows)
+                assert np.array_equal(g.cols, h.cols)
+
+    def test_update_layer_matches_its_heads(self, shift_build):
+        """On the run's own stream, the update layer's attention equals the
+        same layer expanded to plain heads within the families' float
+        bound: each family's scores within float_error of its terms, times
+        its value map's largest row sum and the largest entry it reads."""
+        build, pair = shift_build
+        tm = bd.encode_dann(pair, build.layout, build.state0)
+        _, trace = tc.forward_trace(build.tf, tm)
+        for l in range(build.cfg.L):
+            layer, st = build.tf.layers[3 * l + 1], trace[3 * l]
+            H = st.data
+            got = tc.attn_forward(layer, st).data
+            expanded = tc.TransformerLayer(tc.layer_heads(layer), layer.W1, layer.W2)
+            want = tc.attn_forward(expanded, st).data
+            bound = sum(fit_float_error(f, ridge_z(f, H))
+                        * np.abs(f.V0).sum(axis=1).max() * np.abs(H[f.cols]).max()
+                        for f in layer.families)
+            assert np.max(np.abs(got - want)) <= bound

@@ -16,7 +16,8 @@ import icuda.relu_approx as ra
 import icuda.tfcore as tc
 import icuda.uda_ref as ur
 
-from test_tfcore import fit_float_error, head_scores, reference_layer_norm
+from test_tfcore import (fit_float_error, head_scores, reference_layer_norm,
+                         ridge_z)
 
 
 def stub_layout(d=1):
@@ -232,14 +233,19 @@ class TestComposedWeights:
         assert "q_soft" in info["layers"][-2]["writes"]
 
     def test_every_1d_fit_is_a_family(self, composed_build):
-        """Plain heads are left only for the exact (unfitted) heads and the
-        2-D product fit: alpha steps 4, readout 2, two u y terms per weight
-        step, sum 1, select 4."""
+        """Plain heads are left only for the exact (unfitted) heads: alpha
+        steps 4, readout 2, two u y terms per weight step, sum 1, select 4.
+        The 2-D product fit is one family per dictionary direction in each
+        DANN update layer, and n_heads counts each of its terms as a head."""
         tf, dann = composed_build.tf, composed_build.dann
         plain = sum(len(layer.heads) for layer in tf.layers)
-        product = 3 * dann.cfg.K * dann.fits["p"].n_terms * dann.cfg.L
-        assert plain == 4 * 6 + 2 + 2 * 6 + product + 1 + 4
-        assert sum(len(layer.families) for layer in tf.layers) > 0
+        assert plain == 4 * 6 + 2 + 2 * 6 + 1 + 4
+        K, pfit, rfit = dann.cfg.K, dann.fits["p"], dann.fits["r"]
+        directions = len(ra.ridge_parts(pfit))
+        for layer in dann.tf.layers[1:3 * dann.cfg.L:3]:
+            assert not layer.heads
+            assert len(layer.families) == 3 * K * (directions + 1)
+            assert tc.n_heads(layer) == 3 * K * (pfit.n_terms + rfit.n_terms)
 
     def test_families_match_their_heads_within_float_error(
             self, composed_pair, composed_build):
@@ -252,7 +258,7 @@ class TestComposedWeights:
         checked = 0
         for layer, st in zip(tf.layers, [tm] + trace[:-1]):
             for fam in layer.families:
-                z = tc.family_forms(fam, st.data)[0]
+                z = ridge_z(fam, st.data)
                 gap = np.max(np.abs(tc.family_scores(fam, st.data)
                                     - head_scores(fam, st.data)))
                 assert gap <= fit_float_error(fam, z)

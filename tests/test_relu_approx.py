@@ -163,6 +163,34 @@ class TestMultivariate:
         ref = f(pts)
         assert np.max(np.abs(vals - ref)) <= max(3.0 * rep.sup_error, 0.05)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_ridge_parts_split_fit_nd_by_direction(self, k):
+        """Every term lands in one part, on its own dictionary direction
+        (a_m = alpha_m d bit for bit), each part in strictly increasing
+        breakpoint order, the constant term first; the parts' prefix sums
+        add up to the fit within its float_error, which sup_error holds."""
+        f = lambda z: np.sin(z[..., 0]) * np.cos(z[..., 1])
+        rs, rep = ra.fit_nd(f, k, 1.0, 150)
+        assert rep.float_error > 0.0
+        assert rep.sup_error == rep.grid_sup + rep.margin + rep.float_error
+        parts = ra.ridge_parts(rs)
+        assert len(parts) == len(rs.ridges.directions)
+        assert sum(len(c) for _, _, _, c in parts) == rs.n_terms
+        assert parts[0][1][0] == 0.0 and parts[0][2][0] > 0.0
+        for d, alpha, b, c in parts:
+            assert np.all(alpha >= 0.0)
+            assert np.all(np.diff(ra.breakpoints(alpha, b)) > 0.0)
+            for am, bm, cm in zip(alpha, b, c):
+                m = np.flatnonzero((rs.b == bm) & (rs.c == cm))
+                assert m.size == 1 and np.array_equal(rs.a[m[0]], am * d)
+        Z = np.random.default_rng(2).uniform(-1.0, 1.0, (200, k))
+        total = sum(ra.prefix_sum_eval(alpha, b, c)(Z @ d)
+                    for d, alpha, b, c in parts)
+        want = ra.eval_batch(rs, Z)
+        assert np.max(np.abs(total - want)) <= 2.0 * ra.float_error(rs, np.ones(k))
+        with pytest.raises(ValueError, match="fit_nd"):
+            ra.ridge_parts(ra.fit_1d(np.abs, 1.0, 5)[0])
+
     def test_fit_binary_gated_slices(self):
         f = lambda t, v: (1.0 - v) * t + v * (2.0 * t + 1.0)
         rs, rep = ra.fit_binary_gated(f, -1.0, 1.0, 41)

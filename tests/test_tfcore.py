@@ -423,6 +423,11 @@ def gated_stream(layout, T, rng, t=None):
     return tc.TokenMatrix(H, layout, n_source=T - 1, n_target=0)
 
 
+def ridge_z(fam, H):
+    """The family's ridge variable z_ij = <Qf h_i, Kf h_j> at every pair."""
+    return (fam.Qf @ H).T @ (fam.Kf @ H)
+
+
 def head_scores(fam, H):
     """sum_m c_m relu(score_m) as the family's heads compute it, head by head."""
     F = np.zeros((H.shape[1], H.shape[1]))
@@ -447,7 +452,7 @@ class TestHeadFamily:
         zl = tc.zero_layer(layout.dim)
         for gate in (False, True):
             fam = ridge(layout, rng, gate=gate)
-            z = tc.family_forms(fam, tm.data)[0]
+            z = ridge_z(fam, tm.data)
             F = tc.family_scores(fam, tm.data)
             heads = fam.to_heads()
             assert np.max(np.abs(F - head_scores(fam, tm.data))) <= \
@@ -513,6 +518,58 @@ class TestHeadFamily:
         layer = tc.TransformerLayer([], zl.W1, zl.W2, (ridge(layout, rng),))
         with pytest.raises(tc.ForwardError, match="bias form"):
             tc.layer_forward(layer, tm)
+
+    def test_constant_row_of_minus_one_raises(self, rng):
+        """A constant row of -1 at every token gives bias products of 1 at
+        every pair, but the gate and value maps read the row itself."""
+        layout = gated_layout()
+        tm = gated_stream(layout, 5, rng)
+        tm.data[layout.row("one")] = -1.0
+        zl = tc.zero_layer(layout.dim)
+        layer = tc.TransformerLayer([], zl.W1, zl.W2, (ridge(layout, rng),))
+        with pytest.raises(tc.ForwardError, match="bias form"):
+            tc.layer_forward(layer, tm)
+
+    def test_open_receivers_with_open_and_closed_senders(self, rng):
+        """The gate score is (q_g . h_i)(k_g . h_j): a receiver whose q_g . h_i
+        is 0 is open to every sender, the others only to senders whose
+        k_g . h_j is 0.  The family's scores equal the head-by-head sum at
+        every pair."""
+        layout = gated_layout()
+        fam = ridge(layout, rng)
+        q_g = np.zeros(layout.dim)
+        q_g[layout.row("s")] = -50.0
+        fam = dataclasses.replace(fam, gate=np.stack([q_g, fam.gate[1]]))
+        t = np.array([1, 0, 1, 0, 0, 1, 0, 1])
+        s = np.array([1, 0, 1, 1, 0, 1, 1, 0])
+        tm = gated_stream(layout, 8, rng, t)
+        tm.data[layout.row("s")] = s
+        H = tm.data
+        F = tc.family_scores(fam, H)
+        assert np.max(np.abs(F - head_scores(fam, H))) <= \
+            fit_float_error(fam, ridge_z(fam, H))
+        assert np.all(F[np.ix_(s == 1, t == 0)] == 0.0)
+        assert np.all(F[np.ix_(s == 0, t == 0)] != 0.0)
+
+    def test_receivers_sharing_their_state_get_one_row(self, rng):
+        """When every token carries the same Qf h_i (here x) and gate
+        factor, the scores are one (1, T) row; the layer adds it to every
+        receiver as its heads do."""
+        layout = gated_layout()
+        tm = gated_stream(layout, 7, rng, np.array([1, 0, 1, 1, 0, 1, 0]))
+        tm.data[layout.rows("x")] = rng.standard_normal((2, 1))
+        zl = tc.zero_layer(layout.dim)
+        for gate in (True, False):
+            fam = ridge(layout, rng, gate=gate)
+            F = tc.family_scores(fam, tm.data)
+            want = head_scores(fam, tm.data)
+            assert F.shape == (1, 7)
+            assert np.max(np.abs(F - want)) <= \
+                fit_float_error(fam, ridge_z(fam, tm.data))
+            got = tc.attn_forward(tc.TransformerLayer([], zl.W1, zl.W2, (fam,)), tm)
+            heads = tc.TransformerLayer(fam.to_heads(), zl.W1, zl.W2)
+            assert_allclose(got.data, tc.attn_forward(heads, tm).data,
+                            rtol=0, atol=1e-12)
 
     def test_layer_norm_and_describe_read_every_head_in_order(self, rng):
         layout = gated_layout()
