@@ -35,8 +35,8 @@ from .uda_ref import (
     kde_eval,
     softmin,
 )
-from .build_iwl import IwlBuildConfig, build_iwl_transformer, verify_iwl
-from .build_dann import DannBuildConfig, build_dann_transformer, verify_dann
+from .build_iwl import build_iwl_transformer, verify_iwl
+from .build_dann import build_dann_transformer, verify_dann
 from .build_select import (
     IcudaBuildConfig,
     SelectionReport,
@@ -49,12 +49,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttentionHead",
-    "DannBuildConfig",
     "DomainPair",
     "HeadFamily",
     "IcudaBuildConfig",
     "IcudaResult",
-    "IwlBuildConfig",
     "SelectionReport",
     "SelectorConfig",
     "ShiftGaussConfig",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,6 +32,12 @@ from .tfcore import (
     TransformerLayer,
     forward_trace,
 )
+
+if TYPE_CHECKING:
+    from .build_select import IcudaBuildConfig
+
+# terms of each multivariate ball-projection fit
+PROJECTION_TERMS = 600
 
 # fits shared by every build in the process, at most _FIT_CACHE_SIZE of
 # them (the oldest is dropped first); their arrays are made read-only, so no
@@ -61,32 +68,6 @@ def _cached(key: tuple, fit):
 
 def _round_up(x: float, step: float = 0.5) -> float:
     return float(np.ceil(x / step) * step)
-
-
-@dataclass
-class DannBuildConfig:
-    d: int = 2
-    K: int = 2
-    eta: float = 0.1
-    lam: float = 1.0
-    L: int = 5
-    delta_gamma: float = 0.05
-    B_u: float = 2.0
-    B_w: float = 1.0
-    B_v: float = 1.0
-    activation: str = "logistic"
-    r_knots: int = 600
-    gl_knots: int = 700
-    p_terms: int = 520
-    proj_terms: int = 600
-    seed: int = 0
-
-    def params(self) -> ur.DannParams:
-        return ur.DannParams(
-            K=self.K, eta=self.eta, lam=self.lam, steps=self.L,
-            delta_gamma=self.delta_gamma, B_u=self.B_u, B_w=self.B_w,
-            B_v=self.B_v, activation=self.activation,
-        )
 
 
 def dann_layout(d: int, K: int) -> SlotLayout:
@@ -125,21 +106,22 @@ def activation_fit(name: str, R1: float, knots: int):
     def fit():
         r, _ = ur.get_activation(name)
         rs, rep = ra.fit_1d(lambda z: r(R1 * np.asarray(z, dtype=float)), 1.0, knots)
-        rs = ra.ReluSum(rs.a / R1, rs.b, rs.c, input_dim=1, radius=R1,
+        rs = ra.ReluSum(rs.a / R1, rs.b, rs.c, input_dim=1,
                         sup_error=rs.sup_error)
         return rs, rep
     return _cached(("act", name, R1, knots), fit)
 
 
-def lossgrad_fit(name: str, R_score: float, delta: float, knots: int):
+def lossgrad_fit(R_score: float, delta: float, knots: int):
     """Per-token loss gradient d gamma(clamp(sig(score)), label) / d score as
-    a binary-gated fit over (score, label)."""
+    a binary-gated fit over (score, label); the score passes through the
+    output logistic whatever the hidden activation."""
     def f(t, v):
         t = np.asarray(t, dtype=float)
         p = ur.logistic(t)
         _, d1 = ur.gamma_value_deriv(p, np.full_like(t, v), delta)
         return d1 * ur.dlogistic(t)
-    return _cached(("lg", name, R_score, delta, knots),
+    return _cached(("lg", R_score, delta, knots),
                    lambda: ra.fit_binary_gated(f, -R_score, R_score, knots))
 
 
@@ -183,7 +165,7 @@ def projection_fit(B: float, R_blk: float, dim: int, terms: int):
     def fit():
         if dim == 1:
             return (ra.exact_terms([[1.0], [-1.0]], [-B, -B], [-1.0, 1.0],
-                                   1, R_blk),), np.array([0.0])
+                                   1),), np.array([0.0])
         fits = []
         errs = []
         for i in range(dim):
@@ -202,7 +184,7 @@ def projection_fit(B: float, R_blk: float, dim: int, terms: int):
 # layer builders
 
 
-def build_forward_attn(layout: SlotLayout, cfg: DannBuildConfig, R1: float):
+def build_forward_attn(layout: SlotLayout, cfg: IcudaBuildConfig, R1: float):
     """Head families rebuilding the label and domain scores into lam/delta
     rows, one per hidden unit k: z_ij = x_i . u_k at sender j."""
     D = layout.dim
@@ -211,10 +193,10 @@ def build_forward_attn(layout: SlotLayout, cfg: DannBuildConfig, R1: float):
     rows = np.r_[layout.row("lam"), layout.row("delta")]
     wsl = layout.rows("w")
     vsl = layout.rows("v")
-    rfit, _ = activation_fit(cfg.activation, R1, cfg.r_knots)
-    d = cfg.d
+    rfit, _ = activation_fit(cfg.sel.activation, R1, cfg.r_knots)
+    d = layout.width("x")
     families = []
-    for k in range(cfg.K):
+    for k in range(cfg.sel.K):
         Qf = np.zeros((d, D))
         Kf = np.zeros((d, D))
         Qf[:, xs] = np.eye(d)
@@ -225,13 +207,13 @@ def build_forward_attn(layout: SlotLayout, cfg: DannBuildConfig, R1: float):
     return tuple(families)
 
 
-def build_lossgrad_mlp(layout: SlotLayout, cfg: DannBuildConfig, R_lam: float,
+def build_lossgrad_mlp(layout: SlotLayout, cfg: IcudaBuildConfig, R_lam: float,
                        R_del: float):
     """Gated MLP: gl for source tokens from (lam, y), gd for train tokens
     from (delta, t); exactly zero elsewhere."""
     D = layout.dim
-    gl_fit, _ = lossgrad_fit(cfg.activation, R_lam, cfg.delta_gamma, cfg.gl_knots)
-    gd_fit, _ = lossgrad_fit(cfg.activation, R_del, cfg.delta_gamma, cfg.gl_knots)
+    gl_fit, _ = lossgrad_fit(R_lam, cfg.sel.delta_gamma, cfg.gl_knots)
+    gd_fit, _ = lossgrad_fit(R_del, cfg.sel.delta_gamma, cfg.gl_knots)
     rows = []
     outs = []
 
@@ -256,7 +238,7 @@ def build_lossgrad_mlp(layout: SlotLayout, cfg: DannBuildConfig, R_lam: float,
     return W1, W2, gl_fit, gd_fit
 
 
-def build_gd_attn(layout: SlotLayout, cfg: DannBuildConfig, n: int, n_prime: int,
+def build_gd_attn(layout: SlotLayout, cfg: IcudaBuildConfig, n: int, n_prime: int,
                   R1: float, S1: float, S3: float):
     """The six update families as gated head families.
 
@@ -278,11 +260,11 @@ def build_gd_attn(layout: SlotLayout, cfg: DannBuildConfig, n: int, n_prime: int
     wsl = layout.rows("w")
     vsl = layout.rows("v")
     N = n + n_prime
-    d = cfg.d
-    eta, lam = cfg.eta, cfg.lam
-    pfit, _ = product_fit(cfg.activation, R1, cfg.p_terms)
+    d = layout.width("x")
+    eta, lam = cfg.sel.eta, cfg.sel.lam_dann
+    pfit, _ = product_fit(cfg.sel.activation, R1, cfg.p_terms)
     parts = ra.ridge_parts(pfit)
-    rfit, _ = activation_fit(cfg.activation, R1, cfg.r_knots)
+    rfit, _ = activation_fit(cfg.sel.activation, R1, cfg.r_knots)
     G = 2.0
     families = []
 
@@ -299,7 +281,7 @@ def build_gd_attn(layout: SlotLayout, cfg: DannBuildConfig, n: int, n_prime: int
             k_g[t_r] = 1.0
         return np.stack([q_g, k_g])
 
-    for k in range(cfg.K):
+    for k in range(cfg.sel.K):
         usl = layout.rows(f"u{k}")
         u_rows, x_cols = np.r_[usl], np.r_[xs]
         # families 1, 3a, 3b: updates of u_k
@@ -337,7 +319,7 @@ def build_gd_attn(layout: SlotLayout, cfg: DannBuildConfig, n: int, n_prime: int
     return tuple(families), pfit, rfit
 
 
-def build_projection_mlp(layout: SlotLayout, cfg: DannBuildConfig,
+def build_projection_mlp(layout: SlotLayout, cfg: IcudaBuildConfig,
                          enable_proj: bool, R_blk: float):
     """Scratch-row zeroing (exact sign pairs) plus optional ball-projection
     corrections for every parameter block."""
@@ -353,10 +335,12 @@ def build_projection_mlp(layout: SlotLayout, cfg: DannBuildConfig,
             cols.append((r, -sign))
     eps_proj = {"u": 0.0, "w": 0.0, "v": 0.0}
     if enable_proj:
-        specs = [(f"u{k}", cfg.B_u, cfg.d, "u") for k in range(cfg.K)]
-        specs += [("w", cfg.B_w, cfg.K, "w"), ("v", cfg.B_v, cfg.K, "v")]
-        for slot, B, dim, tag in specs:
-            fits, errs = projection_fit(B, R_blk, dim, cfg.proj_terms)
+        s = cfg.sel
+        specs = [(f"u{k}", s.B_u, "u") for k in range(s.K)]
+        specs += [("w", s.B_w, "w"), ("v", s.B_v, "v")]
+        for slot, B, tag in specs:
+            dim = layout.width(slot)
+            fits, errs = projection_fit(B, R_blk, dim, PROJECTION_TERMS)
             sl = layout.rows(slot)
             for i, rs in enumerate(fits):
                 for m in range(rs.n_terms):
@@ -389,7 +373,7 @@ def build_copy_mlp(layout: SlotLayout, G: float, src_name: str, out_name: str):
     return W1, W2
 
 
-def build_readout_layer(layout: SlotLayout, cfg: DannBuildConfig, R1: float,
+def build_readout_layer(layout: SlotLayout, cfg: IcudaBuildConfig, R1: float,
                         R_lam: float):
     """Recompute the label score, then copy it into the output slot at the
     query token only."""
@@ -406,7 +390,7 @@ def build_readout_layer(layout: SlotLayout, cfg: DannBuildConfig, R1: float,
 class DannBuild:
     tf: Transformer
     layout: SlotLayout
-    cfg: DannBuildConfig
+    cfg: IcudaBuildConfig
     state0: ur.DannState
     bounds: dict
     fits: dict
@@ -441,40 +425,45 @@ class DannCertificate:
     checks: dict
 
 
-def build_dann_transformer(pair: DomainPair, cfg: DannBuildConfig,
+def build_dann_transformer(pair: DomainPair, cfg: IcudaBuildConfig,
                            state0: ur.DannState | None = None) -> DannBuild:
-    params = cfg.params()
+    """The alignment branch with the hyperparameters of ``cfg.sel`` and the
+    knot and term counts ``cfg.r_knots``, ``cfg.gl_knots`` and
+    ``cfg.p_terms``, started from ``state0`` (by default the reference
+    start of ``cfg.sel.seed``)."""
+    s = cfg.sel
+    params = ur.dann_params(s)
     if state0 is None:
-        state0 = ur.init_dann(params, pair.d, cfg.seed)
+        state0 = ur.init_dann(params, pair.d, s.seed)
     ref_trace = ur.dann_run(state0, pair, params)
 
     all_x = np.concatenate([pair.source_x, pair.target_x, pair.query_x], axis=0)
     B_x = float(np.max(np.linalg.norm(all_x, axis=1)))
     # 2 percent headroom so approximate projections and small drifts stay
     # inside every fit domain; containment is re-measured at verify time
-    R1 = _round_up(max(1.02 * cfg.B_u * B_x, 1.0))
-    sqK = float(np.sqrt(cfg.K))
-    r, _ = ur.get_activation(cfg.activation)
+    R1 = _round_up(max(1.02 * s.B_u * B_x, 1.0))
+    sqK = float(np.sqrt(s.K))
+    r, _ = ur.get_activation(s.activation)
     r_max = float(np.max(np.abs(r(np.linspace(-R1, R1, 4001)))))
-    R_lam = _round_up(max(1.02 * sqK * cfg.B_w * r_max, 1.0))
-    R_del = _round_up(max(1.02 * sqK * cfg.B_v * r_max, 1.0))
+    R_lam = _round_up(max(1.02 * sqK * s.B_w * r_max, 1.0))
+    R_del = _round_up(max(1.02 * sqK * s.B_v * r_max, 1.0))
     R_sc = max(R_lam, R_del)
 
-    gl_fit, _ = lossgrad_fit(cfg.activation, R_sc, cfg.delta_gamma, cfg.gl_knots)
+    gl_fit, _ = lossgrad_fit(R_sc, s.delta_gamma, cfg.gl_knots)
     B_g = _gl_value_bound(gl_fit, R_sc, cfg.gl_knots)
-    S1 = 1.02 * cfg.B_w * B_g
-    S3 = 1.02 * cfg.B_v * B_g
+    S1 = 1.02 * s.B_w * B_g
+    S3 = 1.02 * s.B_v * B_g
 
     # projection needed only if some pre-projection block can leave its ball
     pre_norms = _pre_projection_norms(ref_trace, pair, params)
-    slack = 0.05 * min(cfg.B_u, cfg.B_w, cfg.B_v)
+    slack = 0.05 * min(s.B_u, s.B_w, s.B_v)
     enable_proj = bool(
-        pre_norms["u"] > cfg.B_u - slack or pre_norms["w"] > cfg.B_w - slack
-        or pre_norms["v"] > cfg.B_v - slack)
+        pre_norms["u"] > s.B_u - slack or pre_norms["w"] > s.B_w - slack
+        or pre_norms["v"] > s.B_v - slack)
     R_blk = _round_up(max(pre_norms["u"], pre_norms["w"], pre_norms["v"],
-                          cfg.B_u, cfg.B_w, cfg.B_v) * 1.5)
+                          s.B_u, s.B_w, s.B_v) * 1.5)
 
-    layout = dann_layout(cfg.d, cfg.K)
+    layout = dann_layout(pair.d, s.K)
     D = layout.dim
     W1_lg, W2_lg, gl_fit, gd_fit = build_lossgrad_mlp(layout, cfg, R_sc, R_sc)
     layer_a = TransformerLayer([], W1_lg, W2_lg, build_forward_attn(layout, cfg, R1))
@@ -485,7 +474,7 @@ def build_dann_transformer(pair: DomainPair, cfg: DannBuildConfig,
     layer_c = TransformerLayer([], W1_p, W2_p)
 
     layers = []
-    for _ in range(cfg.L):
+    for _ in range(s.L):
         layers += [dataclasses.replace(layer) for layer in (layer_a, layer_b, layer_c)]
     layers.append(build_readout_layer(layout, cfg, R1, R_lam))
     tf = Transformer(layers, layout, readout=("fdann", None))
@@ -519,9 +508,9 @@ def _pre_projection_norms(trace: list, pair: DomainPair, params: ur.DannParams) 
     return out
 
 
-def _state_from(tm_data: np.ndarray, layout: SlotLayout, cfg: DannBuildConfig,
+def _state_from(tm_data: np.ndarray, layout: SlotLayout, K: int,
                 col: int) -> ur.DannState:
-    u = np.stack([tm_data[layout.rows(f"u{k}"), col] for k in range(cfg.K)])
+    u = np.stack([tm_data[layout.rows(f"u{k}"), col] for k in range(K)])
     return ur.DannState(u, tm_data[layout.rows("w"), col].copy(),
                         tm_data[layout.rows("v"), col].copy())
 
@@ -540,8 +529,8 @@ def certify_dann(build: DannBuild, pair: DomainPair, trace: list[np.ndarray],
     ``trace`` holds the stream after every layer of ``build.tf``, in
     ``build.layout`` rows, with the query token in the last column.
     """
-    cfg = build.cfg
-    params = cfg.params()
+    s = build.cfg.sel
+    params = ur.dann_params(s)
     layout = build.layout
     q = trace[-1].shape[1] - 1
 
@@ -550,9 +539,9 @@ def certify_dann(build: DannBuild, pair: DomainPair, trace: list[np.ndarray],
     eps_gd = build.fits["gd"].sup_error
     eps_p = build.fits["p"].sup_error
     B = build.bounds
-    L_gamma = lossgrad_lipschitz(B["R_sc"], cfg.delta_gamma)
-    sqK = float(np.sqrt(cfg.K))
-    r, dr = ur.get_activation(cfg.activation)
+    L_gamma = lossgrad_lipschitz(B["R_sc"], s.delta_gamma)
+    sqK = float(np.sqrt(s.K))
+    r, dr = ur.get_activation(s.activation)
     B_rp = float(np.max(np.abs(dr(np.linspace(-B["R1"], B["R1"], 4001)))))
     B_r = B["r_max"] + eps_r
 
@@ -563,11 +552,11 @@ def certify_dann(build: DannBuild, pair: DomainPair, trace: list[np.ndarray],
     gate_ok = True
     box_ok = True
     domain_ok = True
-    for l in range(cfg.L):
+    for l in range(s.L):
         post_a = trace[3 * l]
         post_c = trace[3 * l + 2]
         prev = tf_states[-1]
-        cur = _state_from(post_c, layout, cfg, q)
+        cur = _state_from(post_c, layout, s.K, q)
         tf_states.append(cur)
 
         # realized per-token quantities for this step
@@ -583,7 +572,7 @@ def certify_dann(build: DannBuild, pair: DomainPair, trace: list[np.ndarray],
         domain_ok &= bool(w_inf * Bg_l <= B["S1"] and v_inf * Bgd_l <= B["S3"]
                           and u_row * B["B_x"] <= B["R1"])
         if build.proj_enabled:
-            raw = _state_from(trace[3 * l + 1], layout, cfg, q)
+            raw = _state_from(trace[3 * l + 1], layout, s.K, q)
             domain_ok &= bool(
                 max(float(np.max(np.linalg.norm(raw.u, axis=1))),
                     float(np.linalg.norm(raw.w)),
@@ -596,19 +585,19 @@ def certify_dann(build: DannBuild, pair: DomainPair, trace: list[np.ndarray],
         E_gl = eps_gl + L_gamma * wl1 * eps_r
         E_gd = eps_gd + L_gamma * vl1 * eps_r
 
-        per_u_src = B["B_x"] * (B["S1"] * eps_p + cfg.B_w * B_rp * E_gl)
-        per_u_dom = B["B_x"] * (B["S3"] * eps_p + cfg.B_v * B_rp * E_gd)
-        eps_u = sqK * (per_u_src + cfg.lam * 2.0 * per_u_dom)
+        per_u_src = B["B_x"] * (B["S1"] * eps_p + s.B_w * B_rp * E_gl)
+        per_u_dom = B["B_x"] * (B["S3"] * eps_p + s.B_v * B_rp * E_gd)
+        eps_u = sqK * (per_u_src + s.lam_dann * 2.0 * per_u_dom)
         eps_w = sqK * ((Bg_l + E_gl) * eps_r + B_r * E_gl)
-        eps_v = sqK * cfg.lam * 2.0 * ((Bgd_l + E_gd) * eps_r + B_r * E_gd)
+        eps_v = sqK * s.lam_dann * 2.0 * ((Bgd_l + E_gd) * eps_r + B_r * E_gd)
 
         exact = ur.dann_step(prev, pair, params)
         dev_u = float(np.linalg.norm(cur.u - exact.u))
         dev_w = float(np.linalg.norm(cur.w - exact.w))
         dev_v = float(np.linalg.norm(cur.v - exact.v))
-        bu = cfg.eta * eps_u + build.eps_proj["u"] * sqK
-        bw = cfg.eta * eps_w + build.eps_proj["w"]
-        bv = cfg.eta * eps_v + build.eps_proj["v"]
+        bu = s.eta * eps_u + build.eps_proj["u"] * sqK
+        bw = s.eta * eps_w + build.eps_proj["w"]
+        bv = s.eta * eps_v + build.eps_proj["v"]
         ok = dev_u <= bu and dev_w <= bw and dev_v <= bv
         rows.append(DannStepRow(l + 1, dev_u, dev_w, dev_v, bu, bw, bv, ok))
 
@@ -629,14 +618,14 @@ def certify_dann(build: DannBuild, pair: DomainPair, trace: list[np.ndarray],
     # Lipschitz constant of the true score in the parameters, along the
     # segment between the realized and reference final states
     W_seg = max(float(np.max(np.abs(final.w))), float(np.max(np.abs(ref_final.w))))
-    G_lam = float(np.sqrt(cfg.K * B_r**2 + cfg.K * (W_seg * B_rp * B["B_x"])**2))
+    G_lam = float(np.sqrt(s.K * B_r**2 + s.K * (W_seg * B_rp * B["B_x"])**2))
     cum_final = float(np.linalg.norm(final.flat() - ref_final.flat()))
     cumulative = eps_r * float(np.sum(np.abs(final.w))) + G_lam * cum
 
     pred_tf = float(trace[-1][layout.row("fdann"), q])
     pred_ref = float(ur.dann_predict(ref_final,
                                      pair.query_x[query_index : query_index + 1],
-                                     cfg.activation)[0])
+                                     s.activation)[0])
     checks = {
         "score_box_contained": box_ok,
         "grad_bound_contained": gate_ok,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,19 +32,8 @@ from .tfcore import (
     read_output,
 )
 
-
-@dataclass
-class IwlBuildConfig:
-    d: int = 1
-    J: int = 4
-    lam: float = 1.0
-    eta1: float = 0.5
-    L1: int = 10
-    eta2: float = 0.1
-    L2: int = 20
-    feature_knots: int = 400
-    grad_knots: int = 160
-    seed: int = 0
+if TYPE_CHECKING:
+    from .build_select import IcudaBuildConfig
 
 
 # terms of each multivariate feature fit, and the summed |value coefficient|
@@ -63,7 +53,7 @@ def iwl_layout(d: int, J: int) -> SlotLayout:
 # layer builders
 
 
-def feature_heads(layout: SlotLayout, fits: list[ra.ReluSum], phi_name: str = "phi"):
+def feature_heads(layout: SlotLayout, fits: list[ra.ReluSum]):
     """One head per fit term; the score depends only on the receiving token,
     and averaging the constant value column over senders leaves it unchanged.
     1-D fits give one HeadFamily each (z_ij = x_i, read as x_i times the
@@ -71,7 +61,7 @@ def feature_heads(layout: SlotLayout, fits: list[ra.ReluSum], phi_name: str = "p
     D = layout.dim
     xs = layout.rows("x")
     one = layout.row("one")
-    phi0 = layout.rows(phi_name).start
+    phi0 = layout.start("phi")
     out = []
     for j, rs in enumerate(fits):
         rows, cols = np.r_[phi0 + j], np.r_[one]
@@ -106,8 +96,7 @@ def _term_slices(masses: np.ndarray, cap: float) -> list[tuple[int, int]]:
 
 
 def build_feature_layers(layout: SlotLayout, fmap: ur.RbfFeatureMap,
-                         x_radius: float, cfg: IwlBuildConfig,
-                         phi_name: str = "phi"):
+                         x_radius: float, cfg: IcudaBuildConfig):
     """Fit each feature component over the instance's coordinate box.
 
     Heads are packed into as many layers as needed to keep each layer's
@@ -127,10 +116,10 @@ def build_feature_layers(layout: SlotLayout, fmap: ur.RbfFeatureMap,
             def comp(P, j=j):
                 return fmap(P)[:, j]
             rs, rep = ra.fit_nd(comp, d, x_radius, FEATURE_TERMS_ND,
-                                seed=cfg.seed + 7 * j)
+                                seed=cfg.sel.seed + 7 * j)
         fits.append(rs)
         errs.append(rep.sup_error)
-    units = feature_heads(layout, fits, phi_name)
+    units = feature_heads(layout, fits)
     # unit u's terms are terms first[u]:first[u + 1] of the fits, in order;
     # each term's value block is the 1 x 1 [[c_m]]
     first = np.cumsum([0] + [u.n_terms if isinstance(u, HeadFamily) else 1
@@ -155,8 +144,7 @@ def build_feature_layers(layout: SlotLayout, fmap: ur.RbfFeatureMap,
 
 
 def build_alpha_layer(layout: SlotLayout, n: int, n_prime: int, N: int,
-                      eta1: float, lam: float, R_alpha: float,
-                      phi_name: str = "phi", alpha_name: str = "alpha") -> TransformerLayer:
+                      eta1: float, lam: float, R_alpha: float) -> TransformerLayer:
     """One exact gradient step on the ratio coefficients (four heads).
 
     Heads 1 and 2 form relu(z) - relu(-z) = z on source-gated scores to apply
@@ -164,8 +152,8 @@ def build_alpha_layer(layout: SlotLayout, n: int, n_prime: int, N: int,
     ridge shrinkage through the train-token average of the coefficient slot.
     """
     D = layout.dim
-    phi = layout.rows(phi_name)
-    alpha = layout.rows(alpha_name)
+    phi = layout.rows("phi")
+    alpha = layout.rows("alpha")
     one = layout.row("one")
     t = layout.row("t")
     s = layout.row("s")
@@ -207,16 +195,14 @@ def grad_surrogate(R_box: float, knots: int) -> ra.ReluSum:
     sq, _ = ra.fit_1d(lambda r: r * r, R_box, knots)
     p_part = ra.lift(sq, np.array([0.5, 0.0, 0.5]), 3)
     q_raw = ra.lift(sq, np.array([0.5, 0.0, -0.5]), 3)
-    q_part = ra.ReluSum(q_raw.a, q_raw.b, -q_raw.c, 3, np.inf, q_raw.sup_error)
+    q_part = ra.ReluSum(q_raw.a, q_raw.b, -q_raw.c, 3, q_raw.sup_error)
     G = max(R_box, 1.0)
     uy = ra.exact_terms([[0.0, G, 1.0], [0.0, G, -1.0]], [-G, -G], [-1.0, 1.0], 3)
-    return ra.combine([p_part, q_part, uy], 3, R_box)
+    return ra.combine([p_part, q_part, uy], 3)
 
 
 def build_w_layer(layout: SlotLayout, n: int, N: int, eta2: float,
-                  grad_fit: ra.ReluSum, gate: float,
-                  phi_name: str = "phi", alpha_name: str = "alpha",
-                  w_name: str = "w") -> TransformerLayer:
+                  grad_fit: ra.ReluSum, gate: float) -> TransformerLayer:
     """One weighted gradient step on the regression weights.
 
     Each surrogate term becomes a head whose score rebuilds the term's input
@@ -226,9 +212,9 @@ def build_w_layer(layout: SlotLayout, n: int, N: int, eta2: float,
     become two families; its two exact u y terms stay plain heads.
     """
     D = layout.dim
-    phi = layout.rows(phi_name)
-    alpha = layout.rows(alpha_name)
-    wsl = layout.rows(w_name)
+    phi = layout.rows("phi")
+    alpha = layout.rows("alpha")
+    wsl = layout.rows("w")
     one = layout.row("one")
     ty = layout.row("y")
     t = layout.row("t")
@@ -275,14 +261,13 @@ def build_w_layer(layout: SlotLayout, n: int, N: int, eta2: float,
                             tuple(families))
 
 
-def build_readout_layer(layout: SlotLayout, w_name: str = "w",
-                        phi_name: str = "phi", out_name: str = "fout") -> TransformerLayer:
+def build_readout_layer(layout: SlotLayout) -> TransformerLayer:
     """Writes the receiver's phi . w into the output slot via an exact
     relu(z) - relu(-z) pair."""
     D = layout.dim
-    phi = layout.rows(phi_name)
-    wsl = layout.rows(w_name)
-    out = layout.row(out_name)
+    phi = layout.rows("phi")
+    wsl = layout.rows("w")
+    out = layout.row("fout")
     one = layout.row("one")
     J = phi.stop - phi.start
     heads = []
@@ -347,7 +332,7 @@ class IwlBuild:
     feature_fits: list
     eps_phi: np.ndarray
     grad_fit: ra.ReluSum
-    cfg: IwlBuildConfig
+    cfg: IcudaBuildConfig
     bounds: dict
     ref: dict
 
@@ -368,12 +353,13 @@ class IwlCertificate:
     hypothesis_checks: dict
 
 
-def build_iwl_transformer(pair: DomainPair, cfg: IwlBuildConfig) -> IwlBuild:
-    fmap = ur.make_feature_map(pair, cfg.J, cfg.seed)
-    prob = ur.ulsif_problem(fmap, pair, cfg.lam)
-    alphas = ur.ulsif_gd(prob, cfg.eta1, cfg.L1)
-    qhat = ur.ratio_values(alphas[-1], prob.phi_source)
-    W = ur.iwl_run(prob.phi_source, pair.source_y, qhat, cfg.eta2, cfg.L2)
+def build_iwl_transformer(pair: DomainPair, cfg: IcudaBuildConfig) -> IwlBuild:
+    """The ratio-weighted branch with the hyperparameters of ``cfg.sel`` and
+    the knot counts ``cfg.feature_knots`` and ``cfg.grad_knots``."""
+    s = cfg.sel
+    # the oracle's run, which the layers replay
+    _, ref = ur.iwl_pipeline(pair, s, pair.query_x[0])
+    fmap, prob, alphas, W = ref["fmap"], ref["prob"], ref["alphas"], ref["W"]
 
     # gate scales from the reference trace, with headroom; containment is
     # re-checked at verification time
@@ -385,21 +371,20 @@ def build_iwl_transformer(pair: DomainPair, cfg: IwlBuildConfig) -> IwlBuild:
     all_x = np.concatenate([pair.source_x, pair.target_x, pair.query_x], axis=0)
     x_radius = 1.1 * float(np.max(np.abs(all_x))) + 0.1
 
-    layout = iwl_layout(cfg.d, cfg.J)
+    layout = iwl_layout(pair.d, s.J)
     feat_layers, fits, eps_phi = build_feature_layers(layout, fmap, x_radius, cfg)
     grad_fit = grad_surrogate(R_box, cfg.grad_knots)
     N = pair.n + pair.n_prime
     gate_w = max(R_box, 1.0)
     layers = list(feat_layers)
-    layers += [build_alpha_layer(layout, pair.n, pair.n_prime, N, cfg.eta1,
-                                 cfg.lam, B_alpha) for _ in range(cfg.L1)]
-    layers += [build_w_layer(layout, pair.n, N, cfg.eta2, grad_fit, gate_w)
-               for _ in range(cfg.L2)]
+    layers += [build_alpha_layer(layout, pair.n, pair.n_prime, N, s.eta1,
+                                 s.lam, B_alpha) for _ in range(s.L1)]
+    layers += [build_w_layer(layout, pair.n, N, s.eta2, grad_fit, gate_w)
+               for _ in range(s.L2)]
     layers.append(build_readout_layer(layout))
     tf = Transformer(layers, layout, readout=("fout", None))
     bounds = {"B_alpha": B_alpha, "R_box": R_box, "x_radius": x_radius,
               "gate_w": gate_w}
-    ref = {"prob": prob, "alphas": alphas, "W": W, "qhat": qhat}
     return IwlBuild(tf, layout, fmap, fits, eps_phi, grad_fit, cfg, bounds, ref)
 
 
@@ -426,30 +411,29 @@ def certify_iwl(build: IwlBuild, pair: DomainPair, pred_tf: float,
     and a directly measured feature part (fitted-feature pipeline against the
     true-feature pipeline).
     """
-    cfg = build.cfg
+    s = build.cfg.sel
     # pipeline on fitted features (surrogate oracle)
     phi_s = _surrogate_features(build, pair.source_x)
     phi_t = _surrogate_features(build, pair.target_x)
     phi_q = _surrogate_features(build, pair.query_x[query_index : query_index + 1])[0]
-    prob_b = ur.UlsifProblem(phi_s, phi_t, cfg.lam)
-    alphas_b = ur.ulsif_gd(prob_b, cfg.eta1, cfg.L1)
+    prob_b = ur.UlsifProblem(phi_s, phi_t, s.lam)
+    alphas_b = ur.ulsif_gd(prob_b, s.eta1, s.L1)
     qhat_b = ur.ratio_values(alphas_b[-1], phi_s)
-    W_b = ur.iwl_run(phi_s, pair.source_y, qhat_b, cfg.eta2, cfg.L2)
+    W_b = ur.iwl_run(phi_s, pair.source_y, qhat_b, s.eta2, s.L2)
     pred_b = float(W_b[-1] @ phi_q)
 
     # pipeline on true features (the reference target)
-    prob_a = build.ref["prob"]
     W_a = build.ref["W"]
     phi_q_true = build.fmap(pair.query_x[query_index : query_index + 1])[0]
     pred_a = float(W_a[-1] @ phi_q_true)
 
     eps_grad = build.grad_fit.sup_error
     H_b = phi_s.T @ (phi_s * qhat_b[:, None]) / pair.n
-    rho = operator_norm(np.eye(cfg.J) - cfg.eta2 * H_b)
+    rho = operator_norm(np.eye(s.J) - s.eta2 * H_b)
     B_phi = float(max(np.max(np.linalg.norm(phi_s, axis=1)), 1e-12))
     D = 0.0
-    for _ in range(cfg.L2):
-        D = rho * D + cfg.eta2 * eps_grad * B_phi
+    for _ in range(s.L2):
+        D = rho * D + s.eta2 * eps_grad * B_phi
     grad_term = D * float(np.linalg.norm(phi_q)) + 1e-9
     feat_term = abs(pred_b - pred_a)
     bound = grad_term + feat_term
@@ -463,7 +447,7 @@ def certify_iwl(build: IwlBuild, pair: DomainPair, pred_tf: float,
     lam_max = float(np.max(np.linalg.eigvalsh((H_b + H_b.T) / 2)))
     wstar = None
     try:
-        wstar = np.linalg.solve(H_b + 1e-12 * np.eye(cfg.J),
+        wstar = np.linalg.solve(H_b + 1e-12 * np.eye(s.J),
                                 phi_s.T @ (qhat_b * pair.source_y) / pair.n)
     except np.linalg.LinAlgError:
         pass
@@ -476,9 +460,9 @@ def certify_iwl(build: IwlBuild, pair: DomainPair, pred_tf: float,
             np.max(np.abs(np.concatenate([phi_s, phi_t]) @ alphas_b.T))
             <= build.bounds["B_alpha"]),
         "phi_norm_max": B_phi,
-        "phi_norm_le_1": bool(B_phi <= 1.0 + float(np.sqrt(cfg.J)) * np.max(build.eps_phi)),
+        "phi_norm_le_1": bool(B_phi <= 1.0 + float(np.sqrt(s.J)) * np.max(build.eps_phi)),
         "lam_max": lam_max,
-        "curvature_le_half_eta2": bool(lam_max <= cfg.eta2 / 2),
+        "curvature_le_half_eta2": bool(lam_max <= s.eta2 / 2),
         "wstar_norm": float(np.linalg.norm(wstar)) if wstar is not None else np.nan,
     }
     return IwlCertificate(

@@ -22,14 +22,13 @@ import numpy as np
 from . import relu_approx as ra
 from . import uda_ref as ur
 from .build_dann import (
-    DannBuildConfig,
     _round_up,
     build_copy_mlp,
     build_dann_transformer,
     certify_dann,
     encode_dann,
 )
-from .build_iwl import IwlBuildConfig, build_iwl_transformer, certify_iwl
+from .build_iwl import build_iwl_transformer, certify_iwl
 from .datagen import DomainPair, encode_tokens
 from .tfcore import (
     AttentionHead,
@@ -102,7 +101,7 @@ def log_knot_grid(s_lo: float, s_hi: float, M: int) -> np.ndarray:
 
 
 def build_kde_attn(kernel_fit: ra.ReluSum, layout: SlotLayout, n: int, T: int,
-                   B_x: float, p_name: str = "p_kde"):
+                   B_x: float):
     """Heads writing the mean source-kernel mass at every receiving token,
     as (plain heads, families).
 
@@ -115,7 +114,7 @@ def build_kde_attn(kernel_fit: ra.ReluSum, layout: SlotLayout, n: int, T: int,
     xs = layout.rows("x")
     one = layout.row("one")
     t_r = layout.row("t")
-    rows, cols = np.r_[layout.row(p_name)], np.r_[one]
+    rows, cols = np.r_[layout.row("p_kde")], np.r_[one]
     G = 2.0 * max(B_x, 1.0) + 1.0
     Q = np.zeros((3, D))
     K = np.zeros((3, D))
@@ -160,8 +159,7 @@ def build_fit_mlp(fit: ra.ReluSum, layout: SlotLayout, in_name: str,
     return W1, W2
 
 
-def build_sum_attn(layout: SlotLayout, T: int, e_name: str = "e_soft",
-                   sum_name: str = "e_sum") -> list[AttentionHead]:
+def build_sum_attn(layout: SlotLayout, T: int) -> list[AttentionHead]:
     """Exact sum of the exponentials over target training tokens.
 
     The gate score s_j - t_j is already 0 or 1, so a single linear head sums
@@ -174,13 +172,11 @@ def build_sum_attn(layout: SlotLayout, T: int, e_name: str = "e_soft",
     K[0, layout.row("s")] = 1.0
     K[0, layout.row("t")] = -1.0
     return [AttentionHead(Q, K, np.array([[float(T)]]),
-                          np.r_[layout.row(sum_name)], np.r_[layout.row(e_name)])]
+                          np.r_[layout.row("e_sum")], np.r_[layout.row("e_soft")])]
 
 
 def build_select_attn(layout: SlotLayout, delta: float, a: float, G: float,
-                      T: int, fiwl_name: str, fdann_name: str,
-                      q_name: str = "q_soft",
-                      sel_name: str = "blend") -> list[AttentionHead]:
+                      T: int, fiwl_name: str, fdann_name: str) -> list[AttentionHead]:
     """Blend the branch predictions with the clipped linear indicator.
 
     relu(z + 1/2) - relu(z - 1/2) at z = a (q - delta) weights the ratio
@@ -189,8 +185,8 @@ def build_select_attn(layout: SlotLayout, delta: float, a: float, G: float,
     """
     D = layout.dim
     one = layout.row("one")
-    q_r = layout.row(q_name)
-    sel = layout.row(sel_name)
+    q_r = layout.row("q_soft")
+    sel = layout.row("blend")
     heads = []
     for src_row, a_sign in ((layout.row(fiwl_name), 1.0),
                             (layout.row(fdann_name), -1.0)):
@@ -215,14 +211,14 @@ def build_select_attn(layout: SlotLayout, delta: float, a: float, G: float,
 @dataclass
 class IcudaBuildConfig:
     """The one table of build settings for the composed model and for
-    either branch built alone.
+    either branch built alone: ``build_iwl_transformer``,
+    ``build_dann_transformer`` and ``build_icuda_transformer`` all take it.
 
     ``sel`` holds the algorithm's hyperparameters and ``a`` the selector's
     indicator sharpness; both come from a config's ``hyper``.  Every other
     field is a build knob (BUILD_KNOBS): the knot or term count of one
-    fitted part, named as the part's builder names it and applied wherever
-    that part is built: ``iwl_config`` passes the IWL knobs, ``dann_config``
-    the DANN knobs, and the composed build also reads the selector knobs.
+    fitted part, named as the part's builder names it and read by that
+    builder wherever the part is built, alone or in the composed model.
 
     - selector: ``kernel_knots`` (source-density kernel), ``exp_knots``
       (soft-min exponential), ``log_knots`` (its logarithm);
@@ -242,23 +238,6 @@ class IcudaBuildConfig:
     r_knots: int = 600
     gl_knots: int = 700
     p_terms: int = 520
-
-    def iwl_config(self, d: int) -> IwlBuildConfig:
-        s = self.sel
-        return IwlBuildConfig(
-            d=d, J=s.J, lam=s.lam, eta1=s.eta1, L1=s.L1, eta2=s.eta2,
-            L2=s.L2, feature_knots=self.feature_knots,
-            grad_knots=self.grad_knots, seed=s.seed,
-        )
-
-    def dann_config(self, d: int) -> DannBuildConfig:
-        s = self.sel
-        return DannBuildConfig(
-            d=d, K=s.K, eta=s.eta, lam=s.lam_dann, L=s.L,
-            delta_gamma=s.delta_gamma, B_u=s.B_u, B_w=s.B_w, B_v=s.B_v,
-            activation=s.activation, r_knots=self.r_knots,
-            gl_knots=self.gl_knots, p_terms=self.p_terms, seed=s.seed,
-        )
 
 
 BUILD_KNOBS = tuple(f.name for f in fields(IcudaBuildConfig)
@@ -304,8 +283,8 @@ class SelectionReport:
 
 def build_icuda_transformer(pair: DomainPair, cfg: IcudaBuildConfig) -> IcudaBuild:
     s = cfg.sel
-    iwl_build = build_iwl_transformer(pair, cfg.iwl_config(pair.d))
-    dann_build = build_dann_transformer(pair, cfg.dann_config(pair.d))
+    iwl_build = build_iwl_transformer(pair, cfg)
+    dann_build = build_dann_transformer(pair, cfg)
 
     unified, mappings = union_layout([iwl_build.tf, dann_build.tf],
                                      ["iwl", "dann"])

@@ -357,10 +357,10 @@ def _icuda_record(build, pair) -> dict:
 # verdict fields of one seed, the caller adds seed and tf_norm
 ALGO_TABLE = {
     "iwl": (lambda cfg, scfg, pair: build_iwl_transformer(
-                pair, build_config(cfg, scfg).iwl_config(pair.d)),
+                pair, build_config(cfg, scfg)),
             _iwl_record),
     "dann": (lambda cfg, scfg, pair: build_dann_transformer(
-                 pair, build_config(cfg, scfg).dann_config(pair.d)),
+                 pair, build_config(cfg, scfg)),
              _dann_record),
     "icuda": (lambda cfg, scfg, pair: build_icuda_transformer(
                   pair, build_config(cfg, scfg)),

@@ -29,31 +29,26 @@ import numpy as np
 
 @dataclass
 class ReluSum:
-    """f(z) = sum_m c[m] * relu(a[m] . (z - center) ... ); a has shape (M, k).
+    """f(z) = sum_m c[m] * relu(a[m] . z + b[m]); a has shape (M, k).
 
-    The domain of validity is the box |z - center|_inf <= radius.  Terms are
-    stored in the original input coordinates; center only shifts the
-    validity box.  ``ridges`` is fit_nd's dictionary (see Ridges), None for
-    every other sum.
+    sup_error bounds the error only on the input range the fit was made
+    for (the knot interval of a 1-D fit, the box of fit_nd); the sum itself
+    does not record that range, so keeping the inputs inside it is the
+    caller's part.  ``ridges`` is fit_nd's dictionary (see Ridges), None
+    for every other sum.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     input_dim: int
-    radius: float
     sup_error: float
-    center: np.ndarray | None = None
     ridges: Ridges | None = None
 
     def __post_init__(self):
         self.a = np.atleast_2d(np.asarray(self.a, dtype=float))
         self.b = np.asarray(self.b, dtype=float).ravel()
         self.c = np.asarray(self.c, dtype=float).ravel()
-        if self.center is None:
-            self.center = np.zeros(self.input_dim)
-        else:
-            self.center = np.asarray(self.center, dtype=float).ravel()
 
     @property
     def n_terms(self) -> int:
@@ -223,10 +218,7 @@ def fit_knots(f, knots: np.ndarray) -> tuple[ReluSum, FitReport]:
     b = np.concatenate([[1.0], -knots[:-1]])
     c = np.concatenate([[vals[0]], deltas])
     a, b, c = _normalize_terms(a, b, c)
-    center = 0.5 * (knots[0] + knots[-1])
-    R = 0.5 * (knots[-1] - knots[0])
-    rs = ReluSum(a, b, c, input_dim=1, radius=float(R), sup_error=0.0,
-                 center=np.array([center]))
+    rs = ReluSum(a, b, c, input_dim=1, sup_error=0.0)
 
     n_sub = 12
     frac = np.linspace(0.0, 1.0, n_sub)
@@ -355,8 +347,8 @@ def fit_nd(f, k: int, R: float, M: int, seed: int = 0) -> tuple[ReluSum, FitRepo
     kappa = np.sum(np.abs(A), axis=1) + np.abs(B)
     alpha = np.where(index >= 0, 1.0 / kappa, 0.0)
     a = alpha[:, None] * dirs[index]
-    rs = ReluSum(a, B / kappa, coef * kappa, input_dim=k, radius=float(R),
-                 sup_error=0.0, ridges=Ridges(dirs, index, alpha))
+    rs = ReluSum(a, B / kappa, coef * kappa, input_dim=k, sup_error=0.0,
+                 ridges=Ridges(dirs, index, alpha))
 
     n_test = max({2: 120, 3: 50}[k], 3 * max(knots_per_dir))
     tpts = _axis_grid(R, k, n_test, midpoints=True)
@@ -411,15 +403,14 @@ def lift(rs: ReluSum, d: np.ndarray, k: int) -> ReluSum:
         raise ValueError("direction length must match the lifted dimension")
     a = rs.a[:, 0][:, None] * d[None, :]
     A, B, C = _normalize_terms(a, rs.b, rs.c)
-    return ReluSum(A, B, C, input_dim=k, radius=np.inf, sup_error=rs.sup_error)
+    return ReluSum(A, B, C, input_dim=k, sup_error=rs.sup_error)
 
 
-def combine(parts: list[ReluSum], k: int, radius: float,
-            center: np.ndarray | None = None) -> ReluSum:
+def combine(parts: list[ReluSum], k: int) -> ReluSum:
     """Sum of several ReluSum parts over a shared input space.
 
     sup_error adds across parts (triangle inequality), so the result is sound
-    whenever each part's error is sound on the stated box.
+    wherever each part's error is.
     """
     if not parts:
         raise ValueError("need at least one part")
@@ -430,14 +421,13 @@ def combine(parts: list[ReluSum], k: int, radius: float,
     b = np.concatenate([p.b for p in parts])
     c = np.concatenate([p.c for p in parts])
     err = float(sum(p.sup_error for p in parts))
-    return ReluSum(a, b, c, input_dim=k, radius=float(radius),
-                   sup_error=err, center=center)
+    return ReluSum(a, b, c, input_dim=k, sup_error=err)
 
 
-def exact_terms(a, b, c, k: int, radius: float = np.inf) -> ReluSum:
+def exact_terms(a, b, c, k: int) -> ReluSum:
     """ReluSum from explicit terms with zero approximation error."""
     A, B, C = _normalize_terms(np.atleast_2d(np.asarray(a, dtype=float)), b, c)
-    return ReluSum(A, B, C, input_dim=k, radius=float(radius), sup_error=0.0)
+    return ReluSum(A, B, C, input_dim=k, sup_error=0.0)
 
 
 def fit_binary_gated(f, lo: float, hi: float, M: int) -> tuple[ReluSum, FitReport]:
@@ -461,11 +451,10 @@ def fit_binary_gated(f, lo: float, hi: float, M: int) -> tuple[ReluSum, FitRepor
             a2 = np.stack([rs.a[:, 0], -G], axis=1)
             b2 = rs.b
         A, B, C = _normalize_terms(a2, b2, rs.c)
-        parts.append(ReluSum(A, B, C, input_dim=2, radius=np.inf, sup_error=0.0))
+        parts.append(ReluSum(A, B, C, input_dim=2, sup_error=0.0))
         reps.append(rep)
     worst = max(reps, key=lambda r: r.grid_sup + r.margin)
-    out = combine(parts, 2, radius=0.5 * (hi - lo),
-                  center=np.array([0.5 * (lo + hi), 0.5]))
+    out = combine(parts, 2)
     fl_err = float_error(out, [max(abs(lo), abs(hi)), 1.0])
     out.sup_error = worst.grid_sup + worst.margin + fl_err
     report = FitReport(

@@ -419,12 +419,17 @@ def iwl_pipeline(pair: DomainPair, cfg: SelectorConfig, query: np.ndarray):
     return pred, {"fmap": fmap, "prob": prob, "alphas": alphas, "W": W}
 
 
-def dann_pipeline(pair: DomainPair, cfg: SelectorConfig, query: np.ndarray):
-    params = DannParams(
+def dann_params(cfg: SelectorConfig) -> DannParams:
+    """The alignment branch's hyperparameters, read from the selector's."""
+    return DannParams(
         K=cfg.K, eta=cfg.eta, lam=cfg.lam_dann, steps=cfg.L,
         delta_gamma=cfg.delta_gamma, B_u=cfg.B_u, B_w=cfg.B_w, B_v=cfg.B_v,
         activation=cfg.activation,
     )
+
+
+def dann_pipeline(pair: DomainPair, cfg: SelectorConfig, query: np.ndarray):
+    params = dann_params(cfg)
     state0 = init_dann(params, pair.d, cfg.seed)
     trace = dann_run(state0, pair, params)
     pred = float(dann_predict(trace[-1], np.atleast_2d(query), cfg.activation)[0])

@@ -17,10 +17,9 @@ import pytest
 import icuda.datagen as dg
 import icuda.tfcore as tc
 import icuda.uda_ref as ur
-from icuda.build_dann import DannBuildConfig, build_dann_transformer, verify_dann
+from icuda.build_dann import build_dann_transformer, verify_dann
 from icuda.build_iwl import (
     SOUNDNESS_CHECKS,
-    IwlBuildConfig,
     alpha_trace_from_tf,
     build_alpha_transformer,
     build_iwl_transformer,
@@ -66,8 +65,8 @@ def iwl_builds():
         pair = dg.gen_shifted_gaussians(dg.ShiftGaussConfig(
             d=1, n_source=40, n_target=25, n_eval=50, mu_target=0.5,
             boundary=0.5, seed=seed))
-        cfg = IwlBuildConfig(d=1, J=3, lam=1.0, eta1=0.5, L1=8,
-                             eta2=0.1, L2=8, seed=seed)
+        cfg = IcudaBuildConfig(sel=ur.SelectorConfig(
+            J=3, lam=1.0, eta1=0.5, L1=8, eta2=0.1, L2=8, seed=seed))
         build = build_iwl_transformer(pair, cfg)
         out.append((pair, build, verify_iwl(build, pair)))
     return out, time.perf_counter() - t0
@@ -80,8 +79,8 @@ def dann_builds():
     for seed in range(5):
         pair = dg.gen_two_moon(dg.TwoMoonConfig(
             n_source=12, n_target=12, n_eval=20, seed=seed))
-        cfg = DannBuildConfig(d=2, K=2, eta=0.1, lam=1.0, L=5,
-                              delta_gamma=0.05, seed=seed)
+        cfg = IcudaBuildConfig(sel=ur.SelectorConfig(
+            K=2, eta=0.1, lam_dann=1.0, L=5, delta_gamma=0.05, seed=seed))
         build = build_dann_transformer(pair, cfg)
         out.append((pair, build, verify_dann(build, pair)))
     return out
@@ -174,11 +173,7 @@ def test_04_alignment_per_step_certificates(dann_builds, capsys):
                                (row.dev_v, row.bound_v)):
                 blocks_seen += 1
                 blocks_ok += dev <= bound
-        cfg = build.cfg
-        params = ur.DannParams(
-            K=cfg.K, eta=cfg.eta, lam=cfg.lam, steps=cfg.L,
-            delta_gamma=cfg.delta_gamma, B_u=cfg.B_u, B_w=cfg.B_w,
-            B_v=cfg.B_v, activation=cfg.activation)
+        params = ur.dann_params(build.cfg.sel)
         assert clamp_free(build.state0, pair, params)
         worst_fd = max(worst_fd, max(
             block_gradient_errors(build.state0, pair, params).values()))
@@ -300,7 +295,7 @@ def test_10_weight_norms_within_budget(iwl_builds, capsys):
     worst_ratio = 0.0
     within = True
     for pair, build, _cert in builds:
-        cfg = build.cfg
+        cfg = build.cfg.sel
         n, npr = pair.n, pair.n_prime
         N = n + npr
         C = build.grad_fit.coef_sum

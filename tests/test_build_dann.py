@@ -7,14 +7,18 @@ import icuda.build_dann as bd
 import icuda.datagen as dg
 import icuda.harness as hz
 import icuda.tfcore as tc
+import icuda.uda_ref as ur
+from icuda.build_select import IcudaBuildConfig
 
 from test_tfcore import fit_float_error, ridge_z
 
 
 @pytest.fixture(scope="module")
 def moon_build(small_moon_pair):
-    cfg = bd.DannBuildConfig(d=2, K=2, eta=0.1, lam=1.0, L=3,
-                             delta_gamma=0.05, seed=3)
+    # lam is the ratio branch's ridge weight: a DANN builder that read it in
+    # place of lam_dann would leave the oracle's trajectory
+    cfg = IcudaBuildConfig(sel=ur.SelectorConfig(
+        K=2, eta=0.1, lam=3.0, lam_dann=1.0, L=3, delta_gamma=0.05, seed=3))
     build = bd.build_dann_transformer(small_moon_pair, cfg)
     cert = bd.verify_dann(build, small_moon_pair)
     return build, cert
@@ -52,8 +56,8 @@ class TestScalarFeatures:
         cfg_g = dg.ShiftGaussConfig(d=1, n_source=10, n_target=8,
                                     mu_target=0.8, boundary=0.5, seed=5)
         pair = dg.gen_shifted_gaussians(cfg_g)
-        cfg = bd.DannBuildConfig(d=1, K=2, eta=0.1, lam=1.0, L=3,
-                                 delta_gamma=0.05, seed=5)
+        cfg = IcudaBuildConfig(sel=ur.SelectorConfig(
+            K=2, eta=0.1, lam_dann=1.0, L=3, delta_gamma=0.05, seed=5))
         build = bd.build_dann_transformer(pair, cfg)
         cert = bd.verify_dann(build, pair)
         for row in cert.rows:
@@ -63,17 +67,15 @@ class TestScalarFeatures:
 
 class TestProjectionPath:
     def test_boundary_state_activates_projection(self, small_moon_pair):
-        import icuda.uda_ref as ur
-
-        cfg = bd.DannBuildConfig(d=2, K=2, eta=0.5, lam=1.0, L=2,
-                                 delta_gamma=0.05, B_u=0.4, B_w=0.25,
-                                 B_v=0.25, proj_terms=300, seed=3)
-        params = cfg.params()
-        state = ur.init_dann(params, 2, 3)
-        state.u *= cfg.B_u / np.linalg.norm(state.u, axis=1, keepdims=True)
-        state.w *= cfg.B_w / np.linalg.norm(state.w)
-        state.v *= cfg.B_v / np.linalg.norm(state.v)
-        build = bd.build_dann_transformer(small_moon_pair, cfg, state0=state)
+        sel = ur.SelectorConfig(K=2, eta=0.5, lam_dann=1.0, L=2,
+                                delta_gamma=0.05, B_u=0.4, B_w=0.25,
+                                B_v=0.25, seed=3)
+        state = ur.init_dann(ur.dann_params(sel), 2, 3)
+        state.u *= sel.B_u / np.linalg.norm(state.u, axis=1, keepdims=True)
+        state.w *= sel.B_w / np.linalg.norm(state.w)
+        state.v *= sel.B_v / np.linalg.norm(state.v)
+        build = bd.build_dann_transformer(
+            small_moon_pair, IcudaBuildConfig(sel=sel), state0=state)
         assert build.proj_enabled
         assert max(build.eps_proj.values()) > 0.0
         cert = bd.verify_dann(build, small_moon_pair)
@@ -84,18 +86,17 @@ class TestProjectionPath:
     def test_scalar_blocks_project_exactly(self):
         """In d = 1 each u_k block is an interval, projected by the exact
         pair -relu(z - B) + relu(-z - B)."""
-        import icuda.uda_ref as ur
-
         pair = dg.gen_shifted_gaussians(dg.ShiftGaussConfig(
             d=1, n_source=10, n_target=8, mu_target=0.8, boundary=0.5, seed=5))
-        cfg = bd.DannBuildConfig(d=1, K=2, eta=0.5, lam=1.0, L=2,
-                                 delta_gamma=0.05, B_u=0.4, B_w=0.25,
-                                 B_v=0.25, proj_terms=300, seed=5)
-        state = ur.init_dann(cfg.params(), 1, 5)
-        state.u *= cfg.B_u / np.abs(state.u)
-        state.w *= cfg.B_w / np.linalg.norm(state.w)
-        state.v *= cfg.B_v / np.linalg.norm(state.v)
-        build = bd.build_dann_transformer(pair, cfg, state0=state)
+        sel = ur.SelectorConfig(K=2, eta=0.5, lam_dann=1.0, L=2,
+                                delta_gamma=0.05, B_u=0.4, B_w=0.25,
+                                B_v=0.25, seed=5)
+        state = ur.init_dann(ur.dann_params(sel), 1, 5)
+        state.u *= sel.B_u / np.abs(state.u)
+        state.w *= sel.B_w / np.linalg.norm(state.w)
+        state.v *= sel.B_v / np.linalg.norm(state.v)
+        build = bd.build_dann_transformer(pair, IcudaBuildConfig(sel=sel),
+                                          state0=state)
         assert build.proj_enabled
         assert build.eps_proj["u"] == 0.0
         cert = bd.verify_dann(build, pair)
@@ -116,7 +117,7 @@ class TestActivationFit:
         for arr in (rs.a, rs.b, rs.c):
             with pytest.raises(ValueError):
                 arr *= 2.0
-        gated, _ = bd.lossgrad_fit("logistic", 3.0, 0.05, 40)
+        gated, _ = bd.lossgrad_fit(3.0, 0.05, 40)
         with pytest.raises(ValueError):
             gated.c[0] = 0.0
 
@@ -127,7 +128,6 @@ class TestActivationFit:
         worst = np.max(np.abs(rs.a[:, 0]) * R1 + np.abs(rs.b))
         assert worst <= 1.0 + 1e-9
         grid = np.linspace(-R1, R1, 801)
-        import icuda.uda_ref as ur
         vals = np.array([float(np.maximum(rs.a @ [t] + rs.b, 0.0) @ rs.c)
                          for t in grid])
         ref = ur.logistic(grid)
@@ -170,7 +170,7 @@ class TestFitCache:
             cfg = hz.ExperimentConfig(algo="dann", seeds=[seed])
             pair = hz.make_pair(cfg, seed)
             bcfg = hz.build_config(cfg, hz.selector_config(cfg, seed))
-            b = bd.build_dann_transformer(pair, bcfg.dann_config(pair.d))
+            b = bd.build_dann_transformer(pair, bcfg)
             return _weights(b.tf), repr(bd.verify_dann(b, pair))
 
         def products():
@@ -195,7 +195,7 @@ def shift_build():
     cfg = hz.ExperimentConfig(algo="dann", seeds=[0])
     pair = hz.make_pair(cfg, 0)
     bcfg = hz.build_config(cfg, hz.selector_config(cfg, 0))
-    return bd.build_dann_transformer(pair, bcfg.dann_config(pair.d)), pair
+    return bd.build_dann_transformer(pair, bcfg), pair
 
 
 def product_heads(build, pair, k, coef_slot, scale, grad_row, kind, vcoef):
@@ -205,7 +205,7 @@ def product_heads(build, pair, k, coef_slot, scale, grad_row, kind, vcoef):
     receiver times k_g at the sender) and the value vcoef scale c I on the
     sender's point."""
     layout, pfit = build.layout, build.fits["p"]
-    D, d, R1 = layout.dim, build.cfg.d, build.bounds["R1"]
+    D, d, R1 = layout.dim, pair.d, build.bounds["R1"]
     one, usl, xs = layout.row("one"), layout.rows(f"u{k}"), layout.rows("x")
     k_g = np.zeros(D)
     k_g[one] = 1.0
@@ -239,7 +239,7 @@ class TestUpdateFamilies:
         relative: a_m is alpha_m d as fit_nd computes it, and the heads
         scale d / scale by alpha_m instead."""
         build, pair = shift_build
-        cfg, B = build.cfg, build.bounds
+        cfg, B = build.cfg.sel, build.bounds
         layout = build.layout
         N = pair.n + pair.n_prime
         order = np.argsort(build.fits["p"].ridges.index, kind="stable")
@@ -250,9 +250,9 @@ class TestUpdateFamilies:
             specs = [(w, B["S1"], layout.row("gl"), "src",
                       -(N + 1) * cfg.eta / pair.n),
                      (v, B["S3"], layout.row("gd"), "src",
-                      (N + 1) * cfg.lam * cfg.eta / pair.n),
+                      (N + 1) * cfg.lam_dann * cfg.eta / pair.n),
                      (v, B["S3"], layout.row("gd"), "tgt",
-                      (N + 1) * cfg.lam * cfg.eta / pair.n_prime)]
+                      (N + 1) * cfg.lam_dann * cfg.eta / pair.n_prime)]
             want = []
             for spec in specs:
                 terms = product_heads(build, pair, k, *spec)
@@ -273,7 +273,7 @@ class TestUpdateFamilies:
         build, pair = shift_build
         tm = bd.encode_dann(pair, build.layout, build.state0)
         _, trace = tc.forward_trace(build.tf, tm)
-        for l in range(build.cfg.L):
+        for l in range(build.cfg.sel.L):
             layer, st = build.tf.layers[3 * l + 1], trace[3 * l]
             H = st.data
             got = tc.attn_forward(layer, st).data

@@ -5,7 +5,9 @@ import pytest
 
 import icuda.build_iwl as bi
 import icuda.datagen as dg
+import icuda.harness as hz
 import icuda.uda_ref as ur
+from icuda.build_select import IcudaBuildConfig
 
 
 def make_problem(seed=0, n=10, npr=10, J=3):
@@ -47,7 +49,8 @@ class TestRatioLayers:
 
 @pytest.fixture(scope="module")
 def built(small_shift_pair):
-    cfg = bi.IwlBuildConfig(d=1, J=3, eta1=0.5, L1=8, eta2=0.1, L2=8, seed=3)
+    cfg = IcudaBuildConfig(sel=ur.SelectorConfig(
+        J=3, lam=1.0, eta1=0.5, L1=8, eta2=0.1, L2=8, seed=3))
     build = bi.build_iwl_transformer(small_shift_pair, cfg)
     cert = bi.verify_iwl(build, small_shift_pair)
     return build, cert
@@ -75,3 +78,21 @@ class TestEndToEnd:
         pred_ref = ur.iwl_predict(W[-1], build.fmap(small_shift_pair.query_x))
         assert cert.prediction_ref == pytest.approx(pred_ref, abs=1e-12)
         assert abs(cert.prediction_tf - pred_ref) <= cert.bound
+
+
+class TestTwoDimensionalFeatures:
+    def test_shift2d_build_passes_its_certificate(self):
+        """The d = 2 path of ``icuda verify --algo iwl`` on the shift2d
+        defaults: every RBF feature is a fit_nd sum, emitted as plain heads,
+        and the prediction still lies within its certificate."""
+        cfg = hz.ExperimentConfig(generator="shift2d", algo="iwl", seeds=[0])
+        pair = hz.make_pair(cfg, 0)
+        build = bi.build_iwl_transformer(
+            pair, hz.build_config(cfg, hz.selector_config(cfg, 0)))
+        assert pair.d == 2
+        assert all(rs.input_dim == 2 for rs in build.feature_fits)
+        assert any(layer.heads for layer in build.tf.layers[:-1])
+        cert = bi.verify_iwl(build, pair)
+        assert cert.measured_vs_reference <= cert.bound
+        for name in bi.SOUNDNESS_CHECKS:
+            assert cert.hypothesis_checks[name] is True

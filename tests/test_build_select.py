@@ -240,9 +240,9 @@ class TestComposedWeights:
         tf, dann = composed_build.tf, composed_build.dann
         plain = sum(len(layer.heads) for layer in tf.layers)
         assert plain == 4 * 6 + 2 + 2 * 6 + 1 + 4
-        K, pfit, rfit = dann.cfg.K, dann.fits["p"], dann.fits["r"]
+        K, pfit, rfit = dann.cfg.sel.K, dann.fits["p"], dann.fits["r"]
         directions = len(ra.ridge_parts(pfit))
-        for layer in dann.tf.layers[1:3 * dann.cfg.L:3]:
+        for layer in dann.tf.layers[1:3 * dann.cfg.sel.L:3]:
             assert not layer.heads
             assert len(layer.families) == 3 * K * (directions + 1)
             assert tc.n_heads(layer) == 3 * K * (pfit.n_terms + rfit.n_terms)

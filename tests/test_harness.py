@@ -230,9 +230,8 @@ class TestCli:
                              build_params={"grad_knots": 80, "r_knots": 90})), {})
         bcfg = hz.build_config(cfg, hz.selector_config(cfg, 3))
         assert (bcfg.a, bcfg.grad_knots, bcfg.r_knots) == (50.0, 80, 90)
-        assert bcfg.iwl_config(1).grad_knots == 80
-        assert bcfg.iwl_config(1).J == 3
-        assert bcfg.dann_config(1).r_knots == 90
+        assert bcfg.sel == hz.selector_config(cfg, 3)
+        assert bcfg.sel.J == 3
 
 
 def _digest(layers) -> str:

@@ -210,7 +210,7 @@ class TestMultivariate:
     def test_combine_sums_parts(self):
         r1, _ = ra.fit_1d(np.abs, 1.0, 9)
         r2 = ra.exact_terms([[1.0]], [0.0], [2.0], k=1)
-        both = ra.combine([r1, r2], 1, radius=1.0)
+        both = ra.combine([r1, r2], 1)
         z = [0.4]
         assert both(z) == pytest.approx(r1(z) + r2(z), abs=1e-12)
 

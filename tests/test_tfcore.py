@@ -440,8 +440,7 @@ def fit_float_error(fam, z):
     """relu_approx.float_error of the family's terms at |z| = max |z|."""
     import icuda.relu_approx as ra
 
-    rs = ra.ReluSum(fam.a[:, None], fam.b, fam.c, input_dim=1, radius=np.inf,
-                    sup_error=0.0)
+    rs = ra.ReluSum(fam.a[:, None], fam.b, fam.c, input_dim=1, sup_error=0.0)
     return ra.float_error(rs, [float(np.max(np.abs(z)))])
 
 
