@@ -194,6 +194,7 @@ def build_forward_attn(layout: SlotLayout, cfg: IcudaBuildConfig, R1: float):
     wsl = layout.rows("w")
     vsl = layout.rows("v")
     rfit, _ = activation_fit(cfg.sel.activation, R1, cfg.r_knots)
+    [(_, alpha, b, c)] = ra.ridge_parts(rfit)
     d = layout.width("x")
     families = []
     for k in range(cfg.sel.K):
@@ -202,7 +203,7 @@ def build_forward_attn(layout: SlotLayout, cfg: IcudaBuildConfig, R1: float):
         Qf[:, xs] = np.eye(d)
         Kf[:, layout.rows(f"u{k}")] = np.eye(d)
         families.append(HeadFamily(
-            Qf, Kf, one, None, rfit.a[:, 0], rfit.b, rfit.c, np.eye(2), rows,
+            Qf, Kf, one, None, alpha, b, c, np.eye(2), rows,
             np.r_[wsl.start + k, vsl.start + k]))
     return tuple(families)
 
@@ -265,6 +266,7 @@ def build_gd_attn(layout: SlotLayout, cfg: IcudaBuildConfig, n: int, n_prime: in
     pfit, _ = product_fit(cfg.sel.activation, R1, cfg.p_terms)
     parts = ra.ridge_parts(pfit)
     rfit, _ = activation_fit(cfg.sel.activation, R1, cfg.r_knots)
+    [(_, r_alpha, r_b, r_c)] = ra.ridge_parts(rfit)
     G = 2.0
     families = []
 
@@ -313,8 +315,8 @@ def build_gd_attn(layout: SlotLayout, cfg: IcudaBuildConfig, n: int, n_prime: in
         ):
             for kind, vcoef in specs:
                 families.append(HeadFamily(
-                    Qf, Kf, one, gate_rows(kind) if kind else None, rfit.a[:, 0],
-                    rfit.b, vcoef * rfit.c, np.ones((1, 1)), np.r_[out_row],
+                    Qf, Kf, one, gate_rows(kind) if kind else None, r_alpha,
+                    r_b, vcoef * r_c, np.ones((1, 1)), np.r_[out_row],
                     np.r_[grad_row]))
     return tuple(families), pfit, rfit
 

@@ -53,31 +53,24 @@ def iwl_layout(d: int, J: int) -> SlotLayout:
 # layer builders
 
 
-def feature_heads(layout: SlotLayout, fits: list[ra.ReluSum]):
-    """One head per fit term; the score depends only on the receiving token,
-    and averaging the constant value column over senders leaves it unchanged.
-    1-D fits give one HeadFamily each (z_ij = x_i, read as x_i times the
-    sender's constant row), multivariate fits plain heads."""
+def feature_heads(layout: SlotLayout, fits: list[ra.ReluSum]) -> list[HeadFamily]:
+    """One HeadFamily per ridge part of each feature fit (``ra.ridge_parts``),
+    with z_ij = d . x_i, read as d . x_i times the sender's constant row: the
+    score depends only on the receiving token, and averaging the constant
+    value column over senders leaves it unchanged."""
     D = layout.dim
     xs = layout.rows("x")
     one = layout.row("one")
     phi0 = layout.start("phi")
     out = []
     for j, rs in enumerate(fits):
-        rows, cols = np.r_[phi0 + j], np.r_[one]
-        Q = np.zeros((1, D))
-        K = np.zeros((1, D))
-        K[0, one] = 1.0
-        if rs.input_dim == 1:
-            Q[0, xs] = 1.0
-            out.append(HeadFamily(Q, K, one, None, rs.a[:, 0], rs.b, rs.c,
-                                  np.ones((1, 1)), rows, cols))
-            continue
-        for m in range(rs.n_terms):
-            Qm = Q.copy()
-            Qm[0, xs] = rs.a[m]
-            Qm[0, one] = rs.b[m]
-            out.append(AttentionHead(Qm, K.copy(), np.array([[rs.c[m]]]), rows, cols))
+        for d, alpha, b, c in ra.ridge_parts(rs):
+            Qf = np.zeros((1, D))
+            Kf = np.zeros((1, D))
+            Qf[0, xs] = d
+            Kf[0, one] = 1.0
+            out.append(HeadFamily(Qf, Kf, one, None, alpha, b, c,
+                                  np.ones((1, 1)), np.r_[phi0 + j], np.r_[one]))
     return out
 
 
@@ -99,11 +92,11 @@ def build_feature_layers(layout: SlotLayout, fmap: ur.RbfFeatureMap,
                          x_radius: float, cfg: IcudaBuildConfig):
     """Fit each feature component over the instance's coordinate box.
 
-    Heads are packed into as many layers as needed to keep each layer's
-    summed value-coefficient mass |c_m| under FEATURE_LAYER_CAP; the feature
-    slot writes are additive, so splitting layers does not change the
-    computed values.  A family split between layers becomes one term slice
-    per layer.
+    The families' terms, in family order, are packed into as many layers as
+    needed to keep each layer's summed value-coefficient mass |c_m| under
+    FEATURE_LAYER_CAP; the feature slot writes are additive, so splitting
+    layers does not change the computed values.  A family split between
+    layers becomes one term slice per layer.
     """
     d = fmap.centers.shape[1]
     fits, errs = [], []
@@ -119,27 +112,20 @@ def build_feature_layers(layout: SlotLayout, fmap: ur.RbfFeatureMap,
                                 seed=cfg.sel.seed + 7 * j)
         fits.append(rs)
         errs.append(rep.sup_error)
-    units = feature_heads(layout, fits)
-    # unit u's terms are terms first[u]:first[u + 1] of the fits, in order;
-    # each term's value block is the 1 x 1 [[c_m]]
-    first = np.cumsum([0] + [u.n_terms if isinstance(u, HeadFamily) else 1
-                             for u in units])
-    masses = np.abs(np.concatenate([rs.c for rs in fits]))
+    families = feature_heads(layout, fits)
+    # a family whose first term is term f0 of the packing order
+    first = np.cumsum([0] + [f.n_terms for f in families])
+    masses = np.abs(np.concatenate([f.c for f in families]))
     layers = []
     for start, stop in _term_slices(masses, FEATURE_LAYER_CAP):
-        plain, families = [], []
-        for u, unit in enumerate(units):
-            lo, hi = max(start, first[u]), min(stop, first[u + 1])
-            if lo >= hi:
-                continue
-            if isinstance(unit, HeadFamily):
-                lo, hi = lo - first[u], hi - first[u]
-                families.append(dataclasses.replace(
-                    unit, a=unit.a[lo:hi], b=unit.b[lo:hi], c=unit.c[lo:hi]))
-            else:
-                plain.append(unit)
-        layers.append(TransformerLayer(plain, np.zeros((0, layout.dim)),
-                                       np.zeros((layout.dim, 0)), tuple(families)))
+        sliced = []
+        for fam, f0 in zip(families, first):
+            lo, hi = max(start - f0, 0), min(stop - f0, fam.n_terms)
+            if lo < hi:
+                sliced.append(dataclasses.replace(
+                    fam, a=fam.a[lo:hi], b=fam.b[lo:hi], c=fam.c[lo:hi]))
+        layers.append(TransformerLayer([], np.zeros((0, layout.dim)),
+                                       np.zeros((layout.dim, 0)), tuple(sliced)))
     return layers, fits, np.array(errs)
 
 
@@ -190,12 +176,14 @@ def grad_surrogate(R_box: float, knots: int) -> ra.ReluSum:
 
     u s splits into ridge quadratics along the two diagonals; u y is exact for
     binary labels through a large-offset gate pair.  The certificate is the
-    sum of the two one-dimensional quadratic fit errors.
+    sum of the two one-dimensional quadratic fit errors.  The sum keeps its
+    dictionary: ``ra.ridge_parts`` splits it into the p and q diagonals and
+    the two u y directions.
     """
     sq, _ = ra.fit_1d(lambda r: r * r, R_box, knots)
     p_part = ra.lift(sq, np.array([0.5, 0.0, 0.5]), 3)
     q_raw = ra.lift(sq, np.array([0.5, 0.0, -0.5]), 3)
-    q_part = ra.ReluSum(q_raw.a, q_raw.b, -q_raw.c, 3, q_raw.sup_error)
+    q_part = dataclasses.replace(q_raw, c=-q_raw.c)
     G = max(R_box, 1.0)
     uy = ra.exact_terms([[0.0, G, 1.0], [0.0, G, -1.0]], [-G, -G], [-1.0, 1.0], 3)
     return ra.combine([p_part, q_part, uy], 3)
@@ -205,11 +193,10 @@ def build_w_layer(layout: SlotLayout, n: int, N: int, eta2: float,
                   grad_fit: ra.ReluSum, gate: float) -> TransformerLayer:
     """One weighted gradient step on the regression weights.
 
-    Each surrogate term becomes a head whose score rebuilds the term's input
-    (score s from the receiver's weights, label from the sender, ratio value
-    from the receiver's coefficients) minus a source gate.  The two ridge
-    parts of ``grad_surrogate`` are 1-D fits of z = s + u and z = s - u and
-    become two families; its two exact u y terms stay plain heads.
+    Each ridge part (d_s, d_y, d_u) of ``grad_surrogate`` becomes one
+    HeadFamily whose ridge variable rebuilds d . (s, y, u) (score s from the
+    receiver's weights, label from the sender, ratio value from the
+    receiver's coefficients) behind a source gate.
     """
     D = layout.dim
     phi = layout.rows("phi")
@@ -219,45 +206,25 @@ def build_w_layer(layout: SlotLayout, n: int, N: int, eta2: float,
     ty = layout.row("y")
     t = layout.row("t")
     J = phi.stop - phi.start
-    rows, cols = np.r_[wsl], np.r_[phi]
     gate_q = np.zeros(D)
     gate_q[one] = -2.0
     gate_k = np.zeros(D)
     gate_k[one] = gate
     gate_k[t] = -gate
-    coef = -(N + 1) * grad_fit.c * eta2 / n
-    # grad_surrogate lists the p terms, the q terms, then the two u y terms
-    M = (grad_fit.n_terms - 2) // 2
     families = []
-    for part, sign in ((slice(0, M), 1.0), (slice(M, 2 * M), -1.0)):
+    for (d_s, d_y, d_u), slope, b, c in ra.ridge_parts(grad_fit):
         Qf = np.zeros((2 * J + 1, D))
         Kf = np.zeros((2 * J + 1, D))
-        Qf[:J, wsl] = np.eye(J)
+        Qf[:J, wsl] = d_s * np.eye(J)
         Kf[:J, phi] = np.eye(J)
+        Qf[J, one] = d_y
         Kf[J, ty] = 1.0
-        Qf[J + 1:, alpha] = sign * np.eye(J)
+        Qf[J + 1:, alpha] = d_u * np.eye(J)
         Kf[J + 1:, phi] = np.eye(J)
         families.append(HeadFamily(
-            Qf, Kf, one, np.stack([gate_q, gate_k]), grad_fit.a[part, 0],
-            grad_fit.b[part], coef[part], np.eye(J), rows, cols))
-    heads = []
-    for m in range(2 * M, grad_fit.n_terms):
-        a_s, a_y, a_u = grad_fit.a[m]
-        Q = np.zeros((2 * J + 3, D))
-        K = np.zeros((2 * J + 3, D))
-        Q[:J, wsl] = a_s * np.eye(J)
-        K[:J, phi] = np.eye(J)
-        Q[J, one] = a_y
-        K[J, ty] = 1.0
-        Q[J + 1 : 2 * J + 1, alpha] = a_u * np.eye(J)
-        K[J + 1 : 2 * J + 1, phi] = np.eye(J)
-        Q[2 * J + 1, one] = grad_fit.b[m]
-        K[2 * J + 1, one] = 1.0
-        Q[2 * J + 2] = gate_q
-        K[2 * J + 2] = gate_k
-        V = np.diag([-(N + 1) * grad_fit.c[m] * eta2 / n] * J)
-        heads.append(AttentionHead(Q, K, V, rows, cols))
-    return TransformerLayer(heads, np.zeros((0, D)), np.zeros((D, 0)),
+            Qf, Kf, one, np.stack([gate_q, gate_k]), slope, b,
+            -(N + 1) * c * eta2 / n, np.eye(J), np.r_[wsl], np.r_[phi]))
+    return TransformerLayer([], np.zeros((0, D)), np.zeros((D, 0)),
                             tuple(families))
 
 

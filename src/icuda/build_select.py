@@ -101,49 +101,33 @@ def log_knot_grid(s_lo: float, s_hi: float, M: int) -> np.ndarray:
 
 
 def build_kde_attn(kernel_fit: ra.ReluSum, layout: SlotLayout, n: int, T: int,
-                   B_x: float):
-    """Heads writing the mean source-kernel mass at every receiving token,
-    as (plain heads, families).
-
-    Each fit term relu(a . (x_i - x_j) + b) becomes one head; a source gate
-    shifts the score out of range for non-source senders.  A 1-D kernel fit
-    gives one HeadFamily with z_ij = x_i - x_j, a multivariate one plain
-    heads.
+                   B_x: float) -> tuple[HeadFamily, ...]:
+    """Head families writing the mean source-kernel mass at every receiving
+    token: one per ridge part of the kernel fit (``ra.ridge_parts``), with
+    z_ij = d . x_i - d . x_j over two Q/K rows.  A source gate shifts the
+    score out of range for non-source senders.
     """
     D = layout.dim
     xs = layout.rows("x")
     one = layout.row("one")
     t_r = layout.row("t")
-    rows, cols = np.r_[layout.row("p_kde")], np.r_[one]
     G = 2.0 * max(B_x, 1.0) + 1.0
-    Q = np.zeros((3, D))
-    K = np.zeros((3, D))
-    K[0, one] = 1.0
-    Q[1, one] = 1.0
-    Q[2, one] = -G
-    K[2, one] = 1.0
-    K[2, t_r] = -1.0
-    coef = kernel_fit.c * T / n
-    if kernel_fit.input_dim == 1:
+    gate = np.zeros((2, D))
+    gate[0, one] = -G
+    gate[1, one] = 1.0
+    gate[1, t_r] = -1.0
+    families = []
+    for d, alpha, b, c in ra.ridge_parts(kernel_fit):
         Qf = np.zeros((2, D))
         Kf = np.zeros((2, D))
-        Qf[0, xs] = 1.0
+        Qf[0, xs] = d
         Kf[0, one] = 1.0
         Qf[1, one] = 1.0
-        Kf[1, xs] = -1.0
-        return [], (HeadFamily(Qf, Kf, one, np.stack([Q[2], K[2]]),
-                               kernel_fit.a[:, 0], kernel_fit.b, coef,
-                               np.ones((1, 1)), rows, cols),)
-    heads = []
-    for m in range(kernel_fit.n_terms):
-        a = kernel_fit.a[m]
-        Qm = Q.copy()
-        Km = K.copy()
-        Qm[0, xs] = a
-        Km[1, xs] = -a
-        Km[1, one] = kernel_fit.b[m]
-        heads.append(AttentionHead(Qm, Km, np.array([[coef[m]]]), rows, cols))
-    return heads, ()
+        Kf[1, xs] = -d
+        families.append(HeadFamily(Qf, Kf, one, gate, alpha, b, c * T / n,
+                                   np.ones((1, 1)), np.r_[layout.row("p_kde")],
+                                   np.r_[one]))
+    return tuple(families)
 
 
 def build_fit_mlp(fit: ra.ReluSum, layout: SlotLayout, in_name: str,
@@ -331,7 +315,7 @@ def build_icuda_transformer(pair: DomainPair, cfg: IcudaBuildConfig) -> IcudaBui
     G_copy = _round_up(max(float(np.max(np.abs(f_iwl_all))),
                            float(np.max(np.abs(f_dann_all)))) + 2.0)
 
-    kde_heads, kde_families = build_kde_attn(kernel_fit, layout, pair.n, T, B_x)
+    kde_families = build_kde_attn(kernel_fit, layout, pair.n, T, B_x)
     W1e, W2e = build_fit_mlp(exp_fit, layout, "p_kde", "e_soft")
     sum_heads = build_sum_attn(layout, T)
     # q = -(1/beta) log of the exponential sum, via the monotone interpolant
@@ -341,7 +325,7 @@ def build_icuda_transformer(pair: DomainPair, cfg: IcudaBuildConfig) -> IcudaBui
     W1c, W2c = build_copy_mlp(layout, G_copy, "blend", "y")
 
     layers = list(core.layers)
-    layers.append(TransformerLayer(kde_heads, W1e, W2e, kde_families))
+    layers.append(TransformerLayer([], W1e, W2e, kde_families))
     layers.append(TransformerLayer(sum_heads, W1l, W2l))
     layers.append(TransformerLayer(sel_heads, W1c, W2c))
     tf = Transformer(layers, layout, readout=("y", None))

@@ -34,8 +34,9 @@ class ReluSum:
     sup_error bounds the error only on the input range the fit was made
     for (the knot interval of a 1-D fit, the box of fit_nd); the sum itself
     does not record that range, so keeping the inputs inside it is the
-    caller's part.  ``ridges`` is fit_nd's dictionary (see Ridges), None
-    for every other sum.
+    caller's part.  ``ridges`` is the dictionary of a sum built from ridge
+    directions (fit_nd, lift, exact_terms, combine; see Ridges), None for a
+    1-D knot fit and for fit_binary_gated.
     """
 
     a: np.ndarray
@@ -82,10 +83,10 @@ def eval_batch(rs: ReluSum, Z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Ridges:
-    """The dictionary of a fit_nd ReluSum: term m is
+    """The dictionary of a ReluSum built from ridge directions: term m is
     c_m relu(alpha_m (directions[index_m] . z) + b_m), so its a_m is
     alpha_m directions[index_m] as computed; index_m is -1 (and alpha_m 0)
-    for the constant term."""
+    for fit_nd's constant term."""
 
     directions: np.ndarray
     index: np.ndarray
@@ -364,22 +365,43 @@ def fit_nd(f, k: int, R: float, M: int, seed: int = 0) -> tuple[ReluSum, FitRepo
 
 def ridge_parts(rs: ReluSum) -> list[tuple[np.ndarray, np.ndarray, np.ndarray,
                                           np.ndarray]]:
-    """A fit_nd sum as one 1-D ReLU sum per dictionary direction: a list of
-    (d, alpha, b, c), one per direction in dictionary order, so that
+    """A sum as one 1-D ReLU sum per ridge direction: a list of
+    (d, alpha, b, c), one per direction, so that
 
         rs(z) = sum over the parts of sum_m c_m relu(alpha_m (d . z) + b_m).
 
-    Each part's slopes alpha_m are nonnegative and its terms in increasing
-    breakpoint order -b_m / alpha_m; the constant term opens the first part
-    with alpha 0 (breakpoint -inf).
+    A 1-D sum is one part with d = [1].  A sum that keeps its dictionary
+    (``ridges``: fit_nd, lift, exact_terms and their combine) has one part
+    per direction in dictionary order; fit_nd's constant term opens the
+    first part with alpha 0 (breakpoint -inf).  Each part's slopes alpha_m
+    are nonnegative and its terms in increasing breakpoint order
+    -b_m / alpha_m as the fits emit them (a head family checks both).
 
-    Summing each part by prefix_sum_eval at its ridge variable d . z and
-    then adding the P parts stays within float_error(rs, z): a term of a
-    part of m terms meets at most m + 2 roundings in the prefix sums,
-    input_dim + 1 in alpha_m (d . z) and P - 1 in the sum over the parts,
-    and m + P - 1 <= M because every other part holds a term."""
+    Float error.  Let a part hold m terms, n of them with alpha_m > 0, and
+    let its ridge variable d . z be computed with r roundings relative to
+    |d| . w, where w bounds |z| componentwise.  prefix_sum_eval then meets
+    n + 3 roundings per slope term (c_m alpha_m, n - 1 prefix additions,
+    the product by z, the final addition, and one for a rounded breakpoint)
+    and m + 1 per bias term; adding the P parts takes P - 1 more.  So the
+    sum lies within gamma_{n + r + P + 2} sum_m |c_m| (|a_m| . w + |b_m|),
+    which float_error(rs, w), at gamma_{M + k + 2}, covers when every part
+    has M - n - P >= r - k:
+
+    - a 1-D knot fit: P = 1 and n = M - 1, so r <= 1.  That holds for a
+      feature, z = x_i (r = 0), and for a kernel, z = x_i - x_j (r = 1,
+      w = |x_i| + |x_j|);
+    - a fit_nd part: every other direction holds a term and at least two
+      of them 4 or more, so M - n - P >= 5.  A feature's ridge variable
+      d . x_i has r = k, and a kernel's d . x_i - d . x_j, computed over
+      two Q/K rows, r = k + 1: k products and k - 1 additions in each dot
+      product, and one subtraction in the score.  fit_nd's float_error
+      takes w at the box corner, which holds |x_i| + |x_j| for the kernel.
+    """
+    if rs.input_dim == 1:
+        return [(np.ones(1), rs.a[:, 0], rs.b, rs.c)]
     if rs.ridges is None:
-        raise ValueError("ridge_parts needs a fit_nd sum")
+        raise ValueError("ridge_parts needs a 1-D sum or a sum that keeps "
+                         "its dictionary")
     r = rs.ridges
     parts = []
     for i, d in enumerate(r.directions):
@@ -391,7 +413,10 @@ def ridge_parts(rs: ReluSum) -> list[tuple[np.ndarray, np.ndarray, np.ndarray,
 
 
 def lift(rs: ReluSum, d: np.ndarray, k: int) -> ReluSum:
-    """Turn a 1-D ReluSum g(t) into the ridge function g(d . z) on k inputs.
+    """Turn a 1-D ReluSum g(t) into the ridge function g(d . z) on k inputs,
+    with one dictionary direction d: term m is
+    c_m relu(alpha_m (d . z) + b_m), rescaled so |a_m|_1 + |b_m| <= 1, and
+    a_m = alpha_m d as computed.
 
     The caller is responsible for the ridge range: d . z must stay inside the
     1-D fit interval for the sup_error to transfer.
@@ -401,13 +426,19 @@ def lift(rs: ReluSum, d: np.ndarray, k: int) -> ReluSum:
     d = np.asarray(d, dtype=float).ravel()
     if d.shape != (k,):
         raise ValueError("direction length must match the lifted dimension")
-    a = rs.a[:, 0][:, None] * d[None, :]
-    A, B, C = _normalize_terms(a, rs.b, rs.c)
-    return ReluSum(A, B, C, input_dim=k, sup_error=rs.sup_error)
+    kappa = np.abs(rs.a[:, 0]) * np.sum(np.abs(d)) + np.abs(rs.b)
+    keep = kappa > 0
+    kappa = kappa[keep]
+    alpha = rs.a[keep, 0] / kappa
+    return ReluSum(alpha[:, None] * d, rs.b[keep] / kappa, rs.c[keep] * kappa,
+                   input_dim=k, sup_error=rs.sup_error,
+                   ridges=Ridges(d[None, :], np.zeros(alpha.size, dtype=int),
+                                 alpha))
 
 
 def combine(parts: list[ReluSum], k: int) -> ReluSum:
-    """Sum of several ReluSum parts over a shared input space.
+    """Sum of several ReluSum parts over a shared input space; it keeps the
+    parts' dictionaries, one after another, when every part has one.
 
     sup_error adds across parts (triangle inequality), so the result is sound
     wherever each part's error is.
@@ -421,13 +452,23 @@ def combine(parts: list[ReluSum], k: int) -> ReluSum:
     b = np.concatenate([p.b for p in parts])
     c = np.concatenate([p.c for p in parts])
     err = float(sum(p.sup_error for p in parts))
-    return ReluSum(a, b, c, input_dim=k, sup_error=err)
+    ridges = None
+    if all(p.ridges is not None for p in parts):
+        first = np.cumsum([0] + [len(p.ridges.directions) for p in parts])
+        ridges = Ridges(
+            np.concatenate([p.ridges.directions for p in parts]),
+            np.concatenate([np.where(p.ridges.index < 0, -1, p.ridges.index + f)
+                            for p, f in zip(parts, first)]),
+            np.concatenate([p.ridges.alpha for p in parts]))
+    return ReluSum(a, b, c, input_dim=k, sup_error=err, ridges=ridges)
 
 
 def exact_terms(a, b, c, k: int) -> ReluSum:
-    """ReluSum from explicit terms with zero approximation error."""
+    """ReluSum from explicit terms with zero approximation error; each term
+    is its own dictionary direction (its a_m, with alpha_m = 1)."""
     A, B, C = _normalize_terms(np.atleast_2d(np.asarray(a, dtype=float)), b, c)
-    return ReluSum(A, B, C, input_dim=k, sup_error=0.0)
+    return ReluSum(A, B, C, input_dim=k, sup_error=0.0,
+                   ridges=Ridges(A, np.arange(len(C)), np.ones(len(C))))
 
 
 def fit_binary_gated(f, lo: float, hi: float, M: int) -> tuple[ReluSum, FitReport]:

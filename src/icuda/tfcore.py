@@ -5,16 +5,17 @@ The forward pass treats the token matrix H (D x T) as a residual stream.
 Attention adds (1/T) * sum_j sum_m relu(<Q_m h_i, K_m h_j>) V_m h_j to token i,
 the MLP adds W2 relu(W1 h_i).  Q, K, W1 and W2 are dense matrices and each V_m
 is stored as the block it writes (see AttentionHead), so that constructions
-can be audited entry by entry.  The heads that spell out one fitted ReLU
-sum along one direction, sum_m c_m relu(a_m z + b_m) (a 1-D fit, or one
-direction of an n-D ridge fit), one head per term, are stored once as a
-HeadFamily in ridge form: the bilinear score z = <Qf h_i, Kf h_j> shared by
-every term, the constant row that carries the biases b_m, an optional
-sender gate, and the (a, b, c) of the terms.  Attention computes z only at
-the open token pairs and evaluates the sum there by prefix sums, and
-``HeadFamily.to_heads`` gives back the heads themselves, which norms,
-``describe`` and ``layer_heads`` read.  A layer's families precede its plain
-heads.
+can be audited entry by entry.  Every fitted ReLU sum reaches attention as
+head families, one per ridge part of the sum
+(``relu_approx.ridge_parts``), sum_m c_m relu(a_m z + b_m) along one
+direction, one head per term, stored once in ridge form: the bilinear score
+z = <Qf h_i, Kf h_j> shared by every term, the constant row that carries the
+biases b_m, an optional sender gate, and the (a, b, c) of the terms.
+Attention computes z only at the open token pairs and evaluates the sum
+there by prefix sums, and ``HeadFamily.to_heads`` gives back the heads
+themselves, which norms and ``layer_heads`` read.  Plain AttentionHeads are
+left for the exact hand-written heads, a few per model.  A layer's families
+precede its plain heads.
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ class TokenMatrix:
         return TokenMatrix(self.data.copy(), self.layout, self.n_source, self.n_target)
 
 
-# reprs give shapes and counts: a composed model holds ~22k heads, and
-# printing their matrices takes minutes
+# reprs give shapes and counts: the families of a composed model hold ~22k
+# heads, and printing their matrices takes minutes
 @dataclass
 class AttentionHead:
     """One ReLU head whose D x D value matrix is zero outside the
@@ -150,8 +151,8 @@ class AttentionHead:
 class HeadFamily:
     """The heads of one ReLU sum along one direction,
     sum_m c_m relu(a_m z + b_m), stored once and evaluated by prefix sums:
-    a fitted 1-D sum, or the terms of an n-D ridge fit on one of its
-    dictionary directions (``relu_approx.ridge_parts``).
+    one ridge part of a fitted sum at any input dimension
+    (``relu_approx.ridge_parts``; a 1-D sum is one part).
 
     The ridge variable z_ij = <Qf h_i, Kf h_j> is one bilinear score shared
     by every term.  Head m is
@@ -181,7 +182,7 @@ class HeadFamily:
     it first checks that no closed pair's largest pre-activation reaches its
     gate, and raises ForwardError otherwise, so the family computes what its
     heads compute or stops.  ``to_heads`` gives the heads themselves, which
-    norms, ``describe`` and ``layer_heads`` read.
+    norms and ``layer_heads`` read.
     """
 
     Qf: np.ndarray
@@ -350,48 +351,26 @@ def mlp_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
     return TokenMatrix(out, tm.layout, tm.n_source, tm.n_target)
 
 
-def _groups(keys) -> dict:
-    """Positions of each distinct key, in first-seen order."""
-    out: dict = {}
-    for i, k in enumerate(keys):
-        out.setdefault(k, []).append(i)
-    return out
-
-
 def shape_error(layer: TransformerLayer, D: int) -> str | None:
     """Why the layer's weights do not fit stream dim D, or None if they do:
     every head's Q and K must be (r, D) with one r, its rows and cols
     distinct integer indices below D and V (len(rows), len(cols)), and W1 and
-    W2 (h, D) and (D, h).  Heads are checked once per distinct combination
-    of shapes and index dtypes; the error names the first bad head.  Each
-    family must have nonnegative slopes a_m in strictly increasing
-    breakpoint order, a, b and c of one length, Qf and Kf of one shape
-    (r, D), a gate None or (2, D), ``one`` a row below D, rows and cols as a
-    head's and V0 (len(rows), len(cols))."""
-    groups = _groups((h.Q.shape, h.K.shape, h.V.shape, h.rows.shape,
-                      h.cols.shape, h.rows.dtype, h.cols.dtype)
-                     for h in layer.heads)
-    # groups come in first-seen order: the first bad one holds the first bad head
-    for (q, k, v, rs, cs, rt, ct), members in groups.items():
-        if (len(q) != 2 or q[1] != D or k != q or len(rs) != 1 or len(cs) != 1
-                or rt.kind not in "iu" or ct.kind not in "iu" or v != rs + cs):
-            m = members[0]
-            h = layer.heads[m]
+    W2 (h, D) and (D, h); the error names the first bad head.  Each family
+    must have nonnegative slopes a_m in strictly increasing breakpoint
+    order, a, b and c of one length, Qf and Kf of one shape (r, D), a gate
+    None or (2, D), ``one`` a row below D, rows and cols as a head's and V0
+    (len(rows), len(cols))."""
+    for m, h in enumerate(layer.heads):
+        if (h.Q.ndim != 2 or h.Q.shape[1] != D or h.K.shape != h.Q.shape
+                or h.rows.ndim != 1 or h.cols.ndim != 1
+                or h.rows.dtype.kind not in "iu" or h.cols.dtype.kind not in "iu"
+                or h.V.shape != h.rows.shape + h.cols.shape):
             return (f"head {m}: Q {h.Q.shape}, K {h.K.shape}, V {h.V.shape}, "
                     f"rows {h.rows.shape} and cols {h.cols.shape} do not fit dim {D}")
-    for name in ("rows", "cols") if layer.heads else ():
-        # head m's index i as key m * D + i: an i outside [0, D) moves the
-        # key out of head m's range, a repeated i repeats the key
-        idx = [getattr(h, name) for h in layer.heads]
-        owner = np.repeat(np.arange(len(idx)), [i.size for i in idx])
-        key = owner * D + np.concatenate(idx)
-        first = np.zeros(key.size, dtype=bool)
-        first[np.unique(key, return_index=True)[1]] = True
-        bad = (key // D != owner) | ~first
-        if bad.any():
-            m = int(owner[bad.argmax()])
-            return (f"head {m}: {name} {idx[m].tolist()} repeat or leave "
-                    f"rows 0..{D - 1}")
+        for name in ("rows", "cols"):
+            err = _index_error(name, getattr(h, name), D)
+            if err is not None:
+                return f"head {m}: {err}"
     for f, fam in enumerate(layer.families):
         err = _family_error(fam, D)
         if err is not None:
@@ -466,50 +445,37 @@ def read_output(tf: Transformer, tm: TokenMatrix) -> float:
     return float(out.data[out.layout.row(name), c])
 
 
-def head_norms(mats: list[np.ndarray]) -> np.ndarray:
-    """Spectral norm of each matrix, in input order; 0.0 for a matrix with
-    no entries.  One stacked SVD per distinct shape: numpy runs the same
-    LAPACK call on every matrix of the stack, so each norm equals
-    ``np.linalg.norm(M, 2)`` bit for bit."""
-    out = np.zeros(len(mats))
-    for idx in _groups(M.shape for M in mats).values():
-        out[idx] = _stack_norms(np.stack([mats[i] for i in idx]))
-    return out
-
-
 def operator_norm(M: np.ndarray) -> float:
-    """Spectral norm (largest singular value)."""
-    return float(head_norms([M])[0])
+    """Spectral norm (largest singular value); 0.0 for a matrix with no
+    entries."""
+    return float(_stack_norms(M[None])[0])
 
 
 def layer_norm(layer: TransformerLayer) -> float:
     """max_m max(|Q_m|, |K_m|) + sum_m |V_m| + |W1| + |W2|  (operator norms)
     over every head of the layer, family heads included.
 
-    Plain heads' norms come from ``head_norms`` and a family's from one
-    batched SVD of its stacked maps (numpy runs the same LAPACK call on each
-    matrix of a stack, so every norm is the matrix's own; the family's heads
-    share one K); the V norms are summed left to right in head order, as a
-    loop over ``layer_heads`` would, so the result does not depend on the
-    batching."""
-    heads = layer.heads
-    n = len(heads)
-    norms = head_norms([h.Q for h in heads] + [h.K for h in heads]
-                       + [h.V for h in heads])
-    qk = [float(norms[:2 * n].max(initial=0.0))]
-    vnorms = []
+    A family's norms come from one batched SVD of its stacked maps (numpy
+    runs the same LAPACK call on each matrix of a stack, so every norm is
+    the matrix's own; the family's heads share one K); the V norms are
+    summed left to right in head order, as a loop over ``layer_heads``
+    would, so the result does not depend on the batching."""
+    qk, vnorms = [0.0], [np.zeros(0)]
     for fam in layer.families:
         Qs, Ks, Vs = fam.stack()
         qk += [_stack_norms(Qs).max(), _stack_norms(Ks[:1]).max()]
         vnorms.append(_stack_norms(Vs))
-    vnorms.append(norms[2 * n:])
+    for h in layer.heads:
+        qk += [operator_norm(h.Q), operator_norm(h.K)]
+        vnorms.append([operator_norm(h.V)])
     v = np.concatenate(vnorms)
     vsum = float(np.cumsum(v)[-1]) if v.size else 0.0
     return float(max(qk)) + vsum + operator_norm(layer.W1) + operator_norm(layer.W2)
 
 
 def _stack_norms(S: np.ndarray) -> np.ndarray:
-    """Spectral norm of each matrix of a stack (see head_norms)."""
+    """Spectral norm of each matrix of a stack; 0.0 for matrices with no
+    entries."""
     if 0 in S.shape[1:]:
         return np.zeros(len(S))
     return np.linalg.svd(S, compute_uv=False).max(axis=-1)
@@ -519,6 +485,22 @@ def tf_norm(tf: Transformer) -> float:
     if not tf.layers:
         return 0.0
     return max(layer_norm(layer) for layer in tf.layers)
+
+
+def _family_marks(fam: HeadFamily, read: np.ndarray,
+                  written: np.ndarray) -> None:
+    """Mark the rows a family's heads read and write, from its templates:
+    head m's Q is [a_m Qf; b_m e_one; q_g], its K [Kf; e_one; k_g] and its
+    value block c_m V0 (see HeadFamily)."""
+    if np.any(fam.a):
+        read |= np.any(fam.Qf, axis=0)
+    read |= np.any(fam.Kf, axis=0)
+    read[fam.one] = True
+    if fam.gate is not None:
+        read |= np.any(fam.gate, axis=0)
+    if np.any(fam.c):
+        read[fam.cols[np.any(fam.V0, axis=0)]] = True
+        written[fam.rows[np.any(fam.V0, axis=1)]] = True
 
 
 def describe(tf: Transformer) -> dict:
@@ -532,10 +514,7 @@ def describe(tf: Transformer) -> dict:
             read[head.cols[np.any(head.V, axis=0)]] = True
             written[head.rows[np.any(head.V, axis=1)]] = True
         for fam in layer.families:
-            Qs, Ks, Vs = fam.stack()
-            read |= np.any(Qs, axis=(0, 1)) | np.any(Ks, axis=(0, 1))
-            read[fam.cols[np.any(Vs, axis=(0, 1))]] = True
-            written[fam.rows[np.any(Vs, axis=(0, 2))]] = True
+            _family_marks(fam, read, written)
         layers.append(
             {
                 "heads": n_heads(layer),
@@ -692,6 +671,16 @@ def to_json(tf: Transformer) -> str:
     return json.dumps(obj)
 
 
+def _load(v, *rest: int) -> np.ndarray:
+    """A weight read from JSON.  to_json writes an array whose first axis is
+    empty as [], which np.array reads as a float (0,): [] gets back the
+    shape (0, *rest), and an index array (no rest) the integer (0,)."""
+    arr = np.array(v)
+    if arr.shape != (0,):
+        return arr
+    return np.zeros((0, *rest)) if rest else arr.astype(int)
+
+
 def from_json(s: str) -> Transformer:
     """Load a model written by to_json; a layout that is not contiguous from
     row 0, a weight whose shape does not fit it, a value block whose rows
@@ -699,25 +688,30 @@ def from_json(s: str) -> Transformer:
     shape_error) raises LayoutError."""
     obj = json.loads(s)
     layout = SlotLayout(tuple((n, a, b) for n, a, b in obj["layout"]))
+    D = layout.dim
     layers = []
     for i, lobj in enumerate(obj["layers"]):
-        heads = [
-            AttentionHead(*(np.array(h[k]) for k in ("Q", "K", "V", "rows", "cols")))
-            for h in lobj["heads"]
-        ]
+        heads = []
+        for h in lobj["heads"]:
+            rows, cols = _load(h["rows"]), _load(h["cols"])
+            heads.append(AttentionHead(_load(h["Q"], D), _load(h["K"], D),
+                                       _load(h["V"], cols.size), rows, cols))
         W1 = np.array(lobj["W1"])
         W2 = np.array(lobj["W2"])
         if W1.size == 0:
-            W1 = W1.reshape(0, layout.dim)
+            W1 = W1.reshape(0, D)
         if W2.size == 0:
-            W2 = W2.reshape(layout.dim, 0)
-        families = tuple(
-            HeadFamily(one=f["one"],
-                       gate=None if f["gate"] is None else np.array(f["gate"]),
-                       **{k: np.array(f[k]) for k in FAMILY_ARRAYS})
-            for f in lobj.get("families", []))
-        layers.append(TransformerLayer(heads, W1, W2, families))
-        err = shape_error(layers[-1], layout.dim)
+            W2 = W2.reshape(D, 0)
+        families = []
+        for f in lobj.get("families", []):
+            rows, cols = _load(f["rows"]), _load(f["cols"])
+            families.append(HeadFamily(
+                _load(f["Qf"], D), _load(f["Kf"], D), f["one"],
+                None if f["gate"] is None else np.array(f["gate"]),
+                *(np.array(f[k]) for k in "abc"), _load(f["V0"], cols.size),
+                rows, cols))
+        layers.append(TransformerLayer(heads, W1, W2, tuple(families)))
+        err = shape_error(layers[-1], D)
         if err is not None:
             raise LayoutError(f"layer {i} {err}")
     readout = (obj["readout"][0], obj["readout"][1])

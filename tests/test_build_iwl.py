@@ -6,6 +6,7 @@ import pytest
 import icuda.build_iwl as bi
 import icuda.datagen as dg
 import icuda.harness as hz
+import icuda.tfcore as tc
 import icuda.uda_ref as ur
 from icuda.build_select import IcudaBuildConfig
 
@@ -83,15 +84,24 @@ class TestEndToEnd:
 class TestTwoDimensionalFeatures:
     def test_shift2d_build_passes_its_certificate(self):
         """The d = 2 path of ``icuda verify --algo iwl`` on the shift2d
-        defaults: every RBF feature is a fit_nd sum, emitted as plain heads,
-        and the prediction still lies within its certificate."""
+        defaults: every RBF feature is a fit_nd sum, emitted as one head
+        family per dictionary direction, and the prediction still lies
+        within its certificate."""
         cfg = hz.ExperimentConfig(generator="shift2d", algo="iwl", seeds=[0])
         pair = hz.make_pair(cfg, 0)
         build = bi.build_iwl_transformer(
             pair, hz.build_config(cfg, hz.selector_config(cfg, 0)))
         assert pair.d == 2
         assert all(rs.input_dim == 2 for rs in build.feature_fits)
-        assert any(layer.heads for layer in build.tf.layers[:-1])
+        features = build.tf.layers[:len(build.tf.layers) - build.cfg.sel.L1
+                                   - build.cfg.sel.L2 - 1]
+        assert all(not layer.heads and layer.families for layer in features)
+        assert sum(tc.n_heads(layer) for layer in features) == \
+            sum(rs.n_terms for rs in build.feature_fits)
+        parts = {(int(f.rows[0]), *f.Qf[0, build.layout.rows("x")])
+                 for layer in features for f in layer.families}
+        assert len(parts) == sum(len(rs.ridges.directions)
+                                 for rs in build.feature_fits)
         cert = bi.verify_iwl(build, pair)
         assert cert.measured_vs_reference <= cert.bound
         for name in bi.SOUNDNESS_CHECKS:

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 import icuda.build_dann as bd
 import icuda.build_select as bs
 import icuda.datagen as dg
+import icuda.harness as hz
 import icuda.relu_approx as ra
 import icuda.tfcore as tc
 import icuda.uda_ref as ur
@@ -51,9 +52,9 @@ class TestKernelHeads:
     def test_constant_kernel_stub_is_exact(self, tiny_pair):
         layout = stub_layout()
         kernel = ra.exact_terms([[0.0]], [1.0], [0.7], k=1)
-        heads, fams = bs.build_kde_attn(kernel, layout, n=3, T=11, B_x=3.0)
+        fams = bs.build_kde_attn(kernel, layout, n=3, T=11, B_x=3.0)
         tm = encode(tiny_pair, layout)
-        out = tc.attn_forward(attn_layer(heads, layout.dim, fams), tm)
+        out = tc.attn_forward(attn_layer([], layout.dim, fams), tm)
         p = out.data[layout.row("p_kde"), :]
         assert_allclose(p, 0.7, atol=1e-12)
 
@@ -63,9 +64,9 @@ class TestKernelHeads:
         B_x = float(np.max(np.abs(np.concatenate(
             [tiny_pair.source_x, tiny_pair.target_x, tiny_pair.query_x]))))
         kernel, rep = bs.kernel_diff_fit(1, h, B_x, 2000, seed=0)
-        heads, fams = bs.build_kde_attn(kernel, layout, n=3, T=11, B_x=B_x)
+        fams = bs.build_kde_attn(kernel, layout, n=3, T=11, B_x=B_x)
         tm = encode(tiny_pair, layout)
-        out = tc.attn_forward(attn_layer(heads, layout.dim, fams), tm)
+        out = tc.attn_forward(attn_layer([], layout.dim, fams), tm)
         all_x = np.concatenate(
             [tiny_pair.source_x, tiny_pair.target_x, tiny_pair.query_x])
         want = ur.kde_eval(tiny_pair.source_x, all_x, h)
@@ -115,8 +116,7 @@ class TestExponentialAndSum:
         tm = encode(tiny_pair, layout)
         T = tm.data.shape[1]
         kernel = ra.exact_terms([[0.0]], [1.0], [c], k=1)
-        heads, fams = bs.build_kde_attn(kernel, layout, 3, T, 3.0)
-        kde = attn_layer(heads, layout.dim, fams)
+        kde = attn_layer([], layout.dim, bs.build_kde_attn(kernel, layout, 3, T, 3.0))
         knots = bs.exp_knot_grid(beta, -0.1, 1.1, 2000)
         efit, _ = ra.fit_knots(lambda p: np.exp(-beta * p), knots)
         exp_mlp = tc.TransformerLayer(
@@ -206,6 +206,17 @@ def composed_build(composed_pair):
     return bs.build_icuda_transformer(composed_pair, cfg)
 
 
+@pytest.fixture(scope="module")
+def shift2d():
+    """A composed build on the shift2d defaults (d = 2), with a smaller
+    kernel fit: (pair, build)."""
+    cfg = hz.ExperimentConfig(generator="shift2d", algo="icuda", seeds=[0])
+    pair = hz.make_pair(cfg, 0)
+    build = bs.build_icuda_transformer(pair, bs.IcudaBuildConfig(
+        sel=hz.selector_config(cfg, 0), kernel_knots=900))
+    return pair, build
+
+
 class TestComposedWeights:
     def test_value_maps_are_small_blocks(self, composed_build):
         # as dense D x D matrices the value maps took 174 MB
@@ -232,38 +243,46 @@ class TestComposedWeights:
                                            if written[a:b].any())
         assert "q_soft" in info["layers"][-2]["writes"]
 
-    def test_every_1d_fit_is_a_family(self, composed_build):
+    def test_every_fitted_sum_is_a_family(self, composed_build, shift2d):
         """Plain heads are left only for the exact (unfitted) heads: alpha
-        steps 4, readout 2, two u y terms per weight step, sum 1, select 4.
-        The 2-D product fit is one family per dictionary direction in each
-        DANN update layer, and n_heads counts each of its terms as a head."""
-        tf, dann = composed_build.tf, composed_build.dann
-        plain = sum(len(layer.heads) for layer in tf.layers)
-        assert plain == 4 * 6 + 2 + 2 * 6 + 1 + 4
-        K, pfit, rfit = dann.cfg.sel.K, dann.fits["p"], dann.fits["r"]
-        directions = len(ra.ridge_parts(pfit))
-        for layer in dann.tf.layers[1:3 * dann.cfg.sel.L:3]:
-            assert not layer.heads
-            assert len(layer.families) == 3 * K * (directions + 1)
-            assert tc.n_heads(layer) == 3 * K * (pfit.n_terms + rfit.n_terms)
+        steps 4, readout 2, sum 1, select 4, at d = 1 and at d = 2, where
+        the kernel and feature fits are fit_nd sums.  The 2-D product fit is
+        one family per dictionary direction in each DANN update layer, and
+        n_heads counts each of its terms as a head."""
+        for build in (composed_build, shift2d[1]):
+            tf, dann = build.tf, build.dann
+            plain = sum(len(layer.heads) for layer in tf.layers)
+            assert plain == 4 * build.cfg.sel.L1 + 2 + 1 + 4
+            K, pfit, rfit = dann.cfg.sel.K, dann.fits["p"], dann.fits["r"]
+            directions = len(ra.ridge_parts(pfit))
+            for layer in dann.tf.layers[1:3 * dann.cfg.sel.L:3]:
+                assert not layer.heads
+                assert len(layer.families) == 3 * K * (directions + 1)
+                assert tc.n_heads(layer) == 3 * K * (pfit.n_terms + rfit.n_terms)
+        assert sum(len(layer.heads) for layer in composed_build.tf.layers) == \
+            4 * 6 + 2 + 1 + 4
+        assert shift2d[1].fits["kernel"].input_dim == 2
+        assert all(rs.input_dim == 2 for rs in shift2d[1].iwl.feature_fits)
 
     def test_families_match_their_heads_within_float_error(
-            self, composed_pair, composed_build):
+            self, composed_pair, composed_build, shift2d):
         """On the streams of a real run, each family's prefix-sum scores and
         its heads' head-by-head sum agree within the fit's float_error (the
-        value map and the 1/T average after it are the same for both)."""
-        tf = composed_build.tf
-        tm = bs.encode_icuda(composed_pair, composed_build)
-        _, trace = tc.forward_trace(tf, tm)
-        checked = 0
-        for layer, st in zip(tf.layers, [tm] + trace[:-1]):
-            for fam in layer.families:
-                z = ridge_z(fam, st.data)
-                gap = np.max(np.abs(tc.family_scores(fam, st.data)
-                                    - head_scores(fam, st.data)))
-                assert gap <= fit_float_error(fam, z)
-                checked += 1
-        assert checked == sum(len(layer.families) for layer in tf.layers)
+        value map and the 1/T average after it are the same for both), at
+        d = 1 and at d = 2."""
+        for pair, build in ((composed_pair, composed_build), shift2d):
+            tf = build.tf
+            tm = bs.encode_icuda(pair, build)
+            _, trace = tc.forward_trace(tf, tm)
+            checked = 0
+            for layer, st in zip(tf.layers, [tm] + trace[:-1]):
+                for fam in layer.families:
+                    z = ridge_z(fam, st.data)
+                    gap = np.max(np.abs(tc.family_scores(fam, st.data)
+                                        - head_scores(fam, st.data)))
+                    assert gap <= fit_float_error(fam, z)
+                    checked += 1
+            assert checked == sum(len(layer.families) for layer in tf.layers)
 
     def test_tf_norm_matches_per_head_reference(self, composed_build):
         layers = composed_build.tf.layers

@@ -188,8 +188,16 @@ class TestMultivariate:
                     for d, alpha, b, c in parts)
         want = ra.eval_batch(rs, Z)
         assert np.max(np.abs(total - want)) <= 2.0 * ra.float_error(rs, np.ones(k))
-        with pytest.raises(ValueError, match="fit_nd"):
-            ra.ridge_parts(ra.fit_1d(np.abs, 1.0, 5)[0])
+        # a 1-D sum is one part along d = [1] that reproduces it
+        r1 = ra.fit_1d(np.abs, 1.0, 5)[0]
+        [(d, alpha, b, c)] = ra.ridge_parts(r1)
+        z = np.linspace(-1.0, 1.0, 9)
+        assert d.tolist() == [1.0]
+        assert np.max(np.abs(ra.prefix_sum_eval(alpha, b, c)(z)
+                             - ra.eval_batch(r1, z[:, None]))) <= \
+            ra.float_error(r1, [1.0])
+        with pytest.raises(ValueError, match="dictionary"):
+            ra.ridge_parts(ra.fit_binary_gated(lambda t, v: t * v, -1.0, 1.0, 5)[0])
 
     def test_fit_binary_gated_slices(self):
         f = lambda t, v: (1.0 - v) * t + v * (2.0 * t + 1.0)
