@@ -300,9 +300,15 @@ class TestDiagnostics:
         # close top singular values, where an iterative estimate stops short
         assert abs(tc.operator_norm(np.diag([1.0, 1.0 - 1e-6])) - 1.0) <= 1e-12
         assert tc.operator_norm(np.zeros((0, 4))) == 0.0
-        shapes = [(2, 3), (1, 1), (3, 2), (0, 4), (4, 0)]
+
+    def test_head_norms_keep_input_order(self, rng):
+        # mixed and repeated shapes, empty ones included, as a layer's plain
+        # heads present them to layer_norm
+        shapes = [(2, 3), (1, 1), (3, 2), (2, 3), (0, 4), (1, 1), (4, 0),
+                  (3, 2), (2, 3)]
         mats = [rng.standard_normal(s) for s in shapes]
-        assert [tc.operator_norm(M) for M in mats] == list(map(reference_norm, mats))
+        got = [tc.operator_norm(M) for M in mats]
+        assert got == [reference_norm(M) for M in mats]
 
     def test_layer_norm_matches_per_head_reference(self, rng):
         layout = toy_layout([("w", 3)])
