@@ -87,9 +87,10 @@ class ExperimentConfig:
 # SelectorConfig's fields plus the selector's indicator sharpness, which the
 # composed build reads
 HYPER_TYPES = {**typing.get_type_hints(ur.SelectorConfig), "a": float}
-# the feature and hidden-unit counts; the soft-minimum sharpness and the
-# kernel bandwidth divide
-HYPER_MINIMUM = {"J": 1, "K": 1}
+# the feature and hidden-unit counts, and the step counts (a model of zero
+# steps does no adaptation, and its certificate is only the fixed pad); the
+# soft-minimum sharpness and the kernel bandwidth divide
+HYPER_MINIMUM = {"J": 1, "K": 1, "L1": 1, "L2": 1, "L": 1}
 HYPER_POSITIVE = frozenset({"beta", "kde_h"})
 # the knot and term counts of the fitted parts; no fit takes fewer than 2
 BUILD_TYPES = {k: typing.get_type_hints(IcudaBuildConfig)[k] for k in BUILD_KNOBS}

@@ -12,10 +12,13 @@ direction, one head per term, stored once in ridge form: the bilinear score
 z = <Qf h_i, Kf h_j> shared by every term, the constant row that carries the
 biases b_m, an optional sender gate, and the (a, b, c) of the terms.
 Attention computes z only at the open token pairs and evaluates the sum
-there by prefix sums, and ``HeadFamily.to_heads`` gives back the heads
-themselves, which norms and ``layer_heads`` read.  Plain AttentionHeads are
-left for the exact hand-written heads, a few per model.  A layer's families
-precede its plain heads.
+there by prefix sums.  Weight norms read the ridge form too (see
+``layer_norm``); ``HeadFamily.to_heads`` gives back the heads themselves,
+which ``layer_heads`` reads.  A family is immutable, its arrays read-only,
+so what is derived from it once stays true: its prefix-sum evaluator and
+its shape check, which the first forward on a stream dim makes and later
+forwards reuse.  Plain AttentionHeads are left for the exact hand-written
+heads, a few per model.  A layer's families precede its plain heads.
 """
 
 from __future__ import annotations
@@ -147,7 +150,11 @@ class AttentionHead:
         return f"AttentionHead(Q={self.Q.shape}, K={self.K.shape}, V={self.V.shape})"
 
 
-@dataclass
+# a family's array fields besides its gate, which may be None
+FAMILY_ARRAYS = ("Qf", "Kf", "a", "b", "c", "V0", "rows", "cols")
+
+
+@dataclass(frozen=True)
 class HeadFamily:
     """The heads of one ReLU sum along one direction,
     sum_m c_m relu(a_m z + b_m), stored once and evaluated by prefix sums:
@@ -181,8 +188,15 @@ class HeadFamily:
     pairs, and once for all receivers when they share Qf h_i and q_g . h_i;
     it first checks that no closed pair's largest pre-activation reaches its
     gate, and raises ForwardError otherwise, so the family computes what its
-    heads compute or stops.  ``to_heads`` gives the heads themselves, which
-    norms and ``layer_heads`` read.
+    heads compute or stops.  ``layer_norm`` reads the heads' norms from
+    this form; ``to_heads`` gives the heads themselves, which
+    ``layer_heads`` reads.
+
+    A family is frozen and its arrays are read-only (a copy of each array
+    it is given that could still be written), so the evaluator and the
+    result of its shape check (``shape_error``, once per stream dim) are
+    made once and cannot go stale; ``dataclasses.replace`` makes a new
+    family with caches of its own.
     """
 
     Qf: np.ndarray
@@ -195,6 +209,18 @@ class HeadFamily:
     V0: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
+
+    def __post_init__(self):
+        # stored past the frozen __setattr__; an array that is read-only and
+        # owns its data (a cached fit's, or another family's) is shared, not
+        # copied
+        for name in (*FAMILY_ARRAYS, "gate"):
+            arr = self.__dict__[name]
+            if arr is not None and (not isinstance(arr, np.ndarray)
+                                    or arr.flags.writeable or arr.base is not None):
+                arr = np.array(arr)
+                arr.setflags(write=False)
+                self.__dict__[name] = arr
 
     def __repr__(self) -> str:
         return (f"HeadFamily(terms={self.n_terms}, Qf={self.Qf.shape}, "
@@ -216,28 +242,34 @@ class HeadFamily:
             return none, none
         return self.gate[:1], self.gate[1:]
 
-    def stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every head's Q, K and V block, stacked along a first axis."""
-        M, D = self.n_terms, self.Qf.shape[1]
-        q_g, k_g = self._gate()
-        bias = np.zeros((M, 1, D))
-        bias[:, 0, self.one] = self.b
-        Qs = np.concatenate([self.a[:, None, None] * self.Qf, bias,
-                             np.broadcast_to(q_g, (M, *q_g.shape))], axis=1)
-        K = np.vstack([self.Kf, self._unit(), k_g])
-        Ks = np.broadcast_to(K, (M, *K.shape))
-        Vs = np.where(self.V0 != 0, self.c[:, None, None] * self.V0, self.V0)
-        return Qs, Ks, Vs
+    def _queries(self, m: np.ndarray) -> np.ndarray:
+        """Q_m = [a_m Qf; b_m e_one; q_g] of the terms m, stacked along a
+        first axis."""
+        q_g = self._gate()[0]
+        bias = np.zeros((len(m), 1, self.Qf.shape[1]))
+        bias[:, 0, self.one] = self.b[m]
+        return np.concatenate([self.a[m, None, None] * self.Qf, bias,
+                               np.broadcast_to(q_g, (len(m), *q_g.shape))], axis=1)
+
+    def _key(self) -> np.ndarray:
+        """K = [Kf; e_one; k_g], every head's key map."""
+        return np.vstack([self.Kf, self._unit(), self._gate()[1]])
 
     def to_heads(self) -> list[AttentionHead]:
-        Qs, Ks, Vs = self.stack()
-        return [AttentionHead(q, k.copy(), v, self.rows, self.cols)
-                for q, k, v in zip(Qs, Ks, Vs)]
+        Qs, K = self._queries(np.arange(self.n_terms)), self._key()
+        Vs = np.where(self.V0 != 0, self.c[:, None, None] * self.V0, self.V0)
+        return [AttentionHead(q, K.copy(), v, self.rows, self.cols)
+                for q, v in zip(Qs, Vs)]
 
     @functools.cached_property
     def _plan(self):
         """The prefix-sum evaluator of the family's ReLU sum."""
         return prefix_sum_eval(self.a, self.b, self.c)
+
+    @functools.cached_property
+    def _errors(self) -> dict[int, str | None]:
+        """``_family_error`` per stream dim, filled in by ``shape_error``."""
+        return {}
 
 
 def family_scores(fam: HeadFamily, H: np.ndarray) -> np.ndarray:
@@ -372,9 +404,10 @@ def shape_error(layer: TransformerLayer, D: int) -> str | None:
             if err is not None:
                 return f"head {m}: {err}"
     for f, fam in enumerate(layer.families):
-        err = _family_error(fam, D)
-        if err is not None:
-            return f"family {f}: {err}"
+        if D not in fam._errors:
+            fam._errors[D] = _family_error(fam, D)
+        if fam._errors[D] is not None:
+            return f"family {f}: {fam._errors[D]}"
     if (layer.W1.ndim != 2 or layer.W1.shape[1] != D
             or layer.W2.shape != layer.W1.shape[::-1]):
         return f"W1 {layer.W1.shape} and W2 {layer.W2.shape} do not fit dim {D}"
@@ -455,22 +488,65 @@ def layer_norm(layer: TransformerLayer) -> float:
     """max_m max(|Q_m|, |K_m|) + sum_m |V_m| + |W1| + |W2|  (operator norms)
     over every head of the layer, family heads included.
 
-    A family's norms come from one batched SVD of its stacked maps (numpy
-    runs the same LAPACK call on each matrix of a stack, so every norm is
-    the matrix's own; the family's heads share one K); the V norms are
-    summed left to right in head order, as a loop over ``layer_heads``
-    would, so the result does not depend on the batching."""
-    qk, vnorms = [0.0], [np.zeros(0)]
-    for fam in layer.families:
-        Qs, Ks, Vs = fam.stack()
-        qk += [_stack_norms(Qs).max(), _stack_norms(Ks[:1]).max()]
-        vnorms.append(_stack_norms(Vs))
-    for h in layer.heads:
-        qk += [operator_norm(h.Q), operator_norm(h.K)]
-        vnorms.append([operator_norm(h.V)])
-    v = np.concatenate(vnorms)
+    A family's norms come from its ridge form (see HeadFamily), without
+    building its heads: |Q_m| from the Grams of its terms (``_q_candidates``),
+    one K for all its heads, and |c_m V0| = |c_m| |V0|, which for the
+    diagonal V0 the builders emit is the SVD of c_m V0 bit for bit.  The
+    layer's norms are taken in one call per matrix shape (``_by_shape``), and
+    the V norms are summed left to right in head order, as a loop over
+    ``layer_heads`` would, so the result does not depend on the batching."""
+    fams, heads = layer.families, layer.heads
+    queries = _q_candidates(fams) + [h.Q[None] for h in heads]
+    keys = [f._key()[None] for f in fams] + [h.K[None] for h in heads]
+    qk = [0.0] + [n.max() for n in _by_shape(_stack_norms, queries + keys)]
+    values = _by_shape(_stack_norms, [f.V0[None] for f in fams]
+                       + [h.V[None] for h in heads])
+    v = np.concatenate([np.zeros(0)]
+                       + [np.abs(f.c) * n for f, n in zip(fams, values)]
+                       + values[len(fams):])
     vsum = float(np.cumsum(v)[-1]) if v.size else 0.0
     return float(max(qk)) + vsum + operator_norm(layer.W1) + operator_norm(layer.W2)
+
+
+def _q_candidates(fams: tuple[HeadFamily, ...]) -> list[np.ndarray]:
+    """The Q_m of the terms of each family that may have its largest |Q_m|.
+
+    Q_m = S_m R with R = [Qf; e_one; q_g] and S_m = diag(a_m, ..., a_m,
+    b_m, 1), so |Q_m|^2 is the top eigenvalue of S_m (R R^T) S_m: an
+    eigvalsh of small Grams.  That agrees with the SVD of Q_m to a few ulps,
+    so every term within 1e-9 of its family's top is kept, and the SVD of
+    those gives the family's max |Q_m| bit for bit."""
+    grams = []
+    for f in fams:
+        r = f.Qf.shape[0]
+        R = np.vstack([f.Qf, f._unit(), f._gate()[0]])
+        S = np.ones((f.n_terms, len(R)))
+        S[:, :r] = f.a[:, None]
+        S[:, r] = f.b
+        grams.append(S[:, :, None] * (R @ R.T) * S[:, None, :])
+    tops = _by_shape(lambda G: np.linalg.eigvalsh(G)[:, -1], grams)
+    out = []
+    for f, top in zip(fams, tops):
+        q = np.sqrt(np.maximum(top, 0.0))
+        out.append(f._queries(np.flatnonzero(q >= q.max() * (1.0 - 1e-9))))
+    return out
+
+
+def _by_shape(fn, stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """fn of every stack of a list, where fn maps a stack of matrices to one
+    value per matrix: one call per matrix shape, on the stacks of that shape
+    joined (numpy runs the same LAPACK call on each matrix of a stack, so
+    every value is the matrix's own)."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, S in enumerate(stacks):
+        groups.setdefault(S.shape[1:], []).append(i)
+    out = [np.zeros(0)] * len(stacks)
+    for idx in groups.values():
+        ends = np.cumsum([len(stacks[i]) for i in idx])
+        parts = np.split(fn(np.concatenate([stacks[i] for i in idx])), ends[:-1])
+        for i, part in zip(idx, parts):
+            out[i] = part
+    return out
 
 
 def _stack_norms(S: np.ndarray) -> np.ndarray:
@@ -640,9 +716,6 @@ def compose(
         name, col = last.readout
         readout = (mappings[-1][name], col)
     return Transformer(layers, unified, readout)
-
-
-FAMILY_ARRAYS = ("Qf", "Kf", "a", "b", "c", "V0", "rows", "cols")
 
 
 def to_json(tf: Transformer) -> str:

@@ -365,7 +365,9 @@ class TestMalformedConfig:
                                       '{"build_params": {"grad_knots": 1}}',
                                       '{"gen_params": {"n_source": 0}}',
                                       '{"hyper": {"beta": 0}}', '{"hyper": {"K": 0}}',
-                                      '{"hyper": {"J": 0}}', '{"hyper": {"kde_h": 0}}'])
+                                      '{"hyper": {"J": 0}}', '{"hyper": {"kde_h": 0}}',
+                                      '{"hyper": {"L1": 0}}', '{"hyper": {"L2": 0}}',
+                                      '{"hyper": {"L": 0}}'])
     def test_reported_cases_exit_two(self, tmp_path, capsys, text):
         path = tmp_path / "config.json"
         path.write_text(text)

@@ -440,6 +440,33 @@ def ridge(layout, rng, M=40, gate=True, G=50.0):
                          np.r_[layout.row("y")])
 
 
+def family_form(layout, rng, r, n, gate, G=50.0):
+    """Family with a random (r, D) Qf and Kf, gated to source senders if
+    asked, writing s I_n from `u` into `out`.  Its knot-table terms hold a
+    constant term, a knot at 0 (b_m = 0) and negative c_m.  Q is larger than
+    K and the value sum small, so that the largest |Q_m| sets the norm of a
+    layer that holds the family alone."""
+    D = layout.dim
+    knots = np.sort(np.append(rng.uniform(-2.0, 2.0, int(rng.integers(5, 11))), 0.0))
+    kappa = 1.0 + np.abs(knots)
+    a = np.concatenate([[0.0], 1.0 / kappa])
+    b = np.concatenate([[1.0], -knots / kappa]) + 0.0
+    c = 0.01 * rng.standard_normal(a.size)
+    c[1] = -abs(c[1])
+    gate_rows = None
+    if gate:
+        gate_rows = np.zeros((2, D))
+        gate_rows[0, layout.row("one")] = -G
+        gate_rows[1, layout.row("one")] = 1.0
+        gate_rows[1, layout.row("t")] = -1.0
+    rows = np.arange(layout.start("out"), layout.start("out") + n)
+    cols = np.arange(layout.start("u"), layout.start("u") + n)
+    return tc.HeadFamily(2.0 * rng.standard_normal((r, D)),
+                         0.5 * rng.standard_normal((r, D)),
+                         layout.row("one"), gate_rows, a, b, c,
+                         rng.uniform(0.5, 2.0) * np.eye(n), rows, cols)
+
+
 def gated_stream(layout, T, rng, t=None):
     H = rng.standard_normal((layout.dim, T))
     H[layout.row("one")] = 1.0
@@ -595,16 +622,31 @@ class TestHeadFamily:
                             rtol=0, atol=1e-12)
 
     def test_layer_norm_and_describe_read_every_head_in_order(self, rng):
-        layout = gated_layout()
+        """layer_norm reads the families' ridge form; it equals the SVD of
+        every head over the forms the builders emit: Qf of 1-3 rows, gated
+        and ungated, a constant term (a_m = 0), terms with b_m = 0, negative
+        c_m and scaled-diagonal V0 of size 1-3."""
+        layout = toy_layout([("u", 3), ("out", 3)])
         D = layout.dim
         layer = random_layer(D, 5, 2, 3, rng)
-        layer.families = (ridge(layout, rng), ridge(layout, rng),
-                          ridge(layout, rng, gate=False))
+        layer.families = tuple(
+            family_form(layout, rng, r, n, gate)
+            for r in (1, 2, 3) for n in (1, 2, 3) for gate in (False, True))
         heads = tc.layer_heads(layer)
-        assert len(heads) == tc.n_heads(layer) == 3 * 40 + 5
+        terms = sum(f.n_terms for f in layer.families)
+        assert len(heads) == tc.n_heads(layer) == terms + 5
         # the families' heads come first, then the plain heads
-        assert heads[119] is not layer.heads[0] and heads[120:] == layer.heads
+        assert heads[terms - 1] is not layer.heads[0]
+        assert heads[terms:] == layer.heads
+        for fam in layer.families:
+            assert np.any(fam.a == 0) and np.any(fam.b == 0)
+            assert np.any(fam.c < 0)
         assert tc.layer_norm(layer) == reference_layer_norm(layer)
+        # each family alone, where its own largest |Q_m| sets the norm
+        zl = tc.zero_layer(D)
+        for fam in layer.families:
+            alone = tc.TransformerLayer([], zl.W1, zl.W2, (fam,))
+            assert tc.layer_norm(alone) == reference_layer_norm(alone)
         expanded = tc.TransformerLayer(heads, layer.W1, layer.W2)
         tf = tc.Transformer([layer], layout, ("y", None))
         assert tc.describe(tf) == tc.describe(
@@ -663,10 +705,57 @@ class TestHeadFamily:
         zl = tc.zero_layer(layout.dim)
         tf = tc.Transformer([zl, tc.TransformerLayer([], zl.W1, zl.W2, (bad,))],
                             layout, ("y", None))
-        with pytest.raises(tc.ForwardError, match="layer 1: family 0: " + match):
-            tc.forward(tf, gated_stream(layout, 4, rng))
+        tm = gated_stream(layout, 4, rng)
+        errors = []
+        # the second forward reads the family's stored check
+        for _ in range(2):
+            with pytest.raises(tc.ForwardError, match="layer 1: family 0: " + match) as err:
+                tc.forward(tf, tm)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
         with pytest.raises(tc.LayoutError, match="layer 1 family 0: " + match):
             tc.from_json(tc.to_json(tf))
+
+    def test_family_is_immutable(self, rng):
+        """A family's arrays are read-only, so its stored evaluator and
+        shape check cannot go stale."""
+        layout = gated_layout()
+        fam = ridge(layout, rng, M=4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fam.a = np.ones(4)
+        with pytest.raises(ValueError):
+            fam.a[0] = 1.0
+        for name in tc.FAMILY_ARRAYS + ("gate",):
+            assert not getattr(fam, name).flags.writeable
+        # a writable array is copied, a read-only one shared
+        c = fam.c.copy()
+        again = dataclasses.replace(fam, c=c)
+        c[0] = 5.0
+        assert again.c[0] == fam.c[0] and c.flags.writeable
+        assert again.a is fam.a
+
+    def test_each_family_is_checked_once(self, rng, monkeypatch):
+        """Two forwards check each family once; a family made by
+        dataclasses.replace is checked on its own."""
+        layout = gated_layout()
+        zl = tc.zero_layer(layout.dim)
+        fams = [ridge(layout, rng), ridge(layout, rng, gate=False),
+                ridge(layout, rng, M=6)]
+        tf = tc.Transformer([tc.TransformerLayer([], zl.W1, zl.W2, tuple(fams[:2])),
+                             tc.TransformerLayer([], zl.W1, zl.W2, tuple(fams[2:]))],
+                            layout, ("y", None))
+        checked = []
+        check = tc._family_error
+        monkeypatch.setattr(tc, "_family_error",
+                            lambda fam, D: checked.append(fam) or check(fam, D))
+        tm = gated_stream(layout, 6, rng)
+        first = tc.forward(tf, tm)
+        assert_array_equal(tc.forward(tf, tm).data, first.data)
+        assert len(checked) == len(fams)
+        assert all(got is want for got, want in zip(checked, fams))
+        tf.layers[1].families = (dataclasses.replace(fams[2]),)
+        tc.forward(tf, tm)
+        assert len(checked) == len(fams) + 1 and checked[-1] is not fams[2]
 
 
 def private_layer(layout, private, rng):
