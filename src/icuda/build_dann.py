@@ -4,9 +4,10 @@ Each optimization step spans three layers: (A) forward attention rebuilds the
 label and domain scores per token and a gated MLP turns them into per-token
 loss gradients, (B) gradient attention applies all six update families (label
 and domain objectives for the three parameter blocks), (C) an MLP applies the
-ball projections when needed and zeroes the scratch rows exactly.  A final
-layer recomputes the label score and copies it into the output slot at the
-query token only.
+ball projections when needed and zeroes the scratch rows exactly.  The three
+step layers are built once and each kept at its position in all L steps.  A
+final layer recomputes the label score and copies it into the output slot at
+the query token only.
 
 Parameter blocks live in every token and stay synchronized; per-token scratch
 (scores and loss gradients) is rebuilt each step.  Certificates chain the
@@ -15,7 +16,6 @@ measured fit errors through the gradient formula with realized trace bounds.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -475,9 +475,7 @@ def build_dann_transformer(pair: DomainPair, cfg: IcudaBuildConfig,
     W1_p, W2_p, eps_proj = build_projection_mlp(layout, cfg, enable_proj, R_blk)
     layer_c = TransformerLayer([], W1_p, W2_p)
 
-    layers = []
-    for _ in range(s.L):
-        layers += [dataclasses.replace(layer) for layer in (layer_a, layer_b, layer_c)]
+    layers = [layer_a, layer_b, layer_c] * s.L
     layers.append(build_readout_layer(layout, cfg, R1, R_lam))
     tf = Transformer(layers, layout, readout=("fdann", None))
 

@@ -1,12 +1,13 @@
 """Transformer weights that execute the ratio-weighted regression branch.
 
-Layer plan: one feature layer (ReLU-attention fit of the RBF map), L1
-identical ratio layers (each performs one exact gradient step on the ratio
-coefficients), L2 identical regression layers (each performs one weighted
-gradient step through a fitted gradient surrogate), and an exact linear
-readout pair.  Cross-token bilinear products (coefficient dot feature) come
-from attention scores, so the ratio layers are exact; the only approximation
-errors are the feature fit and the gradient surrogate, and both are measured.
+Layer plan: the feature layers (ReLU-attention fit of the RBF map), one
+ratio layer kept at L1 positions (each position performs one exact gradient
+step on the ratio coefficients), one regression layer kept at L2 positions
+(each performs one weighted gradient step through a fitted gradient
+surrogate), and an exact linear readout pair.  Cross-token bilinear products
+(coefficient dot feature) come from attention scores, so the ratio layers
+are exact; the only approximation errors are the feature fit and the
+gradient surrogate, and both are measured.
 """
 
 from __future__ import annotations
@@ -273,8 +274,7 @@ def build_alpha_transformer(prob: ur.UlsifProblem, eta1: float, L1: int,
         R_alpha = max(2.0 * float(np.max(np.linalg.norm(alphas, axis=1))), 1.0)
     N = prob.n + prob.n_prime
     layer = build_alpha_layer(layout, prob.n, prob.n_prime, N, eta1, prob.lam, R_alpha)
-    layers = [TransformerLayer(layer.heads, layer.W1, layer.W2) for _ in range(L1)]
-    return Transformer(layers, layout, readout=("fout", None))
+    return Transformer([layer] * L1, layout, readout=("fout", None))
 
 
 def alpha_trace_from_tf(tf: Transformer, tm: TokenMatrix) -> np.ndarray:
@@ -343,12 +343,11 @@ def build_iwl_transformer(pair: DomainPair, cfg: IcudaBuildConfig) -> IwlBuild:
     grad_fit = grad_surrogate(R_box, cfg.grad_knots)
     N = pair.n + pair.n_prime
     gate_w = max(R_box, 1.0)
-    layers = list(feat_layers)
-    layers += [build_alpha_layer(layout, pair.n, pair.n_prime, N, s.eta1,
-                                 s.lam, B_alpha) for _ in range(s.L1)]
-    layers += [build_w_layer(layout, pair.n, N, s.eta2, grad_fit, gate_w)
-               for _ in range(s.L2)]
-    layers.append(build_readout_layer(layout))
+    alpha_layer = build_alpha_layer(layout, pair.n, pair.n_prime, N, s.eta1,
+                                    s.lam, B_alpha)
+    w_layer = build_w_layer(layout, pair.n, N, s.eta2, grad_fit, gate_w)
+    layers = [*feat_layers, *[alpha_layer] * s.L1, *[w_layer] * s.L2,
+              build_readout_layer(layout)]
     tf = Transformer(layers, layout, readout=("fout", None))
     bounds = {"B_alpha": B_alpha, "R_box": R_box, "x_radius": x_radius,
               "gate_w": gate_w}

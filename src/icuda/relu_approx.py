@@ -55,15 +55,6 @@ class ReluSum:
     def n_terms(self) -> int:
         return len(self.c)
 
-    @property
-    def coef_sum(self) -> float:
-        """C = sum_m |c_m|, the coefficient budget of the approximability class."""
-        return float(np.sum(np.abs(self.c)))
-
-    @property
-    def max_norm(self) -> float:
-        return float(np.max(np.sum(np.abs(self.a), axis=1) + np.abs(self.b))) if self.n_terms else 0.0
-
     def __call__(self, z) -> float:
         z = np.asarray(z, dtype=float).ravel()
         return float(np.maximum(self.a @ z + self.b, 0.0) @ self.c)

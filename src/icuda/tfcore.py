@@ -19,6 +19,14 @@ so what is derived from it once stays true: its prefix-sum evaluator and
 its shape check, which the first forward on a stream dim makes and later
 forwards reuse.  Plain AttentionHeads are left for the exact hand-written
 heads, a few per model.  A layer's families precede its plain heads.
+
+Layers and heads are frozen with read-only arrays too, because one layer
+object may stand at several positions: a gradient step that repeats L times
+is one step layer kept at L positions (the looped form).  ``compose``,
+``tf_norm``, ``describe`` and ``to_json`` take each distinct layer object
+once, so a repeated step is mapped, normed and written once, and shares
+its families' evaluators and shape checks; ``from_json`` restores the
+sharing.
 """
 
 from __future__ import annotations
@@ -133,18 +141,35 @@ class TokenMatrix:
         return TokenMatrix(self.data.copy(), self.layout, self.n_source, self.n_target)
 
 
+def _store_read_only(obj, names) -> None:
+    """Store the named array fields of a frozen dataclass read-only, past its
+    frozen __setattr__: an array that is read-only and owns its data (a
+    cached fit's, or another object's) is shared, any other copied."""
+    for name in names:
+        arr = obj.__dict__[name]
+        if arr is not None and (not isinstance(arr, np.ndarray)
+                                or arr.flags.writeable or arr.base is not None):
+            arr = np.array(arr)
+            arr.setflags(write=False)
+            obj.__dict__[name] = arr
+
+
 # reprs give shapes and counts: the families of a composed model hold ~22k
 # heads, and printing their matrices takes minutes
-@dataclass
+@dataclass(frozen=True)
 class AttentionHead:
     """One ReLU head whose D x D value matrix is zero outside the
-    (len(rows), len(cols)) block ``V`` at ``np.ix_(rows, cols)``."""
+    (len(rows), len(cols)) block ``V`` at ``np.ix_(rows, cols)``.  Frozen,
+    with read-only arrays (see ``_store_read_only``)."""
 
     Q: np.ndarray
     K: np.ndarray
     V: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
+
+    def __post_init__(self):
+        _store_read_only(self, ("Q", "K", "V", "rows", "cols"))
 
     def __repr__(self) -> str:
         return f"AttentionHead(Q={self.Q.shape}, K={self.K.shape}, V={self.V.shape})"
@@ -211,16 +236,7 @@ class HeadFamily:
     cols: np.ndarray
 
     def __post_init__(self):
-        # stored past the frozen __setattr__; an array that is read-only and
-        # owns its data (a cached fit's, or another family's) is shared, not
-        # copied
-        for name in (*FAMILY_ARRAYS, "gate"):
-            arr = self.__dict__[name]
-            if arr is not None and (not isinstance(arr, np.ndarray)
-                                    or arr.flags.writeable or arr.base is not None):
-                arr = np.array(arr)
-                arr.setflags(write=False)
-                self.__dict__[name] = arr
+        _store_read_only(self, (*FAMILY_ARRAYS, "gate"))
 
     def __repr__(self) -> str:
         return (f"HeadFamily(terms={self.n_terms}, Qf={self.Qf.shape}, "
@@ -257,8 +273,9 @@ class HeadFamily:
 
     def to_heads(self) -> list[AttentionHead]:
         Qs, K = self._queries(np.arange(self.n_terms)), self._key()
+        K.setflags(write=False)
         Vs = np.where(self.V0 != 0, self.c[:, None, None] * self.V0, self.V0)
-        return [AttentionHead(q, K.copy(), v, self.rows, self.cols)
+        return [AttentionHead(q, K, v, self.rows, self.cols)
                 for q, v in zip(Qs, Vs)]
 
     @functools.cached_property
@@ -304,12 +321,21 @@ def family_scores(fam: HeadFamily, H: np.ndarray) -> np.ndarray:
     return F
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransformerLayer:
-    heads: list[AttentionHead]
+    """Plain heads, head families and the MLP (W1, W2) of one layer.  Frozen,
+    with read-only W1 and W2 and its heads and families stored as tuples, so
+    that a layer kept at several positions stays the same at each."""
+
+    heads: tuple[AttentionHead, ...]
     W1: np.ndarray
     W2: np.ndarray
     families: tuple[HeadFamily, ...] = ()
+
+    def __post_init__(self):
+        self.__dict__["heads"] = tuple(self.heads)
+        self.__dict__["families"] = tuple(self.families)
+        _store_read_only(self, ("W1", "W2"))
 
     def __repr__(self) -> str:
         terms = sum(f.n_terms for f in self.families)
@@ -557,10 +583,24 @@ def _stack_norms(S: np.ndarray) -> np.ndarray:
     return np.linalg.svd(S, compute_uv=False).max(axis=-1)
 
 
+def _distinct_layers(layers: list[TransformerLayer]
+                    ) -> tuple[list[TransformerLayer], list[int]]:
+    """The distinct layer objects of a stack in first-seen order, and the
+    index of the one at each position: a step layer kept at L positions is
+    one object (see the module docstring)."""
+    index: dict[int, int] = {}
+    distinct = []
+    for layer in layers:
+        if id(layer) not in index:
+            index[id(layer)] = len(distinct)
+            distinct.append(layer)
+    return distinct, [index[id(layer)] for layer in layers]
+
+
 def tf_norm(tf: Transformer) -> float:
-    if not tf.layers:
-        return 0.0
-    return max(layer_norm(layer) for layer in tf.layers)
+    """The largest ``layer_norm``, taken once per distinct layer."""
+    return max((layer_norm(layer) for layer in _distinct_layers(tf.layers)[0]),
+               default=0.0)
 
 
 def _family_marks(fam: HeadFamily, read: np.ndarray,
@@ -579,28 +619,32 @@ def _family_marks(fam: HeadFamily, read: np.ndarray,
         written[fam.rows[np.any(fam.V0, axis=1)]] = True
 
 
+def _layer_summary(layer: TransformerLayer, layout: SlotLayout) -> dict:
+    """A layer's head count, MLP width, norm and the slots it reads and
+    writes."""
+    read = np.any(layer.W1, axis=0)
+    written = np.any(layer.W2, axis=1)
+    for head in layer.heads:
+        read |= np.any(head.Q, axis=0) | np.any(head.K, axis=0)
+        read[head.cols[np.any(head.V, axis=0)]] = True
+        written[head.rows[np.any(head.V, axis=1)]] = True
+    for fam in layer.families:
+        _family_marks(fam, read, written)
+    return {
+        "heads": n_heads(layer),
+        "mlp_hidden": int(layer.W1.shape[0]),
+        "norm": layer_norm(layer),
+        "reads": sorted(n for n, a, b in layout.ranges if read[a:b].any()),
+        "writes": sorted(n for n, a, b in layout.ranges if written[a:b].any()),
+    }
+
+
 def describe(tf: Transformer) -> dict:
-    """Structural summary: per-layer head counts, norms, and slot usage."""
-    layers = []
-    for layer in tf.layers:
-        read = np.any(layer.W1, axis=0)
-        written = np.any(layer.W2, axis=1)
-        for head in layer.heads:
-            read |= np.any(head.Q, axis=0) | np.any(head.K, axis=0)
-            read[head.cols[np.any(head.V, axis=0)]] = True
-            written[head.rows[np.any(head.V, axis=1)]] = True
-        for fam in layer.families:
-            _family_marks(fam, read, written)
-        layers.append(
-            {
-                "heads": n_heads(layer),
-                "mlp_hidden": int(layer.W1.shape[0]),
-                "norm": layer_norm(layer),
-                "reads": sorted(n for n, a, b in tf.layout.ranges if read[a:b].any()),
-                "writes": sorted(n for n, a, b in tf.layout.ranges
-                                 if written[a:b].any()),
-            }
-        )
+    """Structural summary: per-layer head counts, norms, and slot usage, one
+    entry per position, each distinct layer summarised once."""
+    distinct, positions = _distinct_layers(tf.layers)
+    summaries = [_layer_summary(layer, tf.layout) for layer in distinct]
+    layers = [dict(summaries[i]) for i in positions]
     return {
         "dim": tf.layout.dim,
         "num_layers": len(tf.layers),
@@ -680,7 +724,8 @@ def compose(
     Each part's Q, K, W1 and W2 (a family's Qf, Kf and gate) are conjugated
     by its row embedding, and its value blocks' rows and cols (a family's
     constant row) mapped through it; cross-part claims on the same unified
-    workspace slot are rejected.
+    workspace slot are rejected.  Each distinct layer object of a part is
+    mapped once and the result kept at every position it held.
     """
     if len(parts) != len(mappings):
         raise LayoutError("one mapping per part required")
@@ -698,7 +743,9 @@ def compose(
         idx = embed_rows(part.layout, unified, mapping)
         P = np.zeros((unified.dim, part.layout.dim))
         P[idx, np.arange(part.layout.dim)] = 1.0
-        for layer in part.layers:
+        distinct, positions = _distinct_layers(part.layers)
+        mapped = []
+        for layer in distinct:
             heads = [
                 AttentionHead(h.Q @ P.T, h.K @ P.T, h.V, idx[h.rows], idx[h.cols])
                 for h in layer.heads
@@ -709,8 +756,9 @@ def compose(
                     gate=None if f.gate is None else f.gate @ P.T,
                     rows=idx[f.rows], cols=idx[f.cols])
                 for f in layer.families)
-            layers.append(TransformerLayer(heads, layer.W1 @ P.T, P @ layer.W2,
+            mapped.append(TransformerLayer(heads, layer.W1 @ P.T, P @ layer.W2,
                                            families))
+        layers += [mapped[i] for i in positions]
     if readout is None:
         last = parts[-1]
         name, col = last.readout
@@ -719,6 +767,10 @@ def compose(
 
 
 def to_json(tf: Transformer) -> str:
+    """The model as JSON: its layout and readout, each distinct layer object
+    once under ``"layers"``, and under ``"positions"`` the index into
+    ``"layers"`` of the layer at each position."""
+    distinct, positions = _distinct_layers(tf.layers)
     obj = {
         "layout": [[n, a, b] for n, a, b in tf.layout.ranges],
         "readout": [tf.readout[0], tf.readout[1]],
@@ -738,54 +790,113 @@ def to_json(tf: Transformer) -> str:
                     for f in layer.families
                 ],
             }
-            for layer in tf.layers
+            for layer in distinct
         ],
+        "positions": positions,
     }
     return json.dumps(obj)
 
 
-def _load(v, *rest: int) -> np.ndarray:
-    """A weight read from JSON.  to_json writes an array whose first axis is
-    empty as [], which np.array reads as a float (0,): [] gets back the
-    shape (0, *rest), and an index array (no rest) the integer (0,)."""
-    arr = np.array(v)
-    if arr.shape != (0,):
+def _field(obj, key: str, where: str, kind: type = object):
+    """obj[key] of a JSON object read by from_json; a missing key, or a
+    value that is not a ``kind``, raises LayoutError naming where and key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise LayoutError(f"{where}: missing field {key!r}")
+    if not isinstance(obj[key], kind):
+        raise LayoutError(f"{where}: field {key!r} is a {type(obj[key]).__name__}, "
+                          f"not a {kind.__name__}")
+    return obj[key]
+
+
+def _load(obj, key: str, where: str, *rest: int, index: bool = False) -> np.ndarray:
+    """Field ``key`` of a head, family or layer read from JSON: an array of
+    finite numbers (as floats), or of integers if ``index``.  to_json writes
+    an array whose first axis is empty as [], which np.array reads as a
+    float (0,): [] gets back the shape (0, *rest), and an index array the
+    integer (0,).  A ragged list, booleans, strings or a non-finite number
+    raise LayoutError naming where and key."""
+    value = _field(obj, key, where)
+    try:
+        arr = np.array(value)
+    except ValueError as e:
+        raise LayoutError(f"{where}: {key} is not a rectangular array") from e
+    if arr.shape == (0,):
+        return arr.astype(int) if index else np.zeros((0, *rest))
+    if arr.dtype.kind not in ("iu" if index else "iuf"):
+        raise LayoutError(f"{where}: {key} holds {arr.dtype} entries, not "
+                          + ("integers" if index else "numbers"))
+    if index:
         return arr
-    return np.zeros((0, *rest)) if rest else arr.astype(int)
+    if not np.all(np.isfinite(arr)):
+        raise LayoutError(f"{where}: {key} has an entry that is not finite")
+    return arr.astype(float, copy=False)
+
+
+def _load_layer(lobj, where: str, D: int) -> TransformerLayer:
+    """One entry of to_json's ``"layers"``; a field that is missing or
+    malformed (see _load), or weights that cannot run on stream dim D (see
+    shape_error), raise LayoutError naming where."""
+    heads = []
+    for m, h in enumerate(_field(lobj, "heads", where, list)):
+        at = f"{where} head {m}"
+        rows, cols = _load(h, "rows", at, index=True), _load(h, "cols", at, index=True)
+        heads.append(AttentionHead(_load(h, "Q", at, D), _load(h, "K", at, D),
+                                   _load(h, "V", at, cols.size), rows, cols))
+    W1, W2 = _load(lobj, "W1", where), _load(lobj, "W2", where)
+    if W1.size == 0:
+        W1 = W1.reshape(0, D)
+    if W2.size == 0:
+        W2 = W2.reshape(D, 0)
+    families = []
+    fams = lobj.get("families", [])
+    if not isinstance(fams, list):
+        raise LayoutError(f"{where}: field 'families' is a {type(fams).__name__}, "
+                          f"not a list")
+    for j, f in enumerate(fams):
+        at = f"{where} family {j}"
+        rows, cols = _load(f, "rows", at, index=True), _load(f, "cols", at, index=True)
+        gate = None if _field(f, "gate", at) is None else _load(f, "gate", at)
+        families.append(HeadFamily(
+            _load(f, "Qf", at, D), _load(f, "Kf", at, D), _field(f, "one", at),
+            gate, *(_load(f, k, at) for k in "abc"), _load(f, "V0", at, cols.size),
+            rows, cols))
+    layer = TransformerLayer(heads, W1, W2, tuple(families))
+    err = shape_error(layer, D)
+    if err is not None:
+        raise LayoutError(f"{where} {err}")
+    return layer
 
 
 def from_json(s: str) -> Transformer:
-    """Load a model written by to_json; a layout that is not contiguous from
-    row 0, a weight whose shape does not fit it, a value block whose rows
-    or cols repeat or leave it, or a family that cannot run (see
-    shape_error) raises LayoutError."""
+    """Load a model written by to_json, with one layer object at every
+    position that names it.  A missing or malformed field (a ragged,
+    boolean, string or non-finite weight, a layout entry that is not
+    [slot, start, stop], a readout slot outside the layout, a position that
+    names no layer), a layout that is not
+    contiguous from row 0, a weight whose shape does not fit it, a value
+    block whose rows or cols repeat or leave it, or a family that cannot run
+    (see shape_error) raises LayoutError naming the layer and field."""
     obj = json.loads(s)
-    layout = SlotLayout(tuple((n, a, b) for n, a, b in obj["layout"]))
-    D = layout.dim
-    layers = []
-    for i, lobj in enumerate(obj["layers"]):
-        heads = []
-        for h in lobj["heads"]:
-            rows, cols = _load(h["rows"]), _load(h["cols"])
-            heads.append(AttentionHead(_load(h["Q"], D), _load(h["K"], D),
-                                       _load(h["V"], cols.size), rows, cols))
-        W1 = np.array(lobj["W1"])
-        W2 = np.array(lobj["W2"])
-        if W1.size == 0:
-            W1 = W1.reshape(0, D)
-        if W2.size == 0:
-            W2 = W2.reshape(D, 0)
-        families = []
-        for f in lobj.get("families", []):
-            rows, cols = _load(f["rows"]), _load(f["cols"])
-            families.append(HeadFamily(
-                _load(f["Qf"], D), _load(f["Kf"], D), f["one"],
-                None if f["gate"] is None else np.array(f["gate"]),
-                *(np.array(f[k]) for k in "abc"), _load(f["V0"], cols.size),
-                rows, cols))
-        layers.append(TransformerLayer(heads, W1, W2, tuple(families)))
-        err = shape_error(layers[-1], D)
-        if err is not None:
-            raise LayoutError(f"layer {i} {err}")
-    readout = (obj["readout"][0], obj["readout"][1])
-    return Transformer(layers, layout, readout)
+    ranges = _field(obj, "layout", "model", list)
+    for r in ranges:
+        if not (isinstance(r, list) and len(r) == 3 and isinstance(r[0], str)
+                and all(type(v) is int for v in r[1:])):
+            raise LayoutError(f"layout: {r!r} is not [slot, start, stop]")
+    layout = SlotLayout(tuple((n, a, b) for n, a, b in ranges))
+    layers = [_load_layer(lobj, f"layer {i}", layout.dim)
+              for i, lobj in enumerate(_field(obj, "layers", "model", list))]
+    positions = _field(obj, "positions", "model", list)
+    for p, i in enumerate(positions):
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < len(layers):
+            raise LayoutError(f"position {p}: layer index {i!r} is not one of "
+                              f"0..{len(layers) - 1}")
+    readout = _field(obj, "readout", "model", list)
+    if (len(readout) != 2 or not isinstance(readout[0], str)
+            or not (readout[1] is None or type(readout[1]) is int)):
+        raise LayoutError(f"readout {readout!r} is not [slot, column or null]")
+    try:
+        layout.row(readout[0])
+    except LayoutError as e:
+        raise LayoutError(f"readout: {e}") from e
+    return Transformer([layers[i] for i in positions], layout,
+                       (readout[0], readout[1]))

@@ -298,7 +298,7 @@ def test_10_weight_norms_within_budget(iwl_builds, capsys):
         cfg = build.cfg.sel
         n, npr = pair.n, pair.n_prime
         N = n + npr
-        C = build.grad_fit.coef_sum
+        C = float(np.sum(np.abs(build.grad_fit.c)))
         R = max(build.bounds["B_alpha"],
                 np.sqrt(4.0 + 2.0 * build.bounds["gate_w"] ** 2) - 1.0,
                 np.sqrt(5.0) - 1.0)

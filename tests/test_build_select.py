@@ -7,7 +7,7 @@ selector is verified end to end on routing instances from both regimes.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import icuda.build_dann as bd
 import icuda.build_select as bs
@@ -18,7 +18,7 @@ import icuda.tfcore as tc
 import icuda.uda_ref as ur
 
 from test_tfcore import (fit_float_error, head_scores, reference_layer_norm,
-                         ridge_z)
+                         ridge_z, sharing)
 
 
 def stub_layout(d=1):
@@ -284,10 +284,26 @@ class TestComposedWeights:
                     checked += 1
             assert checked == sum(len(layer.families) for layer in tf.layers)
 
-    def test_tf_norm_matches_per_head_reference(self, composed_build):
-        layers = composed_build.tf.layers
-        assert tc.tf_norm(composed_build.tf) == max(map(reference_layer_norm,
-                                                        layers))
+    def test_tf_norm_matches_per_head_reference(self, composed_pair,
+                                                 composed_build):
+        """Every position's describe norm, and tf_norm, equal the per-head
+        reference of its layer.  The 26 positions hold 13 layer objects (the
+        6 alpha steps, the 6 weight steps and the 2 DANN steps are one object
+        each, 5 + 5 + 3 repeats), and a JSON round trip keeps that pattern and
+        the forward bit for bit."""
+        tf = composed_build.tf
+        reference = {}
+        for layer in tf.layers:
+            if id(layer) not in reference:
+                reference[id(layer)] = reference_layer_norm(layer)
+        assert (len(tf.layers), len(reference)) == (26, 13)
+        norms = [entry["norm"] for entry in tc.describe(tf)["layers"]]
+        assert norms == [reference[id(layer)] for layer in tf.layers]
+        assert tc.tf_norm(tf) == max(reference.values())
+        back = tc.from_json(tc.to_json(tf))
+        assert sharing(back.layers) == sharing(tf.layers)
+        tm = bs.encode_icuda(composed_pair, composed_build)
+        assert_array_equal(tc.forward(back, tm).data, tc.forward(tf, tm).data)
 
 
 class TestComposedSelector:

@@ -293,6 +293,84 @@ class TestComposition:
             tc.compose([p1, p2], unified, clash, readout=("a.u", None))
 
 
+def sharing(layers):
+    """Each position's first position holding the same layer object."""
+    ids = [id(layer) for layer in layers]
+    return [ids.index(i) for i in ids]
+
+
+class TestSharedLayers:
+    """A step layer that repeats is one object kept at each of its
+    positions."""
+
+    def test_compose_norm_and_describe_take_each_layer_once(self, rng,
+                                                             monkeypatch):
+        layout = gated_layout()
+        private = np.arange(6, layout.dim)
+        step = dataclasses.replace(private_layer(layout, private, rng),
+                                   families=(ridge(layout, rng, M=6),))
+        layers = [step, private_layer(layout, private, rng), step, step]
+        part = tc.Transformer(layers, layout, ("out", None))
+        # the same weights, one object per position
+        copies = tc.Transformer([dataclasses.replace(layer) for layer in layers],
+                                layout, ("out", None))
+        unified, maps = tc.union_layout([part, part], ["a", "b"])
+        tf = tc.compose([part, part], unified, maps)
+        tf_copies = tc.compose([copies, copies], unified, maps)
+        assert sharing(tf.layers) == [0, 1, 0, 0, 4, 5, 4, 4]
+        assert sharing(tf_copies.layers) == list(range(8))
+        tm = gated_stream(unified, 6, rng)
+        assert_array_equal(tc.forward(tf, tm).data, tc.forward(tf_copies, tm).data)
+
+        normed = []
+        norm = tc.layer_norm
+        monkeypatch.setattr(tc, "layer_norm",
+                            lambda layer: normed.append(layer) or norm(layer))
+        assert tc.tf_norm(tf) == tc.tf_norm(tf_copies)
+        # 4 distinct layers in tf, then one per position of tf_copies
+        assert len(normed) == 4 + 8
+        info = tc.describe(tf)
+        assert len(normed) == 4 + 8 + 4
+        assert info == tc.describe(tf_copies)
+        assert len(info["layers"]) == 8
+
+    def test_json_keeps_the_sharing(self, rng):
+        layout = gated_layout()
+        private = np.arange(6, layout.dim)
+        step = dataclasses.replace(private_layer(layout, private, rng),
+                                   families=(ridge(layout, rng, M=6),))
+        last = private_layer(layout, private, rng)
+        tf = tc.Transformer([step, step, last, step], layout, ("out", None))
+        text = tc.to_json(tf)
+        obj = json.loads(text)
+        assert len(obj["layers"]) == 2 and obj["positions"] == [0, 0, 1, 0]
+        back = tc.from_json(text)
+        assert sharing(back.layers) == [0, 0, 2, 0]
+        tm = gated_stream(layout, 5, rng)
+        assert_array_equal(tc.forward(back, tm).data, tc.forward(tf, tm).data)
+
+    def test_layer_and_head_are_immutable(self, rng):
+        """Writing into a layer kept at several positions would change every
+        one of them, so layers and heads are frozen with read-only arrays."""
+        layer = random_layer(toy_layout().dim, 2, 2, 3, rng)
+        head = layer.heads[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layer.heads = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            head.Q = np.zeros_like(head.Q)
+        with pytest.raises(ValueError):
+            layer.W1[0, 0] = 1.0
+        assert isinstance(layer.heads, tuple)
+        for arr in (layer.W1, layer.W2, head.Q, head.K, head.V, head.rows,
+                    head.cols):
+            assert not arr.flags.writeable
+        # a writable array is copied, a read-only one shared
+        W1 = layer.W1.copy()
+        again = dataclasses.replace(layer, W1=W1)
+        W1[0, 0] += 1.0
+        assert again.W1[0, 0] == layer.W1[0, 0] and again.W2 is layer.W2
+
+
 class TestDiagnostics:
     def test_operator_norm_matches_svd(self, rng):
         M = rng.standard_normal((6, 6))
@@ -317,15 +395,16 @@ class TestDiagnostics:
         for hidden in (0, 1, 3, 5):
             # Q row counts and value block shapes mixed in one layer
             layer = random_layer(D, 0, 1, hidden, rng)
-            layer.heads = [random_head(D, int(rng.integers(1, 4)), rng)
-                           for _ in range(int(rng.integers(1, 40)))]
-            layers.append(layer)
-        heads = layers[1].heads
+            layers.append(dataclasses.replace(
+                layer, heads=[random_head(D, int(rng.integers(1, 4)), rng)
+                              for _ in range(int(rng.integers(1, 40)))]))
+        heads = list(layers[1].heads)
         h = heads[0]
         heads[0] = tc.AttentionHead(np.zeros((0, D)), np.zeros((0, D)), h.V,
                                     h.rows, h.cols)
         heads.append(tc.AttentionHead(h.Q, h.K, np.zeros((0, 2)),
                                       np.array([], dtype=int), np.array([0, 1])))
+        layers[1] = dataclasses.replace(layers[1], heads=heads)
         layers += [tc.zero_layer(D), random_layer(D, 0, 1, 4, rng)]
         for layer in layers:
             assert tc.layer_norm(layer) == reference_layer_norm(layer)
@@ -352,19 +431,20 @@ class TestDiagnostics:
         D = layout.dim
         layer = random_layer(D, 1, 2, 3, rng)
         h = layer.heads[0]
-        layer.heads += [
+        heads = layer.heads + (
             tc.AttentionHead(np.zeros((0, D)), np.zeros((0, D)), h.V, h.rows,
                              h.cols),
             tc.AttentionHead(h.Q, h.K, np.zeros((0, 2)),
-                             np.array([], dtype=int), np.array([0, 1]))]
-        layer.families = (tc.HeadFamily(
+                             np.array([], dtype=int), np.array([0, 1])))
+        families = (tc.HeadFamily(
             np.zeros((0, D)), np.zeros((0, D)), layout.row("one"), None,
             *knot_terms(rng, 3), np.zeros((0, 1)), np.array([], dtype=int),
             np.r_[layout.row("y")]),)
+        layer = dataclasses.replace(layer, heads=heads, families=families)
         tf = tc.Transformer([layer], layout, ("y", None))
         tf2 = tc.from_json(tc.to_json(tf))
-        units = tf2.layers[0].heads + list(tf2.layers[0].families)
-        for got, want in zip(units, layer.heads + list(layer.families),
+        units = tf2.layers[0].heads + tf2.layers[0].families
+        for got, want in zip(units, layer.heads + layer.families,
                              strict=True):
             for k in ("Q", "K", "Qf", "Kf", "V", "V0", "rows", "cols"):
                 if hasattr(want, k):
@@ -398,6 +478,39 @@ class TestDiagnostics:
 
         obj = {"layout": layout, "readout": ["x", None],
                "layers": [layer([[1.0]], [2], [2]), layer(*head2)]}
+        with pytest.raises(tc.LayoutError, match=match):
+            tc.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("change, match", [
+        (lambda m: m["layers"][0]["families"][0]["c"].__setitem__(1, float("nan")),
+         "layer 0 family 0: c has an entry that is not finite"),
+        (lambda m: m["layers"][0]["families"][0]["Qf"][0].__setitem__(0, float("inf")),
+         "layer 0 family 0: Qf has an entry that is not finite"),
+        (lambda m: m["layers"][0]["families"][0].update(a=[True] * 4),
+         "layer 0 family 0: a holds bool entries"),
+        (lambda m: m["layers"][0]["families"][0].update(a=["x"] * 4),
+         "layer 0 family 0: a holds <U1 entries"),
+        (lambda m: m["layers"][0].update(W1=[[1.0, 2.0], [1.0]]),
+         "layer 0: W1 is not a rectangular array"),
+        (lambda m: m.update(readout=["zz", None]), "readout: no slot named 'zz'"),
+        (lambda m: m.pop("readout"), "model: missing field 'readout'"),
+        (lambda m: m.update(layers=3), "model: field 'layers' is a int, not a list"),
+        (lambda m: m.update(positions=[0, 1]),
+         r"position 1: layer index 1 is not one of 0..0"),
+        (lambda m: m["layout"][1].pop(), r"layout: \['y', 2\] is not \[slot, start, stop\]"),
+    ], ids=["nan_c", "inf_qf", "bool_a", "string_a", "ragged_w1",
+            "readout_not_in_layout", "missing_readout", "layers_not_a_list",
+            "position_past_layers", "layout_entry_not_a_triple"])
+    def test_from_json_rejects_malformed_weights(self, rng, change, match):
+        """A malformed field of a saved one-family model raises LayoutError
+        naming the layer and the field."""
+        layout = gated_layout()
+        zl = tc.zero_layer(layout.dim)
+        tf = tc.Transformer(
+            [tc.TransformerLayer([], zl.W1, zl.W2, (ridge(layout, rng, M=4),))],
+            layout, ("y", None))
+        obj = json.loads(tc.to_json(tf))
+        change(obj)
         with pytest.raises(tc.LayoutError, match=match):
             tc.from_json(json.dumps(obj))
 
@@ -628,16 +741,15 @@ class TestHeadFamily:
         c_m and scaled-diagonal V0 of size 1-3."""
         layout = toy_layout([("u", 3), ("out", 3)])
         D = layout.dim
-        layer = random_layer(D, 5, 2, 3, rng)
-        layer.families = tuple(
+        layer = dataclasses.replace(random_layer(D, 5, 2, 3, rng), families=tuple(
             family_form(layout, rng, r, n, gate)
-            for r in (1, 2, 3) for n in (1, 2, 3) for gate in (False, True))
+            for r in (1, 2, 3) for n in (1, 2, 3) for gate in (False, True)))
         heads = tc.layer_heads(layer)
         terms = sum(f.n_terms for f in layer.families)
         assert len(heads) == tc.n_heads(layer) == terms + 5
         # the families' heads come first, then the plain heads
         assert heads[terms - 1] is not layer.heads[0]
-        assert heads[terms:] == layer.heads
+        assert tuple(heads[terms:]) == layer.heads
         for fam in layer.families:
             assert np.any(fam.a == 0) and np.any(fam.b == 0)
             assert np.any(fam.c < 0)
@@ -654,8 +766,9 @@ class TestHeadFamily:
 
     def test_json_round_trip_is_bitwise(self, rng):
         layout = gated_layout()
-        layer = random_layer(layout.dim, 2, 2, 3, rng)
-        layer.families = (ridge(layout, rng), ridge(layout, rng, gate=False))
+        layer = dataclasses.replace(random_layer(layout.dim, 2, 2, 3, rng),
+                                    families=(ridge(layout, rng),
+                                              ridge(layout, rng, gate=False)))
         tf = tc.Transformer([layer], layout, ("y", None))
         tm = gated_stream(layout, 6, rng)
         assert_array_equal(tc.forward(tc.from_json(tc.to_json(tf)), tm).data,
@@ -753,7 +866,8 @@ class TestHeadFamily:
         assert_array_equal(tc.forward(tf, tm).data, first.data)
         assert len(checked) == len(fams)
         assert all(got is want for got, want in zip(checked, fams))
-        tf.layers[1].families = (dataclasses.replace(fams[2]),)
+        tf.layers[1] = dataclasses.replace(tf.layers[1],
+                                           families=(dataclasses.replace(fams[2]),))
         tc.forward(tf, tm)
         assert len(checked) == len(fams) + 1 and checked[-1] is not fams[2]
 
