@@ -1,13 +1,14 @@
 """Transformer weights that execute the adversarial alignment branch.
 
-Each optimization step spans three layers: (A) forward attention rebuilds the
+Each optimization step spans two layers: (A) forward attention rebuilds the
 label and domain scores per token and a gated MLP turns them into per-token
 loss gradients, (B) gradient attention applies all six update families (label
-and domain objectives for the three parameter blocks), (C) an MLP applies the
-ball projections when needed and zeroes the scratch rows exactly.  The three
-step layers are built once and each kept at its position in all L steps.  A
-final layer recomputes the label score and copies it into the output slot at
-the query token only.
+and domain objectives for the three parameter blocks), then its MLP applies
+the ball projections when needed and zeroes the scratch rows exactly.  The
+two step layers are built once and each kept at its position in all L steps.
+A final layer recomputes the label score with layer A's families and copies
+it into the output slot at the query token only.  Every MLP is a list of
+ReLU sums made into units by ``tfcore.relu_sum_mlp``.
 
 Parameter blocks live in every token and stay synchronized; per-token scratch
 (scores and loss gradients) is rebuilt each step.  Certificates chain the
@@ -26,11 +27,15 @@ from . import uda_ref as ur
 from .datagen import DomainPair, encode_tokens
 from .tfcore import (
     HeadFamily,
+    MlpPart,
     SlotLayout,
     TokenMatrix,
     Transformer,
     TransformerLayer,
+    attn_forward,
     forward_trace,
+    query_copy,
+    relu_sum_mlp,
 )
 
 if TYPE_CHECKING:
@@ -208,35 +213,18 @@ def build_forward_attn(layout: SlotLayout, cfg: IcudaBuildConfig, R1: float):
     return tuple(families)
 
 
-def build_lossgrad_mlp(layout: SlotLayout, cfg: IcudaBuildConfig, R_lam: float,
-                       R_del: float):
+def build_lossgrad_mlp(layout: SlotLayout, fit: ra.ReluSum, R_sc: float):
     """Gated MLP: gl for source tokens from (lam, y), gd for train tokens
-    from (delta, t); exactly zero elsewhere."""
-    D = layout.dim
-    gl_fit, _ = lossgrad_fit(R_lam, cfg.sel.delta_gamma, cfg.gl_knots)
-    gd_fit, _ = lossgrad_fit(R_del, cfg.sel.delta_gamma, cfg.gl_knots)
-    rows = []
-    outs = []
-
-    def add(fit, in_row, lbl_row, gate_row, out_row):
-        R2 = float(np.max(np.abs(fit.a[:, 0])) * max(R_lam, R_del)
-                   + np.max(np.abs(fit.a[:, 1])) + np.max(np.abs(fit.b))) + 1.0
-        for m in range(fit.n_terms):
-            w1 = np.zeros(D)
-            w1[in_row] = fit.a[m, 0]
-            w1[lbl_row] = fit.a[m, 1]
-            w1[layout.row("one")] = fit.b[m] - R2
-            w1[gate_row] = R2
-            rows.append(w1)
-            outs.append((out_row, fit.c[m]))
-
-    add(gl_fit, layout.row("lam"), layout.row("y"), layout.row("t"), layout.row("gl"))
-    add(gd_fit, layout.row("delta"), layout.row("t"), layout.row("s"), layout.row("gd"))
-    W1 = np.array(rows)
-    W2 = np.zeros((D, len(rows)))
-    for i, (r, c) in enumerate(outs):
-        W2[r, i] = c
-    return W1, W2, gl_fit, gd_fit
+    from (delta, t); exactly zero elsewhere.  Both scores lie in the box
+    |score| <= R_sc, so one loss-gradient fit serves both, and the gate G
+    bounds every term's pre-activation on that box."""
+    G = float(np.max(np.abs(fit.a[:, 0])) * R_sc
+              + np.max(np.abs(fit.a[:, 1])) + np.max(np.abs(fit.b))) + 1.0
+    row = layout.row
+    parts = [MlpPart(fit, [row(score), row(label)], row(out), (row(gate), G))
+             for score, label, gate, out in (("lam", "y", "t", "gl"),
+                                             ("delta", "t", "s", "gd"))]
+    return relu_sum_mlp(layout.dim, row("one"), parts)
 
 
 def build_gd_attn(layout: SlotLayout, cfg: IcudaBuildConfig, n: int, n_prime: int,
@@ -325,16 +313,11 @@ def build_projection_mlp(layout: SlotLayout, cfg: IcudaBuildConfig,
                          enable_proj: bool, R_blk: float):
     """Scratch-row zeroing (exact sign pairs) plus optional ball-projection
     corrections for every parameter block."""
-    D = layout.dim
-    rows = []
-    cols = []
-    for name in ("lam", "delta", "gl", "gd"):
-        r = layout.row(name)
-        for sign in (1.0, -1.0):
-            w1 = np.zeros(D)
-            w1[r] = sign
-            rows.append(w1)
-            cols.append((r, -sign))
+    # -relu(v) + relu(-v) = -v: adding it zeroes the row exactly
+    zero = ra.ReluSum([[1.0], [-1.0]], [0.0, 0.0], [-1.0, 1.0], input_dim=1,
+                      sup_error=0.0)
+    parts = [MlpPart(zero, [layout.row(name)], layout.row(name))
+             for name in ("lam", "delta", "gl", "gd")]
     eps_proj = {"u": 0.0, "w": 0.0, "v": 0.0}
     if enable_proj:
         s = cfg.sel
@@ -344,44 +327,9 @@ def build_projection_mlp(layout: SlotLayout, cfg: IcudaBuildConfig,
             dim = layout.width(slot)
             fits, errs = projection_fit(B, R_blk, dim, PROJECTION_TERMS)
             sl = layout.rows(slot)
-            for i, rs in enumerate(fits):
-                for m in range(rs.n_terms):
-                    w1 = np.zeros(D)
-                    w1[sl] = rs.a[m]
-                    w1[layout.row("one")] = rs.b[m]
-                    rows.append(w1)
-                    cols.append((sl.start + i, rs.c[m]))
+            parts += [MlpPart(rs, sl, sl.start + i) for i, rs in enumerate(fits)]
             eps_proj[tag] = max(eps_proj[tag], float(np.sqrt(dim) * np.max(errs)))
-    W1 = np.array(rows)
-    W2 = np.zeros((D, len(rows)))
-    for i, (r, c) in enumerate(cols):
-        W2[r, i] = c
-    return W1, W2, eps_proj
-
-
-def build_copy_mlp(layout: SlotLayout, G: float, src_name: str, out_name: str):
-    """Copy a scalar row into the output row at the query token only.
-
-    The pair relu(+-v - G t - G s) is v's positive and negative part at the
-    query (t = s = 0) and vanishes on train tokens while |v| < G.
-    """
-    D = layout.dim
-    W1 = np.zeros((2, D))
-    W1[:, layout.row(src_name)] = (1.0, -1.0)
-    W1[:, layout.row("t")] = -G
-    W1[:, layout.row("s")] = -G
-    W2 = np.zeros((D, 2))
-    W2[layout.row(out_name), :] = (1.0, -1.0)
-    return W1, W2
-
-
-def build_readout_layer(layout: SlotLayout, cfg: IcudaBuildConfig, R1: float,
-                        R_lam: float):
-    """Recompute the label score, then copy it into the output slot at the
-    query token only."""
-    families = build_forward_attn(layout, cfg, R1)
-    return TransformerLayer([], *build_copy_mlp(layout, R_lam + 2.0, "lam",
-                                                "fdann"), families)
+    return *relu_sum_mlp(layout.dim, layout.row("one"), parts), eps_proj
 
 
 # ---------------------------------------------------------------------------
@@ -466,23 +414,25 @@ def build_dann_transformer(pair: DomainPair, cfg: IcudaBuildConfig,
                           s.B_u, s.B_w, s.B_v) * 1.5)
 
     layout = dann_layout(pair.d, s.K)
-    D = layout.dim
-    W1_lg, W2_lg, gl_fit, gd_fit = build_lossgrad_mlp(layout, cfg, R_sc, R_sc)
-    layer_a = TransformerLayer([], W1_lg, W2_lg, build_forward_attn(layout, cfg, R1))
+    layer_a = TransformerLayer([], *build_lossgrad_mlp(layout, gl_fit, R_sc),
+                               build_forward_attn(layout, cfg, R1))
     gd_families, pfit, rfit = build_gd_attn(
         layout, cfg, pair.n, pair.n_prime, R1, S1, S3)
-    layer_b = TransformerLayer([], np.zeros((0, D)), np.zeros((D, 0)), gd_families)
     W1_p, W2_p, eps_proj = build_projection_mlp(layout, cfg, enable_proj, R_blk)
-    layer_c = TransformerLayer([], W1_p, W2_p)
+    layer_bc = TransformerLayer([], W1_p, W2_p, gd_families)
 
-    layers = [layer_a, layer_b, layer_c] * s.L
-    layers.append(build_readout_layer(layout, cfg, R1, R_lam))
-    tf = Transformer(layers, layout, readout=("fdann", None))
+    # the readout recomputes the label score with layer A's families, then
+    # copies it into the output slot at the query token only
+    copy = query_copy(layout, R_lam + 2.0, "lam", "fdann")
+    readout = TransformerLayer([], *relu_sum_mlp(layout.dim, layout.row("one"),
+                                                 [copy]), layer_a.families)
+    tf = Transformer([layer_a, layer_bc] * s.L + [readout], layout,
+                     readout=("fdann", None))
 
     bounds = {"B_x": B_x, "R1": R1, "R_lam": R_lam, "R_del": R_del,
               "R_sc": R_sc, "B_g": B_g, "S1": S1, "S3": S3, "R_blk": R_blk,
               "r_max": r_max}
-    fits = {"r": rfit, "gl": gl_fit, "gd": gd_fit, "p": pfit}
+    fits = {"r": rfit, "gl": gl_fit, "gd": gl_fit, "p": pfit}
     return DannBuild(tf, layout, cfg, state0, bounds, fits, eps_proj,
                      enable_proj, ref_trace)
 
@@ -553,10 +503,9 @@ def certify_dann(build: DannBuild, pair: DomainPair, trace: list[np.ndarray],
     box_ok = True
     domain_ok = True
     for l in range(s.L):
-        post_a = trace[3 * l]
-        post_c = trace[3 * l + 2]
+        post_a = trace[2 * l]
         prev = tf_states[-1]
-        cur = _state_from(post_c, layout, s.K, q)
+        cur = _state_from(trace[2 * l + 1], layout, s.K, q)
         tf_states.append(cur)
 
         # realized per-token quantities for this step
@@ -572,7 +521,10 @@ def certify_dann(build: DannBuild, pair: DomainPair, trace: list[np.ndarray],
         domain_ok &= bool(w_inf * Bg_l <= B["S1"] and v_inf * Bgd_l <= B["S3"]
                           and u_row * B["B_x"] <= B["R1"])
         if build.proj_enabled:
-            raw = _state_from(trace[3 * l + 1], layout, s.K, q)
+            # the update layer's stream before its projection MLP
+            pre = attn_forward(build.tf.layers[2 * l + 1], TokenMatrix(
+                post_a, layout, pair.n, pair.n_prime))
+            raw = _state_from(pre.data, layout, s.K, q)
             domain_ok &= bool(
                 max(float(np.max(np.linalg.norm(raw.u, axis=1))),
                     float(np.linalg.norm(raw.w)),

@@ -23,7 +23,6 @@ from . import relu_approx as ra
 from . import uda_ref as ur
 from .build_dann import (
     _round_up,
-    build_copy_mlp,
     build_dann_transformer,
     certify_dann,
     encode_dann,
@@ -33,6 +32,7 @@ from .datagen import DomainPair, encode_tokens
 from .tfcore import (
     AttentionHead,
     HeadFamily,
+    MlpPart,
     SlotLayout,
     TokenMatrix,
     Transformer,
@@ -40,6 +40,8 @@ from .tfcore import (
     compose,
     embed_rows,
     forward_trace,
+    query_copy,
+    relu_sum_mlp,
     union_layout,
 )
 
@@ -128,19 +130,6 @@ def build_kde_attn(kernel_fit: ra.ReluSum, layout: SlotLayout, n: int, T: int,
                                    np.ones((1, 1)), np.r_[layout.row("p_kde")],
                                    np.r_[one]))
     return tuple(families)
-
-
-def build_fit_mlp(fit: ra.ReluSum, layout: SlotLayout, in_name: str,
-                  out_name: str, divisor: float = 1.0):
-    """Per-token MLP writing fit(in) / divisor into the out slot: one hidden
-    unit per term of the 1-D fit, reading the input and the constant row."""
-    D = layout.dim
-    W1 = np.zeros((fit.n_terms, D))
-    W1[:, layout.row(in_name)] = fit.a[:, 0]
-    W1[:, layout.row("one")] = fit.b
-    W2 = np.zeros((D, fit.n_terms))
-    W2[layout.row(out_name), :] = fit.c / divisor
-    return W1, W2
 
 
 def build_sum_attn(layout: SlotLayout, T: int) -> list[AttentionHead]:
@@ -315,14 +304,19 @@ def build_icuda_transformer(pair: DomainPair, cfg: IcudaBuildConfig) -> IcudaBui
     G_copy = _round_up(max(float(np.max(np.abs(f_iwl_all))),
                            float(np.max(np.abs(f_dann_all)))) + 2.0)
 
+    D, one, row = layout.dim, layout.row("one"), layout.row
     kde_families = build_kde_attn(kernel_fit, layout, pair.n, T, B_x)
-    W1e, W2e = build_fit_mlp(exp_fit, layout, "p_kde", "e_soft")
+    W1e, W2e = relu_sum_mlp(D, one, [MlpPart(exp_fit, [row("p_kde")],
+                                             row("e_soft"))])
     sum_heads = build_sum_attn(layout, T)
     # q = -(1/beta) log of the exponential sum, via the monotone interpolant
-    W1l, W2l = build_fit_mlp(log_fit, layout, "e_sum", "q_soft", -s.beta)
+    q_fit = ra.ReluSum(log_fit.a, log_fit.b, log_fit.c / -s.beta, input_dim=1,
+                       sup_error=eps4 / s.beta)
+    W1l, W2l = relu_sum_mlp(D, one, [MlpPart(q_fit, [row("e_sum")],
+                                             row("q_soft"))])
     sel_heads = build_select_attn(layout, s.delta, cfg.a, G_sel, T,
                                   "iwl.fout", "dann.fdann")
-    W1c, W2c = build_copy_mlp(layout, G_copy, "blend", "y")
+    W1c, W2c = relu_sum_mlp(D, one, [query_copy(layout, G_copy, "blend", "y")])
 
     layers = list(core.layers)
     layers.append(TransformerLayer([], W1e, W2e, kde_families))

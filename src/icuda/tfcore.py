@@ -5,9 +5,10 @@ The forward pass treats the token matrix H (D x T) as a residual stream.
 Attention adds (1/T) * sum_j sum_m relu(<Q_m h_i, K_m h_j>) V_m h_j to token i,
 the MLP adds W2 relu(W1 h_i).  Q, K, W1 and W2 are dense matrices and each V_m
 is stored as the block it writes (see AttentionHead), so that constructions
-can be audited entry by entry.  Every fitted ReLU sum reaches attention as
-head families, one per ridge part of the sum
-(``relu_approx.ridge_parts``), sum_m c_m relu(a_m z + b_m) along one
+can be audited entry by entry.  Every MLP the builders write is a list of
+ReLU sums, made into one hidden unit per term by ``relu_sum_mlp``.  Every
+fitted ReLU sum reaches attention as head families, one per ridge part of
+the sum (``relu_approx.ridge_parts``), sum_m c_m relu(a_m z + b_m) along one
 direction, one head per term, stored once in ridge form: the bilinear score
 z = <Qf h_i, Kf h_j> shared by every term, the constant row that carries the
 biases b_m, an optional sender gate, and the (a, b, c) of the terms.
@@ -35,10 +36,11 @@ import dataclasses
 import functools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .relu_approx import breakpoints, prefix_sum_eval
+from .relu_approx import ReluSum, breakpoints, prefix_sum_eval
 
 
 class LayoutError(ValueError):
@@ -366,6 +368,52 @@ class Transformer:
         heads = sum(n_heads(layer) for layer in self.layers)
         return (f"Transformer(layers={len(self.layers)}, heads={heads}, "
                 f"dim={self.layout.dim}, readout={self.readout})")
+
+
+class MlpPart(NamedTuple):
+    """One ReLU sum written as MLP units by ``relu_sum_mlp``: ``fit`` reads
+    the stream rows ``ins`` (one per input of the sum) and adds to row
+    ``out``; ``gate`` is None or a 0/1 gate ``(row, G)``."""
+
+    fit: ReluSum
+    ins: list[int] | slice
+    out: int
+    gate: tuple[int, float] | None = None
+
+
+def relu_sum_mlp(dim: int, one: int, parts: list[MlpPart]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(W1, W2) of the MLP that adds each part's ReLU sum to its output row:
+    one hidden unit c_m relu(a_m . h[ins] + b_m) per term m of each part, in
+    part order, with b_m carried by the constant row ``one``.  A gate
+    (row, G) adds G (h[row] - 1) to every unit of its part: where h[row] is
+    0 a G at least as large as every a_m . h[ins] + b_m keeps the part at
+    exactly 0, and where h[row] is 1 the part is its sum."""
+    n = sum(part.fit.n_terms for part in parts)
+    W1 = np.zeros((n, dim))
+    W2 = np.zeros((dim, n))
+    start = 0
+    for fit, ins, out, gate in parts:
+        units = slice(start, start + fit.n_terms)
+        W1[units, ins] = fit.a
+        if gate is None:
+            W1[units, one] = fit.b
+        else:
+            W1[units, one] = fit.b - gate[1]
+            W1[units, gate[0]] = gate[1]
+        W2[out, units] = fit.c
+        start = units.stop
+    return W1, W2
+
+
+def query_copy(layout: SlotLayout, G: float, src: str, out: str) -> MlpPart:
+    """Row ``src`` copied into row ``out`` at the query token only: the exact
+    pair relu(+-v - G t - G s) is v's positive and negative part at the query
+    (t = s = 0) and vanishes on training tokens while |v| < G."""
+    pair = ReluSum([[1.0, -G, -G], [-1.0, -G, -G]], [0.0, 0.0], [1.0, -1.0],
+                   input_dim=3, sup_error=0.0)
+    return MlpPart(pair, [layout.row(n) for n in (src, "t", "s")],
+                   layout.row(out))
 
 
 def zero_layer(dim: int) -> TransformerLayer:
@@ -848,11 +896,7 @@ def _load_layer(lobj, where: str, D: int) -> TransformerLayer:
     if W2.size == 0:
         W2 = W2.reshape(D, 0)
     families = []
-    fams = lobj.get("families", [])
-    if not isinstance(fams, list):
-        raise LayoutError(f"{where}: field 'families' is a {type(fams).__name__}, "
-                          f"not a list")
-    for j, f in enumerate(fams):
+    for j, f in enumerate(_field(lobj, "families", where, list)):
         at = f"{where} family {j}"
         rows, cols = _load(f, "rows", at, index=True), _load(f, "cols", at, index=True)
         gate = None if _field(f, "gate", at) is None else _load(f, "gate", at)

@@ -65,6 +65,45 @@ class TestScalarFeatures:
         assert cert.final_gap <= cert.cumulative
 
 
+def assert_mlp_by_term(layer, D, units):
+    """The layer's (W1, W2) equal, bit for bit, the MLP written one hidden
+    unit at a time from (w1 entries, output row, c) triples, where w1
+    entries are (row, value) pairs assigned in order."""
+    W1 = np.zeros((len(units), D))
+    W2 = np.zeros((D, len(units)))
+    for i, (entries, out, c) in enumerate(units):
+        for r, v in entries:
+            W1[i, r] = v
+        W2[out, i] = c
+    assert W1.shape == layer.W1.shape and W1.tobytes() == layer.W1.tobytes()
+    assert W2.shape == layer.W2.shape and W2.tobytes() == layer.W2.tobytes()
+
+
+def zeroing_units(layout):
+    """The exact pair per scratch row that subtracts the row."""
+    return [([(layout.row(name), sign)], layout.row(name), -sign)
+            for name in ("lam", "delta", "gl", "gd") for sign in (1.0, -1.0)]
+
+
+def assert_projection_mlp_by_term(build):
+    """The update layer's MLP is the zeroing pairs, then each block's
+    projection fits (u_0..u_K-1, w, v) one unit per term, bit for bit."""
+    layout, sel = build.layout, build.cfg.sel
+    one = layout.row("one")
+    units = zeroing_units(layout)
+    specs = [(f"u{k}", sel.B_u) for k in range(sel.K)]
+    specs += [("w", sel.B_w), ("v", sel.B_v)]
+    for slot, B in specs:
+        sl = layout.rows(slot)
+        fits, _ = bd.projection_fit(B, build.bounds["R_blk"], layout.width(slot),
+                                    bd.PROJECTION_TERMS)
+        for i, rs in enumerate(fits):
+            for m in range(rs.n_terms):
+                entries = list(zip(range(sl.start, sl.stop), rs.a[m]))
+                units.append((entries + [(one, rs.b[m])], sl.start + i, rs.c[m]))
+    assert_mlp_by_term(build.tf.layers[1], layout.dim, units)
+
+
 class TestProjectionPath:
     def test_boundary_state_activates_projection(self, small_moon_pair):
         sel = ur.SelectorConfig(K=2, eta=0.5, lam_dann=1.0, L=2,
@@ -78,6 +117,7 @@ class TestProjectionPath:
             small_moon_pair, IcudaBuildConfig(sel=sel), state0=state)
         assert build.proj_enabled
         assert max(build.eps_proj.values()) > 0.0
+        assert_projection_mlp_by_term(build)
         cert = bd.verify_dann(build, small_moon_pair)
         for row in cert.rows:
             assert row.ok
@@ -99,6 +139,7 @@ class TestProjectionPath:
                                           state0=state)
         assert build.proj_enabled
         assert build.eps_proj["u"] == 0.0
+        assert_projection_mlp_by_term(build)
         cert = bd.verify_dann(build, pair)
         for row in cert.rows:
             assert row.ok
@@ -274,7 +315,7 @@ class TestUpdateFamilies:
         tm = bd.encode_dann(pair, build.layout, build.state0)
         _, trace = tc.forward_trace(build.tf, tm)
         for l in range(build.cfg.sel.L):
-            layer, st = build.tf.layers[3 * l + 1], trace[3 * l]
+            layer, st = build.tf.layers[2 * l + 1], trace[2 * l]
             H = st.data
             got = tc.attn_forward(layer, st).data
             expanded = tc.TransformerLayer(tc.layer_heads(layer), layer.W1, layer.W2)
@@ -283,3 +324,27 @@ class TestUpdateFamilies:
                         * np.abs(f.V0).sum(axis=1).max() * np.abs(H[f.cols]).max()
                         for f in layer.families)
             assert np.max(np.abs(got - want)) <= bound
+
+
+class TestStepMlps:
+    def test_lossgrad_mlp_matches_term_by_term(self, shift_build):
+        """The forward layer's gated MLP is the gl fit's terms, then the gd
+        fit's, each unit reading (score, label) plus the gate row at G and
+        the constant row at b_m - G, bit for bit; the update layer's MLP is
+        the zeroing pairs alone when the projection is off."""
+        build, _ = shift_build
+        layout, R_sc = build.layout, build.bounds["R_sc"]
+        row = layout.row
+        units = []
+        for fit, score, label, gate, out in (
+                (build.fits["gl"], "lam", "y", "t", "gl"),
+                (build.fits["gd"], "delta", "t", "s", "gd")):
+            G = float(np.max(np.abs(fit.a[:, 0])) * R_sc
+                      + np.max(np.abs(fit.a[:, 1])) + np.max(np.abs(fit.b))) + 1.0
+            for m in range(fit.n_terms):
+                entries = [(row(score), fit.a[m, 0]), (row(label), fit.a[m, 1]),
+                           (row("one"), fit.b[m] - G), (row(gate), G)]
+                units.append((entries, row(out), fit.c[m]))
+        assert_mlp_by_term(build.tf.layers[0], layout.dim, units)
+        assert not build.proj_enabled
+        assert_mlp_by_term(build.tf.layers[1], layout.dim, zeroing_units(layout))

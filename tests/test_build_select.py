@@ -21,6 +21,13 @@ from test_tfcore import (fit_float_error, head_scores, reference_layer_norm,
                          ridge_z, sharing)
 
 
+def fit_mlp(fit, layout, in_name, out_name):
+    """The layer whose MLP adds fit(in) to the out slot at every token."""
+    part = tc.MlpPart(fit, [layout.row(in_name)], layout.row(out_name))
+    return tc.TransformerLayer(
+        [], *tc.relu_sum_mlp(layout.dim, layout.row("one"), [part]))
+
+
 def stub_layout(d=1):
     return tc.SlotLayout.build([
         ("x", d), ("y", 1), ("t", 1), ("s", 1), ("one", 1),
@@ -100,8 +107,7 @@ class TestExponentialAndSum:
         T = tm.data.shape[1]
         knots = bs.exp_knot_grid(0.0, -0.5, 1.5, 40)
         efit, _ = ra.fit_knots(lambda p: np.exp(-0.0 * p), knots)
-        W1, W2 = bs.build_fit_mlp(efit, layout, "p_kde", "e_soft")
-        mlp = tc.TransformerLayer([], W1, W2)
+        mlp = fit_mlp(efit, layout, "p_kde", "e_soft")
         tm1 = tc.mlp_forward(mlp, tm)
         assert_allclose(tm1.data[layout.row("e_soft"), :], 1.0, atol=1e-12)
         summ = attn_layer(bs.build_sum_attn(layout, T), layout.dim)
@@ -119,12 +125,12 @@ class TestExponentialAndSum:
         kde = attn_layer([], layout.dim, bs.build_kde_attn(kernel, layout, 3, T, 3.0))
         knots = bs.exp_knot_grid(beta, -0.1, 1.1, 2000)
         efit, _ = ra.fit_knots(lambda p: np.exp(-beta * p), knots)
-        exp_mlp = tc.TransformerLayer(
-            [], *bs.build_fit_mlp(efit, layout, "p_kde", "e_soft"))
+        exp_mlp = fit_mlp(efit, layout, "p_kde", "e_soft")
         summ = attn_layer(bs.build_sum_attn(layout, T), layout.dim)
         lfit, _ = ra.fit_knots(np.log, bs.log_knot_grid(1e-4, 10.0, 3000))
-        log_mlp = tc.TransformerLayer(
-            [], *bs.build_fit_mlp(lfit, layout, "e_sum", "q_soft", -beta))
+        q_fit = ra.ReluSum(lfit.a, lfit.b, lfit.c / -beta, input_dim=1,
+                           sup_error=lfit.sup_error / beta)
+        log_mlp = fit_mlp(q_fit, layout, "e_sum", "q_soft")
 
         cur = tm
         for layer in (kde, exp_mlp, summ, log_mlp):
@@ -151,7 +157,8 @@ class TestSelection:
         tm = tc.TokenMatrix(H, layout, 1, 1)
         sel = attn_layer(
             bs.build_select_attn(layout, delta, a, 100.0, 3, "fiw", "fda"), D)
-        copy = tc.TransformerLayer([], *bs.build_copy_mlp(layout, 100.0, "blend", "y"))
+        copy = tc.TransformerLayer([], *tc.relu_sum_mlp(
+            D, layout.row("one"), [tc.query_copy(layout, 100.0, "blend", "y")]))
         out = tc.layer_forward(copy, tc.layer_forward(sel, tm))
         return layout, out.data
 
@@ -247,7 +254,8 @@ class TestComposedWeights:
         """Plain heads are left only for the exact (unfitted) heads: alpha
         steps 4, readout 2, sum 1, select 4, at d = 1 and at d = 2, where
         the kernel and feature fits are fit_nd sums.  The 2-D product fit is
-        one family per dictionary direction in each DANN update layer, and
+        one family per dictionary direction in each DANN update layer (the
+        second layer of each two-layer step), and
         n_heads counts each of its terms as a head."""
         for build in (composed_build, shift2d[1]):
             tf, dann = build.tf, build.dann
@@ -255,7 +263,7 @@ class TestComposedWeights:
             assert plain == 4 * build.cfg.sel.L1 + 2 + 1 + 4
             K, pfit, rfit = dann.cfg.sel.K, dann.fits["p"], dann.fits["r"]
             directions = len(ra.ridge_parts(pfit))
-            for layer in dann.tf.layers[1:3 * dann.cfg.sel.L:3]:
+            for layer in dann.tf.layers[1:2 * dann.cfg.sel.L:2]:
                 assert not layer.heads
                 assert len(layer.families) == 3 * K * (directions + 1)
                 assert tc.n_heads(layer) == 3 * K * (pfit.n_terms + rfit.n_terms)
@@ -287,16 +295,16 @@ class TestComposedWeights:
     def test_tf_norm_matches_per_head_reference(self, composed_pair,
                                                  composed_build):
         """Every position's describe norm, and tf_norm, equal the per-head
-        reference of its layer.  The 26 positions hold 13 layer objects (the
-        6 alpha steps, the 6 weight steps and the 2 DANN steps are one object
-        each, 5 + 5 + 3 repeats), and a JSON round trip keeps that pattern and
+        reference of its layer.  The 24 positions hold 12 layer objects (the
+        6 alpha steps, the 6 weight steps and the 2 two-layer DANN steps are
+        one object each, 5 + 5 + 2 repeats), and a JSON round trip keeps that pattern and
         the forward bit for bit."""
         tf = composed_build.tf
         reference = {}
         for layer in tf.layers:
             if id(layer) not in reference:
                 reference[id(layer)] = reference_layer_norm(layer)
-        assert (len(tf.layers), len(reference)) == (26, 13)
+        assert (len(tf.layers), len(reference)) == (24, 12)
         norms = [entry["norm"] for entry in tc.describe(tf)["layers"]]
         assert norms == [reference[id(layer)] for layer in tf.layers]
         assert tc.tf_norm(tf) == max(reference.values())

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import icuda.relu_approx as ra
 import icuda.tfcore as tc
 
 
@@ -191,6 +192,50 @@ class TestForward:
                        f"do not fit dim {D}")
         assert tc.shape_error(tc.TransformerLayer(heads[:2], zl.W1, zl.W2),
                               D) is None
+
+
+class TestReluSumMlp:
+    def test_parts_sum_their_terms_in_part_order(self, rng):
+        """Each part adds sum_m c_m relu(a_m . h[ins] + b_m) to its output
+        row, one hidden unit per term in part order; the gated part is the
+        same sum where its gate row is 1 and exactly 0 where it is 0."""
+        layout = toy_layout([("w", 3), ("g", 1), ("z", 1)])
+        row, T = layout.row, 12
+        tm = random_stream(layout, T, rng)
+        H = tm.data
+        H[row("g")] = np.arange(T) % 2
+        ins = [[0], [0, 1, 2], layout.rows("w")]
+        outs = [row("y"), row("y"), layout.start("w")]
+        parts = []
+        for rows, out in zip(ins, outs):
+            k = len(np.r_[rows])
+            fit = ra.ReluSum(rng.standard_normal((5, k)), rng.standard_normal(5),
+                             rng.standard_normal(5), input_dim=k, sup_error=0.0)
+            parts.append(tc.MlpPart(fit, rows, out))
+        fit = ra.ReluSum(rng.standard_normal((4, 2)), rng.standard_normal(4),
+                         rng.standard_normal(4), input_dim=2, sup_error=0.0)
+        G = float(np.max(fit.a @ H[[0, 1]] + fit.b[:, None])) + 1.0
+        parts.append(tc.MlpPart(fit, [0, 1], row("z"), (row("g"), G)))
+        W1, W2 = tc.relu_sum_mlp(layout.dim, row("one"), parts)
+        assert W1.shape == (19, layout.dim) and W2.shape == (layout.dim, 19)
+        for part, units in zip(parts, (slice(0, 5), slice(5, 10), slice(10, 15),
+                                       slice(15, 19))):
+            assert_array_equal(W2[part.out, units], part.fit.c)
+        out = tc.mlp_forward(tc.TransformerLayer([], W1, W2), tm).data
+        want = H.copy()
+        for fit, rows, out_row, gate in parts:
+            pre = fit.a @ H[rows] + fit.b[:, None]
+            want[out_row] += fit.c @ np.maximum(pre, 0.0) * (
+                1.0 if gate is None else H[gate[0]])
+        assert_allclose(out, want, rtol=0, atol=1e-12)
+        closed = H[row("g")] == 0
+        assert_array_equal(out[row("z"), closed], H[row("z"), closed])
+        assert np.any(out[row("z"), ~closed] != H[row("z"), ~closed])
+
+    def test_no_parts_is_the_empty_mlp(self):
+        W1, W2 = tc.relu_sum_mlp(6, 5, [])
+        zl = tc.zero_layer(6)
+        assert W1.shape == zl.W1.shape and W2.shape == zl.W2.shape
 
 
 class TestLayout:
@@ -474,7 +519,8 @@ class TestDiagnostics:
         def layer(V, rows, cols):
             head = {"Q": [[0.0, 0.0, 1.0]], "K": [[0.0, 0.0, 1.0]],
                     "V": V, "rows": rows, "cols": cols}
-            return {"heads": [head], "W1": [], "W2": [[], [], []]}
+            return {"heads": [head], "W1": [], "W2": [[], [], []],
+                    "families": []}
 
         obj = {"layout": layout, "readout": ["x", None],
                "layers": [layer([[1.0]], [2], [2]), layer(*head2)]}
@@ -494,12 +540,15 @@ class TestDiagnostics:
          "layer 0: W1 is not a rectangular array"),
         (lambda m: m.update(readout=["zz", None]), "readout: no slot named 'zz'"),
         (lambda m: m.pop("readout"), "model: missing field 'readout'"),
+        (lambda m: m["layers"][0].pop("families"),
+         "layer 0: missing field 'families'"),
         (lambda m: m.update(layers=3), "model: field 'layers' is a int, not a list"),
         (lambda m: m.update(positions=[0, 1]),
          r"position 1: layer index 1 is not one of 0..0"),
         (lambda m: m["layout"][1].pop(), r"layout: \['y', 2\] is not \[slot, start, stop\]"),
     ], ids=["nan_c", "inf_qf", "bool_a", "string_a", "ragged_w1",
-            "readout_not_in_layout", "missing_readout", "layers_not_a_list",
+            "readout_not_in_layout", "missing_readout", "missing_families",
+            "layers_not_a_list",
             "position_past_layers", "layout_entry_not_a_triple"])
     def test_from_json_rejects_malformed_weights(self, rng, change, match):
         """A malformed field of a saved one-family model raises LayoutError
