@@ -120,14 +120,19 @@ def activation_fit(name: str, R1: float, knots: int):
 def lossgrad_fit(R_score: float, delta: float, knots: int):
     """Per-token loss gradient d gamma(clamp(sig(score)), label) / d score as
     a binary-gated fit over (score, label); the score passes through the
-    output logistic whatever the hidden activation."""
+    output logistic whatever the hidden activation.  Returns the fit, its
+    report and the fit's value bound B_g on the box (``_gl_value_bound``),
+    which is cached with it."""
     def f(t, v):
         t = np.asarray(t, dtype=float)
         p = ur.logistic(t)
         _, d1 = ur.gamma_value_deriv(p, np.full_like(t, v), delta)
         return d1 * ur.dlogistic(t)
-    return _cached(("lg", R_score, delta, knots),
-                   lambda: ra.fit_binary_gated(f, -R_score, R_score, knots))
+
+    def fit():
+        rs, rep = ra.fit_binary_gated(f, -R_score, R_score, knots)
+        return rs, rep, _gl_value_bound(rs, R_score, knots)
+    return _cached(("lg", R_score, delta, knots), fit)
 
 
 def lossgrad_lipschitz(R_score: float, delta: float) -> float:
@@ -376,16 +381,17 @@ class DannCertificate:
 
 
 def build_dann_transformer(pair: DomainPair, cfg: IcudaBuildConfig,
+                           layout: SlotLayout | None = None,
                            state0: ur.DannState | None = None) -> DannBuild:
     """The alignment branch with the hyperparameters of ``cfg.sel`` and the
     knot and term counts ``cfg.r_knots``, ``cfg.gl_knots`` and
-    ``cfg.p_terms``, started from ``state0`` (by default the reference
+    ``cfg.p_terms``, written on ``layout`` (by default its own
+    ``dann_layout``) and started from ``state0`` (by default the reference
     start of ``cfg.sel.seed``)."""
     s = cfg.sel
-    params = ur.dann_params(s)
     if state0 is None:
-        state0 = ur.init_dann(params, pair.d, s.seed)
-    ref_trace = ur.dann_run(state0, pair, params)
+        state0 = ur.init_dann(s, pair.d, s.seed)
+    ref_trace = ur.dann_run(state0, pair, s)
 
     all_x = np.concatenate([pair.source_x, pair.target_x, pair.query_x], axis=0)
     B_x = float(np.max(np.linalg.norm(all_x, axis=1)))
@@ -399,13 +405,12 @@ def build_dann_transformer(pair: DomainPair, cfg: IcudaBuildConfig,
     R_del = _round_up(max(1.02 * sqK * s.B_v * r_max, 1.0))
     R_sc = max(R_lam, R_del)
 
-    gl_fit, _ = lossgrad_fit(R_sc, s.delta_gamma, cfg.gl_knots)
-    B_g = _gl_value_bound(gl_fit, R_sc, cfg.gl_knots)
+    gl_fit, _, B_g = lossgrad_fit(R_sc, s.delta_gamma, cfg.gl_knots)
     S1 = 1.02 * s.B_w * B_g
     S3 = 1.02 * s.B_v * B_g
 
     # projection needed only if some pre-projection block can leave its ball
-    pre_norms = _pre_projection_norms(ref_trace, pair, params)
+    pre_norms = _pre_projection_norms(ref_trace, pair, s)
     slack = 0.05 * min(s.B_u, s.B_w, s.B_v)
     enable_proj = bool(
         pre_norms["u"] > s.B_u - slack or pre_norms["w"] > s.B_w - slack
@@ -413,11 +418,13 @@ def build_dann_transformer(pair: DomainPair, cfg: IcudaBuildConfig,
     R_blk = _round_up(max(pre_norms["u"], pre_norms["w"], pre_norms["v"],
                           s.B_u, s.B_w, s.B_v) * 1.5)
 
-    layout = dann_layout(pair.d, s.K)
-    layer_a = TransformerLayer([], *build_lossgrad_mlp(layout, gl_fit, R_sc),
-                               build_forward_attn(layout, cfg, R1))
+    layout = layout or dann_layout(pair.d, s.K)
+    # the update families first: a cold product fit is the build's memory
+    # peak, which the loss-gradient MLP's (terms, dim) arrays would raise
     gd_families, pfit, rfit = build_gd_attn(
         layout, cfg, pair.n, pair.n_prime, R1, S1, S3)
+    layer_a = TransformerLayer([], *build_lossgrad_mlp(layout, gl_fit, R_sc),
+                               build_forward_attn(layout, cfg, R1))
     W1_p, W2_p, eps_proj = build_projection_mlp(layout, cfg, enable_proj, R_blk)
     layer_bc = TransformerLayer([], W1_p, W2_p, gd_families)
 
@@ -445,13 +452,14 @@ def _gl_value_bound(fit: ra.ReluSum, R_sc: float, knots: int) -> float:
     return float(np.max(np.abs(ra.eval_batch(fit, Z)))) + fit.sup_error
 
 
-def _pre_projection_norms(trace: list, pair: DomainPair, params: ur.DannParams) -> dict:
+def _pre_projection_norms(trace: list, pair: DomainPair,
+                          sel: ur.SelectorConfig) -> dict:
     out = {"u": 0.0, "w": 0.0, "v": 0.0}
     for st in trace[:-1]:
-        g = ur.dann_grads(st, pair, params)
-        raw_u = st.u - params.eta * g.gu
-        raw_w = st.w - params.eta * g.gw
-        raw_v = st.v - params.eta * g.gv
+        g = ur.dann_grads(st, pair, sel)
+        raw_u = st.u - sel.eta * g.gu
+        raw_w = st.w - sel.eta * g.gw
+        raw_v = st.v - sel.eta * g.gv
         out["u"] = max(out["u"], float(np.max(np.linalg.norm(raw_u, axis=1))))
         out["w"] = max(out["w"], float(np.linalg.norm(raw_w)))
         out["v"] = max(out["v"], float(np.linalg.norm(raw_v)))
@@ -480,7 +488,6 @@ def certify_dann(build: DannBuild, pair: DomainPair, trace: list[np.ndarray],
     ``build.layout`` rows, with the query token in the last column.
     """
     s = build.cfg.sel
-    params = ur.dann_params(s)
     layout = build.layout
     q = trace[-1].shape[1] - 1
 
@@ -543,7 +550,7 @@ def certify_dann(build: DannBuild, pair: DomainPair, trace: list[np.ndarray],
         eps_w = sqK * ((Bg_l + E_gl) * eps_r + B_r * E_gl)
         eps_v = sqK * s.lam_dann * 2.0 * ((Bgd_l + E_gd) * eps_r + B_r * E_gd)
 
-        exact = ur.dann_step(prev, pair, params)
+        exact = ur.dann_step(prev, pair, s)
         dev_u = float(np.linalg.norm(cur.u - exact.u))
         dev_w = float(np.linalg.norm(cur.w - exact.w))
         dev_v = float(np.linalg.norm(cur.v - exact.v))

@@ -46,7 +46,7 @@ FEATURE_LAYER_CAP = 4.0
 def iwl_layout(d: int, J: int) -> SlotLayout:
     return SlotLayout.build([
         ("x", d), ("y", 1), ("t", 1), ("s", 1), ("one", 1),
-        ("phi", J), ("alpha", J), ("w", J), ("fout", 1),
+        ("phi", J), ("alpha", J), ("wr", J), ("fout", 1),
     ])
 
 
@@ -202,7 +202,7 @@ def build_w_layer(layout: SlotLayout, n: int, N: int, eta2: float,
     D = layout.dim
     phi = layout.rows("phi")
     alpha = layout.rows("alpha")
-    wsl = layout.rows("w")
+    wsl = layout.rows("wr")
     one = layout.row("one")
     ty = layout.row("y")
     t = layout.row("t")
@@ -234,7 +234,7 @@ def build_readout_layer(layout: SlotLayout) -> TransformerLayer:
     relu(z) - relu(-z) pair."""
     D = layout.dim
     phi = layout.rows("phi")
-    wsl = layout.rows("w")
+    wsl = layout.rows("wr")
     out = layout.row("fout")
     one = layout.row("one")
     J = phi.stop - phi.start
@@ -320,9 +320,11 @@ class IwlCertificate:
     hypothesis_checks: dict
 
 
-def build_iwl_transformer(pair: DomainPair, cfg: IcudaBuildConfig) -> IwlBuild:
+def build_iwl_transformer(pair: DomainPair, cfg: IcudaBuildConfig,
+                          layout: SlotLayout | None = None) -> IwlBuild:
     """The ratio-weighted branch with the hyperparameters of ``cfg.sel`` and
-    the knot counts ``cfg.feature_knots`` and ``cfg.grad_knots``."""
+    the knot counts ``cfg.feature_knots`` and ``cfg.grad_knots``, written on
+    ``layout`` (by default its own ``iwl_layout``)."""
     s = cfg.sel
     # the oracle's run, which the layers replay
     _, ref = ur.iwl_pipeline(pair, s, pair.query_x[0])
@@ -338,7 +340,7 @@ def build_iwl_transformer(pair: DomainPair, cfg: IcudaBuildConfig) -> IwlBuild:
     all_x = np.concatenate([pair.source_x, pair.target_x, pair.query_x], axis=0)
     x_radius = 1.1 * float(np.max(np.abs(all_x))) + 0.1
 
-    layout = iwl_layout(pair.d, s.J)
+    layout = layout or iwl_layout(pair.d, s.J)
     feat_layers, fits, eps_phi = build_feature_layers(layout, fmap, x_radius, cfg)
     grad_fit = grad_surrogate(R_box, cfg.grad_knots)
     N = pair.n + pair.n_prime

@@ -25,10 +25,11 @@ from .build_dann import (
     _round_up,
     build_dann_transformer,
     certify_dann,
+    dann_layout,
     encode_dann,
 )
-from .build_iwl import build_iwl_transformer, certify_iwl
-from .datagen import DomainPair, encode_tokens
+from .build_iwl import build_iwl_transformer, certify_iwl, iwl_layout
+from .datagen import DomainPair
 from .tfcore import (
     AttentionHead,
     HeadFamily,
@@ -38,7 +39,6 @@ from .tfcore import (
     Transformer,
     TransformerLayer,
     compose,
-    embed_rows,
     forward_trace,
     query_copy,
     relu_sum_mlp,
@@ -224,7 +224,6 @@ class IcudaBuild:
     cfg: IcudaBuildConfig
     iwl: object
     dann: object
-    mappings: list  # part slot name -> layout slot name, for iwl and dann
     fits: dict
     consts: dict
 
@@ -255,15 +254,14 @@ class SelectionReport:
 
 
 def build_icuda_transformer(pair: DomainPair, cfg: IcudaBuildConfig) -> IcudaBuild:
+    """Both branches and the selector's three layers, every part written on
+    one layout: the branches' layouts and SELECT_SLOTS, joined by
+    ``union_layout``."""
     s = cfg.sel
-    iwl_build = build_iwl_transformer(pair, cfg)
-    dann_build = build_dann_transformer(pair, cfg)
-
-    unified, mappings = union_layout([iwl_build.tf, dann_build.tf],
-                                     ["iwl", "dann"])
-    slots = [(name, hi - lo) for name, lo, hi in unified.ranges]
-    layout = SlotLayout.build(slots + SELECT_SLOTS)
-    core = compose([iwl_build.tf, dann_build.tf], layout, mappings)
+    layout = union_layout([iwl_layout(pair.d, s.J), dann_layout(pair.d, s.K),
+                           SlotLayout.build(SELECT_SLOTS)])
+    iwl_build = build_iwl_transformer(pair, cfg, layout)
+    dann_build = build_dann_transformer(pair, cfg, layout)
 
     h = s.kde_h if s.kde_h is not None else ur.median_bandwidth(pair.source_x)
     all_x = np.concatenate([pair.source_x, pair.target_x, pair.query_x], axis=0)
@@ -315,14 +313,14 @@ def build_icuda_transformer(pair: DomainPair, cfg: IcudaBuildConfig) -> IcudaBui
     W1l, W2l = relu_sum_mlp(D, one, [MlpPart(q_fit, [row("e_sum")],
                                              row("q_soft"))])
     sel_heads = build_select_attn(layout, s.delta, cfg.a, G_sel, T,
-                                  "iwl.fout", "dann.fdann")
+                                  "fout", "fdann")
     W1c, W2c = relu_sum_mlp(D, one, [query_copy(layout, G_copy, "blend", "y")])
 
-    layers = list(core.layers)
-    layers.append(TransformerLayer([], W1e, W2e, kde_families))
-    layers.append(TransformerLayer(sum_heads, W1l, W2l))
-    layers.append(TransformerLayer(sel_heads, W1c, W2c))
-    tf = Transformer(layers, layout, readout=("y", None))
+    select = Transformer([TransformerLayer([], W1e, W2e, kde_families),
+                          TransformerLayer(sum_heads, W1l, W2l),
+                          TransformerLayer(sel_heads, W1c, W2c)],
+                         layout, readout=("y", None))
+    tf = compose([iwl_build.tf, dann_build.tf, select])
 
     fits = {"kernel": kernel_fit, "exp": exp_fit, "log": log_fit,
             "reports": {"kernel": krep, "exp": erep, "log": lrep}}
@@ -332,17 +330,13 @@ def build_icuda_transformer(pair: DomainPair, cfg: IcudaBuildConfig) -> IcudaBui
               "G_sel": G_sel, "G_copy": G_copy,
               "f_iwl_ref": float(f_iwl_all[0]),
               "f_dann_ref": float(f_dann_all[0])}
-    return IcudaBuild(tf, layout, cfg, iwl_build, dann_build, mappings, fits,
-                      consts)
+    return IcudaBuild(tf, layout, cfg, iwl_build, dann_build, fits, consts)
 
 
 def encode_icuda(pair: DomainPair, build: IcudaBuild,
                  query_index: int = 0) -> TokenMatrix:
     """The prompt, with the alignment branch's initial state at its rows."""
-    tm = encode_tokens(pair, build.layout, query_index)
-    dann = encode_dann(pair, build.dann.layout, build.dann.state0, query_index)
-    tm.data[embed_rows(build.dann.layout, build.layout, build.mappings[1])] = dann.data
-    return tm
+    return encode_dann(pair, build.layout, build.dann.state0, query_index)
 
 
 def verify_icuda(build: IcudaBuild, pair: DomainPair,
@@ -351,9 +345,9 @@ def verify_icuda(build: IcudaBuild, pair: DomainPair,
 
     Both branch certificates come from this one forward: the ratio branch's
     from its output slot at the query token, the alignment branch's from the
-    streams of its layers, read through its slot mapping.  The overlap
-    statistic gets a rigorous bracket from the oracle densities plus the
-    kernel and exponential fit errors, pushed through the monotone log
+    streams after its layers, on the layout both branches share.  The
+    overlap statistic gets a rigorous bracket from the oracle densities plus
+    the kernel and exponential fit errors, pushed through the monotone log
     interpolant; a bracket clear of the indicator band makes the blend
     weight exactly 0 or 1, reducing the composed error to the chosen
     branch's own certificate.
@@ -412,13 +406,12 @@ def verify_icuda(build: IcudaBuild, pair: DomainPair,
     blend = float(np.clip(cfg.a * (q_tf - s.delta) + 0.5, 0.0, 1.0))
 
     pred_tf = float(out.data[layout.row("y"), q_col])
-    fiwl_q = float(out.data[layout.row("iwl.fout"), q_col])
-    fdann_q = float(out.data[layout.row("dann.fdann"), q_col])
+    fiwl_q = float(out.data[layout.row("fout"), q_col])
+    fdann_q = float(out.data[layout.row("fdann"), q_col])
 
     iwl_cert = certify_iwl(build.iwl, pair, fiwl_q, query_index)
-    rows = embed_rows(build.dann.layout, layout, build.mappings[1])
     first = len(build.iwl.tf.layers)
-    dann_trace = [st.data[rows] for st in
+    dann_trace = [st.data for st in
                   trace[first : first + len(build.dann.tf.layers)]]
     dann_cert = certify_dann(build.dann, pair, dann_trace, query_index)
     if choice_tf == "iwl":

@@ -89,9 +89,10 @@ class ExperimentConfig:
 HYPER_TYPES = {**typing.get_type_hints(ur.SelectorConfig), "a": float}
 # the feature and hidden-unit counts, and the step counts (a model of zero
 # steps does no adaptation, and its certificate is only the fixed pad); the
-# soft-minimum sharpness and the kernel bandwidth divide
+# soft-minimum and indicator sharpness and the kernel bandwidth divide, and
+# the ball radii scale the alignment branch's parameters and fit boxes
 HYPER_MINIMUM = {"J": 1, "K": 1, "L1": 1, "L2": 1, "L": 1}
-HYPER_POSITIVE = frozenset({"beta", "kde_h"})
+HYPER_POSITIVE = frozenset({"beta", "kde_h", "a", "B_u", "B_w", "B_v"})
 # the knot and term counts of the fitted parts; no fit takes fewer than 2
 BUILD_TYPES = {k: typing.get_type_hints(IcudaBuildConfig)[k] for k in BUILD_KNOBS}
 # sample sizes of both generators
@@ -142,6 +143,9 @@ def _check_params(what: str, params, hints: dict, pinned=frozenset(),
 def _check_hyper(hyper) -> None:
     _check_params("hyper", hyper, HYPER_TYPES, minimum=HYPER_MINIMUM,
                   positive=HYPER_POSITIVE)
+    if hyper.get("activation", "logistic") not in ur.ACTIVATIONS:
+        raise ValueError(f"hyper.activation must be one of "
+                         f"{sorted(ur.ACTIVATIONS)}, got {hyper['activation']!r}")
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:

@@ -1,5 +1,5 @@
 """Minimal transformer core: ReLU attention with residual stream, slot layouts,
-norm accounting, and composition of independently built parts.
+norm accounting, and the stacking of parts built on one layout.
 
 The forward pass treats the token matrix H (D x T) as a residual stream.
 Attention adds (1/T) * sum_j sum_m relu(<Q_m h_i, K_m h_j>) V_m h_j to token i,
@@ -23,16 +23,15 @@ heads, a few per model.  A layer's families precede its plain heads.
 
 Layers and heads are frozen with read-only arrays too, because one layer
 object may stand at several positions: a gradient step that repeats L times
-is one step layer kept at L positions (the looped form).  ``compose``,
-``tf_norm``, ``describe`` and ``to_json`` take each distinct layer object
-once, so a repeated step is mapped, normed and written once, and shares
-its families' evaluators and shape checks; ``from_json`` restores the
-sharing.
+is one step layer kept at L positions (the looped form).  ``tf_norm``,
+``describe`` and ``to_json`` take each distinct layer object once, so a
+repeated step is normed and written once, and shares its families'
+evaluators and shape checks; ``from_json`` restores the sharing, and
+``compose``, which stacks parts built on one layout, keeps it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 from dataclasses import dataclass
@@ -104,9 +103,6 @@ class SlotLayout:
         if s.stop - s.start != 1:
             raise LayoutError(f"slot {name!r} has width {s.stop - s.start}, expected 1")
         return s.start
-
-    def has(self, name: str) -> bool:
-        return any(n == name for n, _, _ in self.ranges)
 
 
 @dataclass
@@ -704,114 +700,39 @@ def describe(tf: Transformer) -> dict:
     }
 
 
-def embed_rows(part_layout: SlotLayout, unified: SlotLayout,
-               mapping: dict[str, str]) -> np.ndarray:
-    """Unified row index of every part row, from a slot-name mapping.
-
-    ``unified_data[embed_rows(...)]`` reads a part's stream out of the
-    unified one.
-    """
-    idx = np.empty(part_layout.dim, dtype=int)
-    claimed = np.zeros(unified.dim, dtype=bool)
-    for part_name in part_layout.names:
-        if part_name not in mapping:
-            raise LayoutError(f"no mapping for part slot {part_name!r}")
-        uni_name = mapping[part_name]
-        src = part_layout.rows(part_name)
-        dst = unified.rows(uni_name)
-        if (src.stop - src.start) != (dst.stop - dst.start):
-            raise LayoutError(
-                f"slot {part_name!r} width {src.stop - src.start} does not match "
-                f"unified {uni_name!r} width {dst.stop - dst.start}"
-            )
-        if claimed[dst].any():
-            raise LayoutError(f"embedding not injective at unified slot {uni_name!r}")
-        claimed[dst] = True
-        idx[src] = np.arange(dst.start, dst.stop)
-    return idx
-
-
 SHARED_SLOTS = ("x", "y", "t", "s", "one")
 
 
-def union_layout(
-    parts: list[Transformer], prefixes: list[str]
-) -> tuple[SlotLayout, list[dict[str, str]]]:
-    """Unified layout sharing the base slots and namespacing each part's workspace."""
-    if len(parts) != len(prefixes):
-        raise LayoutError("one prefix per part required")
-    base = parts[0].layout
-    slots: list[tuple[str, int]] = []
-    for name in SHARED_SLOTS:
-        if base.has(name):
-            slots.append((name, base.width(name)))
-    mappings: list[dict[str, str]] = []
-    for part, prefix in zip(parts, prefixes):
-        mapping = {}
-        for name in part.layout.names:
-            if name in SHARED_SLOTS:
-                if not base.has(name) or part.layout.width(name) != base.width(name):
-                    raise LayoutError(f"part {prefix!r}: shared slot {name!r} disagrees")
-                mapping[name] = name
-            else:
-                uni = f"{prefix}.{name}"
-                slots.append((uni, part.layout.width(name)))
-                mapping[name] = uni
-        mappings.append(mapping)
-    return SlotLayout.build(slots), mappings
+def union_layout(layouts: list[SlotLayout]) -> SlotLayout:
+    """The one layout that several parts are built on: the shared slots
+    once, then every other slot of each layout in order.  A shared slot
+    whose widths disagree, or any other slot name in two layouts, raises
+    LayoutError naming it."""
+    shared: dict[str, int] = {}
+    own: list[tuple[str, int]] = []
+    for layout in layouts:
+        for name, a, b in layout.ranges:
+            if name not in SHARED_SLOTS:
+                own.append((name, b - a))
+            elif shared.setdefault(name, b - a) != b - a:
+                raise LayoutError(f"shared slot {name!r} has widths "
+                                  f"{shared[name]} and {b - a}")
+    # a name in two layouts repeats here, which SlotLayout rejects
+    return SlotLayout.build([(n, shared[n]) for n in SHARED_SLOTS if n in shared]
+                            + own)
 
 
-def compose(
-    parts: list[Transformer],
-    unified: SlotLayout,
-    mappings: list[dict[str, str]],
-    readout: tuple[str, int | None] | None = None,
-) -> Transformer:
-    """Stack parts sequentially on a unified stream.
-
-    Each part's Q, K, W1 and W2 (a family's Qf, Kf and gate) are conjugated
-    by its row embedding, and its value blocks' rows and cols (a family's
-    constant row) mapped through it; cross-part claims on the same unified
-    workspace slot are rejected.  Each distinct layer object of a part is
-    mapped once and the result kept at every position it held.
-    """
-    if len(parts) != len(mappings):
-        raise LayoutError("one mapping per part required")
-    claimed_by: dict[str, int] = {}
-    for idx, mapping in enumerate(mappings):
-        for part_name, uni_name in mapping.items():
-            if part_name in SHARED_SLOTS and uni_name == part_name:
-                continue
-            if uni_name in claimed_by and claimed_by[uni_name] != idx:
-                raise LayoutError(f"overlapping workspace claim on {uni_name!r}")
-            claimed_by[uni_name] = idx
-    layers: list[TransformerLayer] = []
-    for part, mapping in zip(parts, mappings):
-        # row embedding P (unified.dim x part.dim)
-        idx = embed_rows(part.layout, unified, mapping)
-        P = np.zeros((unified.dim, part.layout.dim))
-        P[idx, np.arange(part.layout.dim)] = 1.0
-        distinct, positions = _distinct_layers(part.layers)
-        mapped = []
-        for layer in distinct:
-            heads = [
-                AttentionHead(h.Q @ P.T, h.K @ P.T, h.V, idx[h.rows], idx[h.cols])
-                for h in layer.heads
-            ]
-            families = tuple(
-                dataclasses.replace(
-                    f, Qf=f.Qf @ P.T, Kf=f.Kf @ P.T, one=int(idx[f.one]),
-                    gate=None if f.gate is None else f.gate @ P.T,
-                    rows=idx[f.rows], cols=idx[f.cols])
-                for f in layer.families)
-            mapped.append(TransformerLayer(heads, layer.W1 @ P.T, P @ layer.W2,
-                                           families))
-        layers += [mapped[i] for i in positions]
-    if readout is None:
-        last = parts[-1]
-        name, col = last.readout
-        readout = (mappings[-1][name], col)
-    return Transformer(layers, unified, readout)
+def compose(parts: list[Transformer]) -> Transformer:
+    """The parts' layers stacked in order, read out where the last part
+    reads out.  Every part must be built on one layout (``union_layout``);
+    each layer object is kept as it is, so a step kept at several positions
+    stays one object."""
+    layout = parts[0].layout
+    for i, part in enumerate(parts):
+        if part.layout != layout:
+            raise LayoutError(f"part {i} is built on another layout than part 0")
+    return Transformer([layer for part in parts for layer in part.layers],
+                       layout, parts[-1].readout)
 
 
 def to_json(tf: Transformer) -> str:

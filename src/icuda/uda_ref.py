@@ -202,19 +202,6 @@ def gamma_value_deriv(p_raw: np.ndarray, y: np.ndarray, delta: float):
 
 
 @dataclass
-class DannParams:
-    K: int = 2
-    eta: float = 0.1
-    lam: float = 1.0
-    steps: int = 5
-    delta_gamma: float = 1e-3
-    B_u: float = 2.0
-    B_w: float = 1.0
-    B_v: float = 1.0
-    activation: str = "logistic"
-
-
-@dataclass
 class DannState:
     u: np.ndarray
     w: np.ndarray
@@ -227,12 +214,12 @@ class DannState:
         return np.concatenate([self.u.ravel(), self.w, self.v])
 
 
-def init_dann(params: DannParams, d: int, seed: int = 0) -> DannState:
+def init_dann(cfg: SelectorConfig, d: int, seed: int = 0) -> DannState:
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal((params.K, d))
-    u *= 0.5 * params.B_u / np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-12)
-    w = rng.uniform(-0.5, 0.5, params.K) * params.B_w
-    v = rng.uniform(-0.5, 0.5, params.K) * params.B_v
+    u = rng.standard_normal((cfg.K, d))
+    u *= 0.5 * cfg.B_u / np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-12)
+    w = rng.uniform(-0.5, 0.5, cfg.K) * cfg.B_w
+    v = rng.uniform(-0.5, 0.5, cfg.K) * cfg.B_v
     return DannState(u, w, v)
 
 
@@ -253,13 +240,14 @@ class DannGrads:
     aux: dict
 
 
-def dann_grads(state: DannState, pair: DomainPair, params: DannParams) -> DannGrads:
+def dann_grads(state: DannState, pair: DomainPair, cfg: SelectorConfig) -> DannGrads:
     """Gradients of the adversarial objective at the current state.
 
-    The label player descends L - lam * Omega in (u, w); the domain player
-    descends Omega in v.  Domain labels: source 1, target 0.
+    The label player descends L - lam * Omega in (u, w), with lam
+    ``cfg.lam_dann``; the domain player descends Omega in v.  Domain labels:
+    source 1, target 0.
     """
-    r, dr = get_activation(params.activation)
+    r, dr = get_activation(cfg.activation)
     n, npr = pair.n, pair.n_prime
     X = np.concatenate([pair.source_x, pair.target_x], axis=0)
     pre = X @ state.u.T
@@ -271,12 +259,12 @@ def dann_grads(state: DannState, pair: DomainPair, params: DannParams) -> DannGr
     y = pair.source_y
     gl = np.zeros(n + npr)
     p_lab = logistic(lam_scores[:n])
-    _, d1 = gamma_value_deriv(p_lab, y, params.delta_gamma)
+    _, d1 = gamma_value_deriv(p_lab, y, cfg.delta_gamma)
     gl[:n] = d1 * dlogistic(lam_scores[:n])
 
     dom = np.concatenate([np.ones(n), np.zeros(npr)])
     p_dom = logistic(del_scores)
-    _, d1d = gamma_value_deriv(p_dom, dom, params.delta_gamma)
+    _, d1d = gamma_value_deriv(p_dom, dom, cfg.delta_gamma)
     gd = d1d * dlogistic(del_scores)
 
     wt = np.concatenate([np.full(n, 1.0 / n), np.full(npr, 1.0 / npr)])
@@ -290,7 +278,7 @@ def dann_grads(state: DannState, pair: DomainPair, params: DannParams) -> DannGr
     gu_O = (dfeats * (wt * gd)[:, None]).T @ X
     gu_O = gu_O * state.v[:, None]
 
-    gu = gu_L - params.lam * gu_O
+    gu = gu_L - cfg.lam_dann * gu_O
     aux = {
         "lam_scores": lam_scores,
         "del_scores": del_scores,
@@ -302,7 +290,7 @@ def dann_grads(state: DannState, pair: DomainPair, params: DannParams) -> DannGr
         "gw_L": gw,
         "gv_Omega": gv,
     }
-    return DannGrads(gu=gu, gw=gw, gv=params.lam * gv, aux=aux)
+    return DannGrads(gu=gu, gw=gw, gv=cfg.lam_dann * gv, aux=aux)
 
 
 def project_ball(z: np.ndarray, B: float) -> np.ndarray:
@@ -312,29 +300,29 @@ def project_ball(z: np.ndarray, B: float) -> np.ndarray:
     return z * (B / nrm)
 
 
-def project_state(state: DannState, params: DannParams) -> DannState:
-    u = np.stack([project_ball(row, params.B_u) for row in state.u])
-    return DannState(u, project_ball(state.w, params.B_w), project_ball(state.v, params.B_v))
+def project_state(state: DannState, cfg: SelectorConfig) -> DannState:
+    u = np.stack([project_ball(row, cfg.B_u) for row in state.u])
+    return DannState(u, project_ball(state.w, cfg.B_w), project_ball(state.v, cfg.B_v))
 
 
-def dann_step(state: DannState, pair: DomainPair, params: DannParams) -> DannState:
+def dann_step(state: DannState, pair: DomainPair, cfg: SelectorConfig) -> DannState:
     """One simultaneous update of all three blocks from shared gradients."""
-    g = dann_grads(state, pair, params)
+    g = dann_grads(state, pair, cfg)
     nxt = DannState(
-        state.u - params.eta * g.gu,
-        state.w - params.eta * g.gw,
-        state.v - params.eta * g.gv,
+        state.u - cfg.eta * g.gu,
+        state.w - cfg.eta * g.gw,
+        state.v - cfg.eta * g.gv,
     )
-    nxt = project_state(nxt, params)
+    nxt = project_state(nxt, cfg)
     _check_finite(nxt.flat(), "alignment parameters")
     return nxt
 
 
-def dann_run(state0: DannState, pair: DomainPair, params: DannParams) -> list[DannState]:
-    """Trace of states over params.steps updates, initial state first."""
+def dann_run(state0: DannState, pair: DomainPair, cfg: SelectorConfig) -> list[DannState]:
+    """Trace of states over cfg.L updates, initial state first."""
     trace = [state0.copy()]
-    for _ in range(params.steps):
-        trace.append(dann_step(trace[-1], pair, params))
+    for _ in range(cfg.L):
+        trace.append(dann_step(trace[-1], pair, cfg))
     return trace
 
 
@@ -419,21 +407,11 @@ def iwl_pipeline(pair: DomainPair, cfg: SelectorConfig, query: np.ndarray):
     return pred, {"fmap": fmap, "prob": prob, "alphas": alphas, "W": W}
 
 
-def dann_params(cfg: SelectorConfig) -> DannParams:
-    """The alignment branch's hyperparameters, read from the selector's."""
-    return DannParams(
-        K=cfg.K, eta=cfg.eta, lam=cfg.lam_dann, steps=cfg.L,
-        delta_gamma=cfg.delta_gamma, B_u=cfg.B_u, B_w=cfg.B_w, B_v=cfg.B_v,
-        activation=cfg.activation,
-    )
-
-
 def dann_pipeline(pair: DomainPair, cfg: SelectorConfig, query: np.ndarray):
-    params = dann_params(cfg)
-    state0 = init_dann(params, pair.d, cfg.seed)
-    trace = dann_run(state0, pair, params)
+    state0 = init_dann(cfg, pair.d, cfg.seed)
+    trace = dann_run(state0, pair, cfg)
     pred = float(dann_predict(trace[-1], np.atleast_2d(query), cfg.activation)[0])
-    return pred, {"params": params, "trace": trace}
+    return pred, {"trace": trace}
 
 
 def icuda_predict(pair: DomainPair, cfg: SelectorConfig, query_index: int = 0) -> IcudaResult:

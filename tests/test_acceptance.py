@@ -173,10 +173,10 @@ def test_04_alignment_per_step_certificates(dann_builds, capsys):
                                (row.dev_v, row.bound_v)):
                 blocks_seen += 1
                 blocks_ok += dev <= bound
-        params = ur.dann_params(build.cfg.sel)
-        assert clamp_free(build.state0, pair, params)
+        sel = build.cfg.sel
+        assert clamp_free(build.state0, pair, sel)
         worst_fd = max(worst_fd, max(
-            block_gradient_errors(build.state0, pair, params).values()))
+            block_gradient_errors(build.state0, pair, sel).values()))
     ok = blocks_seen == 75 and blocks_ok == 75 and worst_fd <= 1e-5
     _say(capsys, 4, "per-step deviations within measured bounds", ok,
          f" ({blocks_ok}/{blocks_seen} blocks, grad oracle vs FD {worst_fd:.1e})")
@@ -270,10 +270,10 @@ def test_09_adaptation_beats_source_only(capsys):
     for seed in range(5):
         pair = dg.gen_two_moon(dg.TwoMoonConfig(
             n_source=100, n_target=100, n_eval=300, noise=0.1, seed=seed))
-        adversarial = ur.DannParams(K=4, eta=0.3, lam=5.0, steps=200,
-                                    delta_gamma=1e-3, B_u=3.0, B_w=2.0,
-                                    B_v=3.0)
-        plain = dataclasses.replace(adversarial, lam=0.0)
+        adversarial = ur.SelectorConfig(K=4, eta=0.3, lam_dann=5.0, L=200,
+                                        delta_gamma=1e-3, B_u=3.0, B_w=2.0,
+                                        B_v=3.0)
+        plain = dataclasses.replace(adversarial, lam_dann=0.0)
         state0 = ur.init_dann(adversarial, pair.d, seed)
 
         def target_acc(params):

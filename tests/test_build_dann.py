@@ -109,7 +109,7 @@ class TestProjectionPath:
         sel = ur.SelectorConfig(K=2, eta=0.5, lam_dann=1.0, L=2,
                                 delta_gamma=0.05, B_u=0.4, B_w=0.25,
                                 B_v=0.25, seed=3)
-        state = ur.init_dann(ur.dann_params(sel), 2, 3)
+        state = ur.init_dann(sel, 2, 3)
         state.u *= sel.B_u / np.linalg.norm(state.u, axis=1, keepdims=True)
         state.w *= sel.B_w / np.linalg.norm(state.w)
         state.v *= sel.B_v / np.linalg.norm(state.v)
@@ -131,7 +131,7 @@ class TestProjectionPath:
         sel = ur.SelectorConfig(K=2, eta=0.5, lam_dann=1.0, L=2,
                                 delta_gamma=0.05, B_u=0.4, B_w=0.25,
                                 B_v=0.25, seed=5)
-        state = ur.init_dann(ur.dann_params(sel), 1, 5)
+        state = ur.init_dann(sel, 1, 5)
         state.u *= sel.B_u / np.abs(state.u)
         state.w *= sel.B_w / np.linalg.norm(state.w)
         state.v *= sel.B_v / np.linalg.norm(state.v)
@@ -158,9 +158,26 @@ class TestActivationFit:
         for arr in (rs.a, rs.b, rs.c):
             with pytest.raises(ValueError):
                 arr *= 2.0
-        gated, _ = bd.lossgrad_fit(3.0, 0.05, 40)
+        gated, _, _ = bd.lossgrad_fit(3.0, 0.05, 40)
         with pytest.raises(ValueError):
             gated.c[0] = 0.0
+
+    def test_value_bound_is_cached_with_its_fit(self, small_moon_pair,
+                                                 monkeypatch):
+        """B_g is computed with the loss-gradient fit: a second build at the
+        same R_sc reads it from the cache and does not evaluate the fit."""
+        monkeypatch.setattr(bd, "_FIT_CACHE", {})
+        calls = []
+        bound = bd._gl_value_bound
+        monkeypatch.setattr(bd, "_gl_value_bound",
+                            lambda *args: calls.append(args) or bound(*args))
+        cfg = IcudaBuildConfig(sel=ur.SelectorConfig(L=1, delta_gamma=0.05))
+        first = bd.build_dann_transformer(small_moon_pair, cfg)
+        second = bd.build_dann_transformer(small_moon_pair, cfg)
+        assert second.bounds["R_sc"] == first.bounds["R_sc"]
+        assert len(calls) == 1
+        assert second.bounds["B_g"] == first.bounds["B_g"] == bound(
+            first.fits["gl"], first.bounds["R_sc"], cfg.gl_knots)
 
     def test_prescaled_terms_stay_normalized_on_radius(self):
         R1 = 7.0

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import icuda.build_dann as bd
+import icuda.build_iwl as bi
 import icuda.build_select as bs
 import icuda.datagen as dg
 import icuda.harness as hz
@@ -182,20 +183,21 @@ class TestSelection:
 
 
 def assert_branch_rows_match_standalone(pair, build):
-    """Each branch's rows of the composed trace equal the branch run alone,
-    so certificates computed from the composed stream are the branches'."""
+    """Each branch's slots in the composed trace equal the branch built and
+    run alone on its own layout, so certificates computed from the composed
+    stream are the branches'."""
     _, trace = tc.forward_trace(build.tf, bs.encode_icuda(pair, build))
-    parts = [
-        (build.iwl, dg.encode_tokens(pair, build.iwl.layout)),
-        (build.dann, bd.encode_dann(pair, build.dann.layout, build.dann.state0)),
-    ]
+    iwl = bi.build_iwl_transformer(pair, build.cfg)
+    dann = bd.build_dann_transformer(pair, build.cfg)
     first = 0
-    for (part, tm), mapping in zip(parts, build.mappings):
-        rows = tc.embed_rows(part.layout, build.layout, mapping)
+    for part, tm in ((iwl, dg.encode_tokens(pair, iwl.layout)),
+                     (dann, bd.encode_dann(pair, dann.layout, dann.state0))):
         _, alone = tc.forward_trace(part.tf, tm)
         for k, st in enumerate(alone):
-            assert_allclose(trace[first + k].data[rows], st.data, rtol=0,
-                            atol=1e-12)
+            for name in part.layout.names:
+                assert_allclose(trace[first + k].data[build.layout.rows(name)],
+                                st.data[part.layout.rows(name)], rtol=0,
+                                atol=1e-12)
         first += len(alone)
 
 

@@ -367,7 +367,9 @@ class TestMalformedConfig:
                                       '{"hyper": {"beta": 0}}', '{"hyper": {"K": 0}}',
                                       '{"hyper": {"J": 0}}', '{"hyper": {"kde_h": 0}}',
                                       '{"hyper": {"L1": 0}}', '{"hyper": {"L2": 0}}',
-                                      '{"hyper": {"L": 0}}'])
+                                      '{"hyper": {"L": 0}}', '{"hyper": {"a": 0}}',
+                                      '{"hyper": {"B_w": 0}}',
+                                      '{"hyper": {"activation": "relu"}}'])
     def test_reported_cases_exit_two(self, tmp_path, capsys, text):
         path = tmp_path / "config.json"
         path.write_text(text)

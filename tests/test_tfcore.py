@@ -266,10 +266,9 @@ class TestLayout:
 
 
 class TestComposition:
-    def make_writer(self, slot, value):
-        """One-layer part adding `value` to its private slot at every token."""
-        layout = tc.SlotLayout.build(
-            [("x", 1), ("y", 1), ("t", 1), ("s", 1), ("one", 1), (slot, 1)])
+    def make_writer(self, slot, value, layout):
+        """One-layer part on `layout` adding `value` to `slot` at every
+        token."""
         D = layout.dim
         W1 = np.zeros((1, D))
         W1[0, layout.row("one")] = 1.0
@@ -279,63 +278,44 @@ class TestComposition:
         return tc.Transformer([layer], layout, readout=(slot, None))
 
     def test_union_shares_common_rows(self):
-        p1 = self.make_writer("u", 2.0)
-        p2 = self.make_writer("u", 3.0)
-        unified, maps = tc.union_layout([p1, p2], ["a", "b"])
-        names = [name for name, _, _ in unified.ranges]
-        assert names.count("x") == 1 and names.count("one") == 1
-        assert "a.u" in names and "b.u" in names
-        assert maps[0]["u"] == "a.u" and maps[1]["u"] == "b.u"
+        unified = tc.union_layout([toy_layout([("u", 2)]), toy_layout([("v", 1)]),
+                                   tc.SlotLayout.build([("z", 1)])])
+        assert unified.names == ["x", "y", "t", "s", "one", "u", "v", "z"]
+        assert unified.width("x") == 2 and unified.width("u") == 2
 
     def test_union_rejects_shared_width_mismatch(self):
-        p1 = self.make_writer("u", 2.0)
-        layout2 = tc.SlotLayout.build(
-            [("x", 2), ("y", 1), ("t", 1), ("s", 1), ("one", 1), ("v", 1)])
-        p2 = tc.Transformer([tc.zero_layer(layout2.dim)], layout2, ("v", None))
-        with pytest.raises(tc.LayoutError):
-            tc.union_layout([p1, p2], ["a", "b"])
+        narrow = tc.SlotLayout.build(
+            [("x", 1), ("y", 1), ("t", 1), ("s", 1), ("one", 1), ("v", 1)])
+        with pytest.raises(tc.LayoutError, match="'x'"):
+            tc.union_layout([toy_layout([("u", 1)]), narrow])
+
+    def test_union_rejects_a_slot_name_of_two_parts(self):
+        """Only the shared slots may appear in two layouts: two branches
+        that both name their weights `w` clash."""
+        ratio = toy_layout([("phi", 3), ("alpha", 3), ("w", 3), ("fout", 1)])
+        alignment = toy_layout([("u0", 2), ("w", 2), ("v", 2)])
+        with pytest.raises(tc.LayoutError, match="'w'"):
+            tc.union_layout([ratio, alignment])
 
     def test_compose_runs_parts_on_disjoint_workspaces(self):
-        p1 = self.make_writer("u", 2.0)
-        p2 = self.make_writer("u", 3.0)
-        unified, maps = tc.union_layout([p1, p2], ["a", "b"])
-        tf = tc.compose([p1, p2], unified, maps, readout=("a.u", None))
-        H = np.zeros((unified.dim, 3))
-        H[unified.row("one"), :] = 1.0
-        tm = tc.TokenMatrix(H, unified, 1, 1)
-        out = tc.forward(tf, tm)
-        assert_allclose(out.data[unified.row("a.u")], 2.0, atol=1e-13)
-        assert_allclose(out.data[unified.row("b.u")], 3.0, atol=1e-13)
+        layout = tc.union_layout([toy_layout([("u", 1)]), toy_layout([("v", 1)])])
+        p1 = self.make_writer("u", 2.0, layout)
+        p2 = self.make_writer("v", 3.0, layout)
+        tf = tc.compose([p1, p2])
+        assert [id(layer) for layer in tf.layers] == \
+            [id(layer) for layer in p1.layers + p2.layers]
+        assert tf.layout == layout and tf.readout == ("v", None)
+        H = np.zeros((layout.dim, 3))
+        H[layout.row("one"), :] = 1.0
+        out = tc.forward(tf, tc.TokenMatrix(H, layout, 1, 1))
+        assert_allclose(out.data[layout.row("u")], 2.0, atol=1e-13)
+        assert_allclose(out.data[layout.row("v")], 3.0, atol=1e-13)
 
-    def test_compose_places_blocks_at_embedded_rows(self, rng):
-        parts = []
-        for slot, extra in (("u", 2), ("v", 1)):
-            layout = toy_layout([(slot, extra)])
-            layer = random_layer(layout.dim, 3, 2, 2, rng)
-            parts.append(tc.Transformer([layer], layout, (slot, None)))
-        unified, maps = tc.union_layout(parts, ["a", "b"])
-        tf = tc.compose(parts, unified, maps)
-        D = unified.dim
-        composed = iter(tf.layers)
-        for part, mapping in zip(parts, maps):
-            idx = tc.embed_rows(part.layout, unified, mapping)
-            P = np.zeros((D, part.layout.dim))
-            P[idx, np.arange(part.layout.dim)] = 1.0
-            layer = next(composed)
-            for h, ch in zip(part.layers[0].heads, layer.heads, strict=True):
-                assert_array_equal(ch.rows, idx[h.rows])
-                assert_array_equal(ch.cols, idx[h.cols])
-                assert_array_equal(dense_value(ch, D),
-                                   P @ dense_value(h, part.layout.dim) @ P.T)
-
-    def test_compose_rejects_overlapping_claims(self):
-        p1 = self.make_writer("u", 2.0)
-        p2 = self.make_writer("u", 3.0)
-        unified, maps = tc.union_layout([p1, p2], ["a", "b"])
-        clash = [dict(maps[0]), dict(maps[1])]
-        clash[1]["u"] = "a.u"
-        with pytest.raises(tc.LayoutError):
-            tc.compose([p1, p2], unified, clash, readout=("a.u", None))
+    def test_compose_rejects_parts_on_different_layouts(self):
+        p1 = self.make_writer("u", 2.0, toy_layout([("u", 1)]))
+        p2 = self.make_writer("v", 3.0, toy_layout([("v", 1)]))
+        with pytest.raises(tc.LayoutError, match="part 1"):
+            tc.compose([p1, p2])
 
 
 def sharing(layers):
@@ -352,19 +332,22 @@ class TestSharedLayers:
                                                              monkeypatch):
         layout = gated_layout()
         private = np.arange(6, layout.dim)
-        step = dataclasses.replace(private_layer(layout, private, rng),
-                                   families=(ridge(layout, rng, M=6),))
-        layers = [step, private_layer(layout, private, rng), step, step]
-        part = tc.Transformer(layers, layout, ("out", None))
+
+        def part_layers():
+            step = dataclasses.replace(private_layer(layout, private, rng),
+                                       families=(ridge(layout, rng, M=6),))
+            return [step, private_layer(layout, private, rng), step, step]
+
+        parts = [tc.Transformer(part_layers(), layout, ("out", None))
+                 for _ in range(2)]
         # the same weights, one object per position
-        copies = tc.Transformer([dataclasses.replace(layer) for layer in layers],
-                                layout, ("out", None))
-        unified, maps = tc.union_layout([part, part], ["a", "b"])
-        tf = tc.compose([part, part], unified, maps)
-        tf_copies = tc.compose([copies, copies], unified, maps)
+        copies = [tc.Transformer([dataclasses.replace(layer) for layer in p.layers],
+                                 layout, ("out", None)) for p in parts]
+        tf = tc.compose(parts)
+        tf_copies = tc.compose(copies)
         assert sharing(tf.layers) == [0, 1, 0, 0, 4, 5, 4, 4]
         assert sharing(tf_copies.layers) == list(range(8))
-        tm = gated_stream(unified, 6, rng)
+        tm = gated_stream(layout, 6, rng)
         assert_array_equal(tc.forward(tf, tm).data, tc.forward(tf_copies, tm).data)
 
         normed = []
@@ -823,24 +806,6 @@ class TestHeadFamily:
         assert_array_equal(tc.forward(tc.from_json(tc.to_json(tf)), tm).data,
                            tc.forward(tf, tm).data)
 
-    def test_compose_conjugates_family_heads_as_plain_heads(self, rng):
-        layout = gated_layout()
-        layer = tc.TransformerLayer([], np.zeros((0, layout.dim)),
-                                    np.zeros((layout.dim, 0)),
-                                    (ridge(layout, rng, M=6),))
-        part = tc.Transformer([layer], layout, ("out", None))
-        unified, maps = tc.union_layout([part, part], ["a", "b"])
-        tf = tc.compose([part, part], unified, maps)
-        idx = tc.embed_rows(layout, unified, maps[1])
-        P = np.zeros((unified.dim, layout.dim))
-        P[idx, np.arange(layout.dim)] = 1.0
-        for h, ch in zip(tc.layer_heads(layer), tc.layer_heads(tf.layers[1]),
-                         strict=True):
-            for got, want in ((ch.Q, h.Q @ P.T), (ch.K, h.K @ P.T), (ch.V, h.V),
-                              (ch.rows, idx[h.rows]), (ch.cols, idx[h.cols])):
-                # the same weights: -0.0 and +0.0 may trade places
-                assert got.shape == want.shape and np.array_equal(got, want)
-
     @pytest.mark.parametrize("change, match", [
         (lambda f: dict(a=f.a[[0, 2, 1, 3]], b=f.b[[0, 2, 1, 3]]), "breakpoints"),
         (lambda f: dict(a=f.a[[0, 1, 1, 2]], b=f.b[[0, 1, 1, 2]]), "breakpoints"),
@@ -921,18 +886,22 @@ class TestHeadFamily:
         assert len(checked) == len(fams) + 1 and checked[-1] is not fams[2]
 
 
-def private_layer(layout, private, rng):
+def private_layer(layout, private, rng, reads=None):
     """Random layer mixing plain heads and gated families that writes only
-    the rows in `private`."""
+    the rows in `private` and reads only the rows in `reads` (by default
+    every row)."""
     D = layout.dim
+    reads = np.arange(D) if reads is None else reads
 
     def block():
         out = rng.permutation(private)[: rng.integers(1, len(private) + 1)]
-        cols = rng.permutation(D)[: rng.integers(1, D + 1)]
+        cols = rng.permutation(reads)[: rng.integers(1, len(reads) + 1)]
         return 0.3 * rng.standard_normal((len(out), len(cols))), out, cols
 
     def rand(r):
-        return 0.3 * rng.standard_normal((r, D))
+        M = np.zeros((r, D))
+        M[:, reads] = 0.3 * rng.standard_normal((r, len(reads)))
+        return M
 
     heads = [tc.AttentionHead(rand(r), rand(r), *block())
              for r in rng.integers(1, 3, int(rng.integers(0, 4)))]
@@ -959,35 +928,34 @@ def private_layer(layout, private, rng):
                 min_size=1, max_size=3),
        st.integers(0, 2**32 - 1))
 def test_compose_of_random_parts(widths, seed):
-    """union_layout gives each part an injective row map with a workspace of
-    its own, and the composed model computes every part's own stream on the
-    part's rows."""
+    """union_layout keeps the shared slots once and every part's own slots,
+    and parts built on it that read the shared slots and their own compose
+    into a model that computes every part's own stream on its slots."""
     rng = np.random.default_rng(seed)
-    base = [("x", 2), ("y", 1), ("t", 1), ("s", 1), ("one", 1)]
-    parts = []
-    for ws in widths:
-        layout = tc.SlotLayout.build(base + [(f"w{i}", w) for i, w in enumerate(ws)])
-        private = np.arange(6, layout.dim)
-        layers = [private_layer(layout, private, rng)
+    base = toy_layout()
+    own = [tc.SlotLayout.build([(f"p{i}w{j}", w) for j, w in enumerate(ws)])
+           for i, ws in enumerate(widths)]
+    layout = tc.union_layout([base, *own])
+    assert layout.names == base.names + [n for o in own for n in o.names]
+    parts, rows = [], []
+    for i, part_layout in enumerate(own):
+        private = np.concatenate([np.arange(layout.start(n), layout.rows(n).stop)
+                                  for n in part_layout.names])
+        reads = np.concatenate([np.arange(base.dim), private])
+        layers = [private_layer(layout, private, rng, reads)
                   for _ in range(int(rng.integers(1, 3)))]
-        parts.append(tc.Transformer(layers, layout, ("w0", None)))
-    unified, maps = tc.union_layout(parts, [f"p{i}" for i in range(len(parts))])
-    tf = tc.compose(parts, unified, maps)
-    rows = [tc.embed_rows(p.layout, unified, m) for p, m in zip(parts, maps)]
-    for r in rows:
-        assert np.unique(r).size == r.size
-        assert_array_equal(r[:6], np.arange(6))
-    private = np.concatenate([r[6:] for r in rows])
-    assert np.unique(private).size == private.size
+        parts.append(tc.Transformer(layers, layout, (f"p{i}w0", None)))
+        rows.append(reads)
+    tf = tc.compose(parts)
 
-    H = rng.standard_normal((unified.dim, 7))
-    H[unified.row("one")] = 1.0
-    H[unified.row("t")] = rng.integers(0, 2, 7)
-    _, trace = tc.forward_trace(tf, tc.TokenMatrix(H, unified, 6, 0))
+    H = rng.standard_normal((layout.dim, 7))
+    H[layout.row("one")] = 1.0
+    H[layout.row("t")] = rng.integers(0, 2, 7)
+    _, trace = tc.forward_trace(tf, tc.TokenMatrix(H, layout, 6, 0))
     first = 0
     for part, r in zip(parts, rows):
-        _, alone = tc.forward_trace(part, tc.TokenMatrix(H[r], part.layout, 6, 0))
+        _, alone = tc.forward_trace(part, tc.TokenMatrix(H, layout, 6, 0))
         for k, st_ in enumerate(alone):
-            assert_allclose(trace[first + k].data[r], st_.data, rtol=1e-12,
+            assert_allclose(trace[first + k].data[r], st_.data[r], rtol=1e-12,
                             atol=1e-12)
         first += len(alone)
