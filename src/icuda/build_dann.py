@@ -7,8 +7,10 @@ and domain objectives for the three parameter blocks), then its MLP applies
 the ball projections when needed and zeroes the scratch rows exactly.  The
 two step layers are built once and each kept at its position in all L steps.
 A final layer recomputes the label score with layer A's families and copies
-it into the output slot at the query token only.  Every MLP is a list of
-ReLU sums made into units by ``tfcore.relu_sum_mlp``.
+it into the output slot at the query token only.  The loss-gradient fit is
+one per-token part (``tfcore.TokenPart``) per score and label value; the
+exact zeroing and copy pairs and the projection fits are units written by
+``tfcore.relu_sum_mlp``.
 
 Parameter blocks live in every token and stay synchronized; per-token scratch
 (scores and loss gradients) is rebuilt each step.  Certificates chain the
@@ -30,12 +32,14 @@ from .tfcore import (
     MlpPart,
     SlotLayout,
     TokenMatrix,
+    TokenPart,
     Transformer,
     TransformerLayer,
     attn_forward,
     forward_trace,
     query_copy,
     relu_sum_mlp,
+    token_part,
 )
 
 if TYPE_CHECKING:
@@ -57,7 +61,7 @@ def _freeze(obj):
     elif isinstance(obj, tuple):
         for item in obj:
             _freeze(item)
-    elif isinstance(obj, (ra.ReluSum, ra.FitReport, ra.Ridges)):
+    elif isinstance(obj, (ra.ReluSum, ra.GatedSum, ra.FitReport, ra.Ridges)):
         _freeze(tuple(vars(obj).values()))
     return obj
 
@@ -218,18 +222,27 @@ def build_forward_attn(layout: SlotLayout, cfg: IcudaBuildConfig, R1: float):
     return tuple(families)
 
 
-def build_lossgrad_mlp(layout: SlotLayout, fit: ra.ReluSum, R_sc: float):
-    """Gated MLP: gl for source tokens from (lam, y), gd for train tokens
-    from (delta, t); exactly zero elsewhere.  Both scores lie in the box
-    |score| <= R_sc, so one loss-gradient fit serves both, and the gate G
-    bounds every term's pre-activation on that box."""
-    G = float(np.max(np.abs(fit.a[:, 0])) * R_sc
-              + np.max(np.abs(fit.a[:, 1])) + np.max(np.abs(fit.b))) + 1.0
+def build_lossgrad_parts(layout: SlotLayout, fit: ra.GatedSum,
+                         R_sc: float) -> tuple[TokenPart, ...]:
+    """Gated per-token parts: gl for source tokens from (lam, y), gd for
+    train tokens from (delta, t); exactly zero elsewhere.  Each is one part
+    per label value v, the fit's slice v, closed by its label row at the
+    other label (the slice's offsets) and by its gate row at 0 (offset G).
+    Both scores lie in the box |score| <= R_sc, so one loss-gradient fit
+    serves both, and G bounds every term's pre-activation on that box at
+    either label: the largest slope times R_sc, plus the largest label
+    offset, plus the largest bias the term's unit carries."""
+    slices = list(enumerate(zip(fit.slices, fit.offsets)))
+    G = float(max(np.max(np.abs(s.a)) for _, (s, g) in slices) * R_sc
+              + max(np.max(g) for _, (s, g) in slices)
+              + max(np.max(np.abs(s.b - v * g)) for v, (s, g) in slices)) + 1.0
     row = layout.row
-    parts = [MlpPart(fit, [row(score), row(label)], row(out), (row(gate), G))
-             for score, label, gate, out in (("lam", "y", "t", "gl"),
-                                             ("delta", "t", "s", "gd"))]
-    return relu_sum_mlp(layout.dim, row("one"), parts)
+    return tuple(
+        token_part(s, row(score), row(out), row("one"),
+                   [(row(gate), 1.0, G), (row(label), float(v), g)])
+        for score, label, gate, out in (("lam", "y", "t", "gl"),
+                                        ("delta", "t", "s", "gd"))
+        for v, (s, g) in slices)
 
 
 def build_gd_attn(layout: SlotLayout, cfg: IcudaBuildConfig, n: int, n_prime: int,
@@ -419,12 +432,11 @@ def build_dann_transformer(pair: DomainPair, cfg: IcudaBuildConfig,
                           s.B_u, s.B_w, s.B_v) * 1.5)
 
     layout = layout or dann_layout(pair.d, s.K)
-    # the update families first: a cold product fit is the build's memory
-    # peak, which the loss-gradient MLP's (terms, dim) arrays would raise
     gd_families, pfit, rfit = build_gd_attn(
         layout, cfg, pair.n, pair.n_prime, R1, S1, S3)
-    layer_a = TransformerLayer([], *build_lossgrad_mlp(layout, gl_fit, R_sc),
-                               build_forward_attn(layout, cfg, R1))
+    layer_a = TransformerLayer([], *relu_sum_mlp(layout.dim, layout.row("one"), []),
+                               build_forward_attn(layout, cfg, R1),
+                               build_lossgrad_parts(layout, gl_fit, R_sc))
     W1_p, W2_p, eps_proj = build_projection_mlp(layout, cfg, enable_proj, R_blk)
     layer_bc = TransformerLayer([], W1_p, W2_p, gd_families)
 
@@ -444,12 +456,12 @@ def build_dann_transformer(pair: DomainPair, cfg: IcudaBuildConfig,
                      enable_proj, ref_trace)
 
 
-def _gl_value_bound(fit: ra.ReluSum, R_sc: float, knots: int) -> float:
+def _gl_value_bound(fit: ra.GatedSum, R_sc: float, knots: int) -> float:
     """Bound on |fit| over [-R_sc, R_sc], both labels: each slice interpolates
     on ``knots`` equispaced knots, so it peaks at a knot, up to sup_error."""
-    t = np.linspace(-R_sc, R_sc, knots)
-    Z = np.stack([np.tile(t, 2), np.repeat([0.0, 1.0], knots)], axis=1)
-    return float(np.max(np.abs(ra.eval_batch(fit, Z)))) + fit.sup_error
+    t = np.linspace(-R_sc, R_sc, knots)[:, None]
+    return max(float(np.max(np.abs(ra.eval_batch(s, t))))
+               for s in fit.slices) + fit.sup_error
 
 
 def _pre_projection_norms(trace: list, pair: DomainPair,

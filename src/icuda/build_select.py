@@ -7,7 +7,9 @@ exponentials over target tokens and takes the scaled negative log, layer
 three blends the two branch predictions through a clipped linear indicator
 and copies the result into the label row of the query token.
 
-The exponential and logarithm use interpolants on nonuniform knot grids;
+The exponential and logarithm use interpolants on nonuniform knot grids,
+each applied at every token as a per-token part of its layer's MLP
+(``tfcore.TokenPart``);
 the log interpolant is monotone with a flat left tail, so even when the
 exponential sum underflows its fit domain the overlap statistic saturates
 at a known cap above the decision threshold and the routing stays certified.
@@ -33,7 +35,6 @@ from .datagen import DomainPair
 from .tfcore import (
     AttentionHead,
     HeadFamily,
-    MlpPart,
     SlotLayout,
     TokenMatrix,
     Transformer,
@@ -42,6 +43,7 @@ from .tfcore import (
     forward_trace,
     query_copy,
     relu_sum_mlp,
+    token_part,
     union_layout,
 )
 
@@ -303,21 +305,20 @@ def build_icuda_transformer(pair: DomainPair, cfg: IcudaBuildConfig) -> IcudaBui
                            float(np.max(np.abs(f_dann_all)))) + 2.0)
 
     D, one, row = layout.dim, layout.row("one"), layout.row
+    no_units = relu_sum_mlp(D, one, [])
     kde_families = build_kde_attn(kernel_fit, layout, pair.n, T, B_x)
-    W1e, W2e = relu_sum_mlp(D, one, [MlpPart(exp_fit, [row("p_kde")],
-                                             row("e_soft"))])
+    exp_part = token_part(exp_fit, row("p_kde"), row("e_soft"), one)
     sum_heads = build_sum_attn(layout, T)
     # q = -(1/beta) log of the exponential sum, via the monotone interpolant
     q_fit = ra.ReluSum(log_fit.a, log_fit.b, log_fit.c / -s.beta, input_dim=1,
                        sup_error=eps4 / s.beta)
-    W1l, W2l = relu_sum_mlp(D, one, [MlpPart(q_fit, [row("e_sum")],
-                                             row("q_soft"))])
+    log_part = token_part(q_fit, row("e_sum"), row("q_soft"), one)
     sel_heads = build_select_attn(layout, s.delta, cfg.a, G_sel, T,
                                   "fout", "fdann")
     W1c, W2c = relu_sum_mlp(D, one, [query_copy(layout, G_copy, "blend", "y")])
 
-    select = Transformer([TransformerLayer([], W1e, W2e, kde_families),
-                          TransformerLayer(sum_heads, W1l, W2l),
+    select = Transformer([TransformerLayer([], *no_units, kde_families, (exp_part,)),
+                          TransformerLayer(sum_heads, *no_units, (), (log_part,)),
                           TransformerLayer(sel_heads, W1c, W2c)],
                          layout, readout=("y", None))
     tf = compose([iwl_build.tf, dann_build.tf, select])

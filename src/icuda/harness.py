@@ -89,10 +89,17 @@ class ExperimentConfig:
 HYPER_TYPES = {**typing.get_type_hints(ur.SelectorConfig), "a": float}
 # the feature and hidden-unit counts, and the step counts (a model of zero
 # steps does no adaptation, and its certificate is only the fixed pad); the
-# soft-minimum and indicator sharpness and the kernel bandwidth divide, and
-# the ball radii scale the alignment branch's parameters and fit boxes
-HYPER_MINIMUM = {"J": 1, "K": 1, "L1": 1, "L2": 1, "L": 1}
-HYPER_POSITIVE = frozenset({"beta", "kde_h", "a", "B_u", "B_w", "B_v"})
+# ridge weight and the weight of the adversarial term may be 0 (uLSIF with
+# no ridge, training on the source loss alone), which the replayed updates
+# and their certificates allow, but a negative one is another objective.
+# The step sizes scale each step's certificate, which a step of 0 or less
+# turns negative; the soft-minimum and indicator sharpness and the kernel
+# bandwidth divide, and the ball radii scale the alignment branch's
+# parameters and fit boxes
+HYPER_MINIMUM = {"J": 1, "K": 1, "L1": 1, "L2": 1, "L": 1, "lam": 0.0,
+                 "lam_dann": 0.0}
+HYPER_POSITIVE = frozenset({"eta", "eta1", "eta2", "beta", "kde_h", "a", "B_u",
+                            "B_w", "B_v"})
 # the knot and term counts of the fitted parts; no fit takes fewer than 2
 BUILD_TYPES = {k: typing.get_type_hints(IcudaBuildConfig)[k] for k in BUILD_KNOBS}
 # sample sizes of both generators
@@ -306,9 +313,10 @@ def build_config(cfg: ExperimentConfig,
 
 def _iwl_record(build, pair) -> dict:
     cert = verify_iwl(build, pair)
-    ok = (cert.measured_vs_reference <= cert.bound
-          and all(cert.hypothesis_checks[k] for k in SOUNDNESS_CHECKS))
+    failed = [k for k in SOUNDNESS_CHECKS if not cert.hypothesis_checks[k]]
+    ok = cert.measured_vs_reference <= cert.bound and not failed
     return {
+        "failed_checks": failed,
         "oracle": cert.prediction_ref,
         "transformer": cert.prediction_tf,
         "bound": cert.bound,
@@ -403,13 +411,29 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     }
     _write_json(os.path.join(cfg.out_dir, f"verify_{cfg.algo}.json"), report)
     for r in records:
-        line = f"seed {r['seed']}: " + ("pass" if r["pass"] else "FAIL")
-        if "gap" in r:
-            line += f"  gap {r['gap']:.3g} <= bound {r['bound']:.3g}"
-        if "error" in r:
-            line += f"  ({r['error']})"
-        print(line)
+        print("\n".join(_verify_lines(r)))
     return 0 if report["all_pass"] else 1
+
+
+def _verify_lines(r: dict) -> list[str]:
+    """The console lines of one verify record: the verdict with the gap
+    against the bound, and for a failure within the bound what failed
+    instead, the record's failed checks and failing step rows."""
+    line = f"seed {r['seed']}: " + ("pass" if r["pass"] else "FAIL")
+    if "error" in r:
+        return [line + f"  ({r['error']})"]
+    within = r["gap"] <= r["bound"]
+    line += f"  gap {r['gap']:.3g} {'<=' if within else '>'} bound {r['bound']:.3g}"
+    lines = [line]
+    if not r["pass"] and within:
+        lines.append("  failed checks: " + (", ".join(r.get("failed_checks", []))
+                                            or "none"))
+        for row in r.get("steps", []):
+            if not row["ok"]:
+                blocks = [f"{b} {row['dev_' + b]:.3g} > {row['bound_' + b]:.3g}"
+                          for b in "uwv" if not row["dev_" + b] <= row["bound_" + b]]
+                lines.append(f"  step {row['step']} fails: " + ", ".join(blocks))
+    return lines
 
 
 def cmd_describe(cfg: ExperimentConfig) -> int:

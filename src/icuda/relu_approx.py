@@ -36,7 +36,7 @@ class ReluSum:
     does not record that range, so keeping the inputs inside it is the
     caller's part.  ``ridges`` is the dictionary of a sum built from ridge
     directions (fit_nd, lift, exact_terms, combine; see Ridges), None for a
-    1-D knot fit and for fit_binary_gated.
+    1-D knot fit.
     """
 
     a: np.ndarray
@@ -462,36 +462,59 @@ def exact_terms(a, b, c, k: int) -> ReluSum:
                    ridges=Ridges(A, np.arange(len(C)), np.ones(len(C))))
 
 
-def fit_binary_gated(f, lo: float, hi: float, M: int) -> tuple[ReluSum, FitReport]:
+@dataclass
+class GatedSum:
+    """f(t, v) for a binary second input v in {0, 1}, as one 1-D ReluSum in
+    t per label: ``slices[v]`` is f(., v).  ``offsets[v]`` holds a G_m >= 0
+    per term of slice v, at least the term's largest pre-activation on the
+    fit interval, so that subtracting G_m where the label is not v keeps
+    every term of the slice off: as MLP units, term m of slice v reads
+    a_m t + b_m - G_m |v' - v| at label v', exactly its slice's term at
+    v' = v and at most 0 at the other label.  sup_error covers both slices
+    (see fit_binary_gated)."""
+
+    slices: tuple[ReluSum, ReluSum]
+    offsets: tuple[np.ndarray, np.ndarray]
+    sup_error: float
+
+    @property
+    def n_terms(self) -> int:
+        return sum(s.n_terms for s in self.slices)
+
+
+def fit_binary_gated(f, lo: float, hi: float, M: int) -> tuple[GatedSum, FitReport]:
     """Fit f(t, v) with a binary second input v in {0, 1}.
 
     Each slice f(., v) gets its own 1-D fit; a per-term offset of size
-    G_m = sup of the term's pre-activation turns the other slice off exactly,
-    so the certificate is the worse slice's interpolation error plus the
-    float bound of the gated two-input sum.
+    G_m = sup of the term's pre-activation on [lo, hi] turns the slice off
+    exactly at the other label (see GatedSum).  Each term is scaled so that
+    |a_m| + G_m + |b_m - v G_m| = 1, the l1 norm of its two-input unit.  The
+    certificate is the worse slice's interpolation error plus the float
+    bound of the two-input sum of both slices' units, which also bounds the
+    prefix-sum evaluation of the one slice open at a token.
     """
-    parts = []
-    reps = []
+    slices, offsets, units, reps = [], [], [], []
     for v in (0.0, 1.0):
         rs, rep = fit_interval(lambda t, v=v: f(t, v), lo, hi, M)
-        G = np.maximum(0.0, np.maximum(rs.a[:, 0] * lo + rs.b,
-                                       rs.a[:, 0] * hi + rs.b))
-        if v == 1.0:
-            a2 = np.stack([rs.a[:, 0], G], axis=1)
-            b2 = rs.b - G
-        else:
-            a2 = np.stack([rs.a[:, 0], -G], axis=1)
-            b2 = rs.b
-        A, B, C = _normalize_terms(a2, b2, rs.c)
-        parts.append(ReluSum(A, B, C, input_dim=2, sup_error=0.0))
+        a, b, c = rs.a[:, 0], rs.b, rs.c
+        G = np.maximum(0.0, np.maximum(a * lo + b, a * hi + b))
+        # the unit's bias: b at v = 0, b - G at v = 1, where the label row
+        # carries the offset in with slope +G (-G at v = 0)
+        bias = b - G if v else b
+        kappa = np.abs(a) + G + np.abs(bias)
+        keep = kappa > 0
+        a, b, c, G, bias, kappa = (x[keep] for x in (a, b, c, G, bias, kappa))
+        slices.append(ReluSum((a / kappa)[:, None], b / kappa, c * kappa,
+                              input_dim=1, sup_error=0.0))
+        offsets.append(G / kappa)
+        units.append(ReluSum(np.stack([a, G if v else -G], axis=1) / kappa[:, None],
+                             bias / kappa, c * kappa, input_dim=2, sup_error=0.0))
         reps.append(rep)
     worst = max(reps, key=lambda r: r.grid_sup + r.margin)
-    out = combine(parts, 2)
-    fl_err = float_error(out, [max(abs(lo), abs(hi)), 1.0])
-    out.sup_error = worst.grid_sup + worst.margin + fl_err
+    fl_err = float_error(combine(units, 2), [max(abs(lo), abs(hi)), 1.0])
+    sup = worst.grid_sup + worst.margin + fl_err
     report = FitReport(
-        sup_error=out.sup_error, grid_sup=worst.grid_sup, margin=worst.margin,
+        sup_error=sup, grid_sup=worst.grid_sup, margin=worst.margin,
         float_error=fl_err,
     )
-    return out, report
-
+    return GatedSum(tuple(slices), tuple(offsets), sup), report

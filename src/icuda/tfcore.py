@@ -5,21 +5,27 @@ The forward pass treats the token matrix H (D x T) as a residual stream.
 Attention adds (1/T) * sum_j sum_m relu(<Q_m h_i, K_m h_j>) V_m h_j to token i,
 the MLP adds W2 relu(W1 h_i).  Q, K, W1 and W2 are dense matrices and each V_m
 is stored as the block it writes (see AttentionHead), so that constructions
-can be audited entry by entry.  Every MLP the builders write is a list of
-ReLU sums, made into one hidden unit per term by ``relu_sum_mlp``.  Every
-fitted ReLU sum reaches attention as head families, one per ridge part of
-the sum (``relu_approx.ridge_parts``), sum_m c_m relu(a_m z + b_m) along one
-direction, one head per term, stored once in ridge form: the bilinear score
-z = <Qf h_i, Kf h_j> shared by every term, the constant row that carries the
-biases b_m, an optional sender gate, and the (a, b, c) of the terms.
-Attention computes z only at the open token pairs and evaluates the sum
-there by prefix sums.  Weight norms read the ridge form too (see
-``layer_norm``); ``HeadFamily.to_heads`` gives back the heads themselves,
-which ``layer_heads`` reads.  A family is immutable, its arrays read-only,
-so what is derived from it once stays true: its prefix-sum evaluator and
-its shape check, which the first forward on a stream dim makes and later
-forwards reuse.  Plain AttentionHeads are left for the exact hand-written
-heads, a few per model.  A layer's families precede its plain heads.
+can be audited entry by entry.  Every fitted ReLU sum reaches attention as
+head families, one per ridge part of the sum (``relu_approx.ridge_parts``),
+sum_m c_m relu(a_m z + b_m) along one direction, one head per term, stored
+once in ridge form: the bilinear score z = <Qf h_i, Kf h_j> shared by every
+term, the constant row that carries the biases b_m, an optional sender
+gate, and the (a, b, c) of the terms.  Attention computes z only at the
+open token pairs and evaluates the sum there by prefix sums.  Weight norms
+read the ridge form too (see ``layer_norm``); ``HeadFamily.to_heads`` gives
+back the heads themselves, which ``layer_heads`` reads.  Plain
+AttentionHeads are left for the exact hand-written heads, a few per model.
+A layer's families precede its plain heads.
+
+Every fitted 1-D ReLU sum an MLP applies at each token is a per-token part
+(TokenPart): its input row, its 0/1 gates, its terms (a, b, c) and its
+output row, one hidden unit per term, evaluated once per token by prefix
+sums.  W1 and W2 hold only the exact units (``relu_sum_mlp``: the zeroing
+and copy pairs) and the multivariate projection fits.  Norms, ``describe``,
+the shape check and JSON read each part as the hidden units it stands for.
+A family or part is immutable, its arrays read-only, so what is derived
+from it once stays true: its prefix-sum evaluator and its shape check,
+which the first forward on a stream dim makes and later forwards reuse.
 
 Layers and heads are frozen with read-only arrays too, because one layer
 object may stand at several positions: a gradient step that repeats L times
@@ -208,12 +214,13 @@ class HeadFamily:
     error is within the fit's ``relu_approx.float_error``.  ``fit_knots``
     checks every 1-D fit at its knots with the same evaluator.
     ``attn_forward`` (``family_scores``) computes z and the sum only at open
-    pairs, and once for all receivers when they share Qf h_i and q_g . h_i;
-    it first checks that no closed pair's largest pre-activation reaches its
-    gate, and raises ForwardError otherwise, so the family computes what its
-    heads compute or stops.  ``layer_norm`` reads the heads' norms from
-    this form; ``to_heads`` gives the heads themselves, which
-    ``layer_heads`` reads.
+    pairs, once for all receivers when they share Qf h_i and q_g . h_i, and
+    once per receiver when the family has no gate and every sender has the
+    same Kf h_j; it first checks that no closed pair's largest
+    pre-activation reaches its gate, and raises ForwardError otherwise, so
+    the family computes what its heads compute or stops.  ``layer_norm``
+    reads the heads' norms from this form; ``to_heads`` gives the heads
+    themselves, which ``layer_heads`` reads.
 
     A family is frozen and its arrays are read-only (a copy of each array
     it is given that could still be written), so the evaluator and the
@@ -289,9 +296,11 @@ class HeadFamily:
 
 def family_scores(fam: HeadFamily, H: np.ndarray) -> np.ndarray:
     """sum_m c_m relu(score_m) at receiver i and sender j, zero at closed
-    pairs (see HeadFamily): a (T, T) matrix, or its one (1, T) row when
-    every receiver has the same Qf h_i and gate factor (a state that every
-    token carries, such as the DANN parameters)."""
+    pairs (see HeadFamily): a (T, T) matrix; its one (1, T) row when every
+    receiver has the same Qf h_i and gate factor (a state that every token
+    carries, such as the DANN parameters); its one (T, 1) column when the
+    family has no gate and every sender has the same Kf h_j (a key that
+    reads only the constant row, as the IWL features do)."""
     if not np.all(H[fam.one] == 1.0):
         raise ForwardError("bias form: the constant row is not 1 at every token")
     # g_ij = (q_g . h_i)(k_g . h_j): (i, j) is open where either factor is 0
@@ -301,6 +310,8 @@ def family_scores(fam: HeadFamily, H: np.ndarray) -> np.ndarray:
         Q = Q[:, :1]
     QH, gq = Q[:-1], Q[-1]
     KH, gk = fam.Kf @ H, g[1]
+    if fam.gate is None and np.all(KH == KH[:, :1]):
+        return fam._plan(QH.T @ KH[:, :1])
     senders, closed = np.flatnonzero(gk == 0.0), np.flatnonzero(gk)
     receivers, shut = np.flatnonzero(gq == 0.0), np.flatnonzero(gq)
     if closed.size and shut.size:
@@ -319,27 +330,154 @@ def family_scores(fam: HeadFamily, H: np.ndarray) -> np.ndarray:
     return F
 
 
+# a part's array fields
+PART_ARRAYS = ("a", "b", "c", "gate_rows", "gate_open", "offsets")
+
+
+@dataclass(frozen=True)
+class TokenPart:
+    """One fitted 1-D ReLU sum that an MLP applies at each token, stored as
+    its terms and evaluated once per token by prefix sums.  It stands for
+    one hidden unit per term m, adding to row ``out``
+
+        c_m relu(a_m h[inp] + b_m + sum_g o_gm (2 u_g - 1)(h[r_g] - u_g)),
+
+    with b_m carried by the constant row ``one`` (``part_values`` checks
+    that it is 1 at every token).  Gate g is the stream row
+    r_g = ``gate_rows[g]``, its open value u_g = ``gate_open[g]`` (0 or 1)
+    and its per-term offsets o_g = ``offsets[g]`` >= 0, so a 0/1 gate row at
+    its other value takes o_gm off term m.  At a token where every gate row
+    holds its open value the units add sum_m c_m relu(a_m h[inp] + b_m);
+    any other token is closed, and ``part_values`` first checks that no
+    term's pre-activation reaches 0 there and raises ForwardError
+    otherwise, so the part gives exactly 0 at a closed token, as its units
+    do, or stops.
+
+    With a_m >= 0 and the terms in strictly increasing breakpoint order,
+    the sums at the open tokens come from ``relu_approx.prefix_sum_eval``,
+    made once per part, within the fit's ``relu_approx.float_error``.
+    ``layer_norm``, ``describe``, ``shape_error`` and JSON read the part as
+    the units it stands for (``units``), so |W1|, |W2|, the MLP width and
+    the rows read and written are those of the dense MLP.  Frozen with
+    read-only arrays, like a HeadFamily, so its evaluator and its shape
+    check (once per stream dim) cannot go stale.
+    """
+
+    inp: int
+    out: int
+    one: int
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    gate_rows: np.ndarray
+    gate_open: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        _store_read_only(self, PART_ARRAYS)
+
+    def __repr__(self) -> str:
+        return (f"TokenPart(terms={self.n_terms}, inp={self.inp}, "
+                f"out={self.out}, gates={self.gate_rows.tolist()})")
+
+    @property
+    def n_terms(self) -> int:
+        return len(self.c)
+
+    def units(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted stream rows the part's units read, and the units'
+        (n_terms, len(rows)) block of W1 on them: a_m at ``inp``,
+        b_m - sum_g u_g o_gm at ``one`` and (2 u_g - 1) o_gm at r_g.  W2
+        holds c_m at row ``out``."""
+        rows = np.unique(np.r_[self.inp, self.one, self.gate_rows]).astype(int)
+        W = np.zeros((self.n_terms, rows.size))
+        at = {r: i for i, r in enumerate(rows.tolist())}
+        W[:, at[self.inp]] += self.a
+        W[:, at[self.one]] += self.b
+        for r, u, o in zip(self.gate_rows.tolist(), self.gate_open, self.offsets):
+            W[:, at[r]] += (2.0 * u - 1.0) * o
+            W[:, at[self.one]] -= u * o
+        return rows, W
+
+    @functools.cached_property
+    def _plan(self):
+        """The prefix-sum evaluator of the part's ReLU sum."""
+        return prefix_sum_eval(self.a, self.b, self.c)
+
+    @functools.cached_property
+    def _errors(self) -> dict[int, str | None]:
+        """``_part_error`` per stream dim, filled in by ``shape_error``."""
+        return {}
+
+
+def token_part(fit: ReluSum, inp: int, out: int, one: int,
+               gates: list[tuple[int, float, np.ndarray | float]] = ()
+               ) -> TokenPart:
+    """The part that adds the 1-D sum ``fit`` of row ``inp`` to row ``out``
+    where every gate (row, open value, offsets) of ``gates`` is open (see
+    TokenPart); a scalar offset applies to every term."""
+    offsets = np.zeros((len(gates), fit.n_terms))
+    for g, (_, _, o) in enumerate(gates):
+        offsets[g] = o
+    return TokenPart(inp, out, one, fit.a[:, 0], fit.b, fit.c,
+                     np.array([g[0] for g in gates], dtype=int),
+                     np.array([g[1] for g in gates], dtype=float), offsets)
+
+
+def part_values(part: TokenPart, H: np.ndarray) -> np.ndarray:
+    """The part's sum at every token, exactly 0 at the closed ones (see
+    TokenPart): a (T,) row."""
+    if not np.all(H[part.one] == 1.0):
+        raise ForwardError("bias form: the constant row is not 1 at every token")
+    x = H[part.inp]
+    # each gate's (2 u - 1)(h[r] - u): 0 where it is open, -1 where a 0/1
+    # row closes it
+    u = part.gate_open[:, None]
+    push = (2.0 * u - 1.0) * (H[part.gate_rows] - u)
+    if not np.all(np.isfinite(push)):
+        raise ForwardError("a gate row is not finite")
+    closed = np.any(push != 0.0, axis=0)
+    if closed.any():
+        for p in np.unique(push[:, closed], axis=1).T:
+            # a_m >= 0: a term's pre-activation grows with x, so the largest
+            # x of the tokens this push closes gives each term's largest
+            at = closed & np.all(push == p[:, None], axis=0)
+            top = float(np.max(part.a * x[at].max() + part.b + p @ part.offsets))
+            if not top <= 0.0:
+                raise ForwardError(
+                    f"a token is neither open nor closed: a term's "
+                    f"pre-activation reaches {top:.6g} past its gates")
+    values = np.zeros(H.shape[1])
+    values[~closed] = part._plan(x[~closed])
+    return values
+
+
 @dataclass(frozen=True)
 class TransformerLayer:
-    """Plain heads, head families and the MLP (W1, W2) of one layer.  Frozen,
-    with read-only W1 and W2 and its heads and families stored as tuples, so
-    that a layer kept at several positions stays the same at each."""
+    """Plain heads, head families, the MLP (W1, W2) and the MLP's per-token
+    parts of one layer; the parts' hidden units follow W1's.  Frozen, with
+    read-only W1 and W2 and its heads, families and parts stored as tuples,
+    so that a layer kept at several positions stays the same at each."""
 
     heads: tuple[AttentionHead, ...]
     W1: np.ndarray
     W2: np.ndarray
     families: tuple[HeadFamily, ...] = ()
+    parts: tuple[TokenPart, ...] = ()
 
     def __post_init__(self):
         self.__dict__["heads"] = tuple(self.heads)
         self.__dict__["families"] = tuple(self.families)
+        self.__dict__["parts"] = tuple(self.parts)
         _store_read_only(self, ("W1", "W2"))
 
     def __repr__(self) -> str:
         terms = sum(f.n_terms for f in self.families)
+        units = sum(p.n_terms for p in self.parts)
         return (f"TransformerLayer(heads={len(self.heads)}, "
                 f"families={len(self.families)} ({terms} heads), "
-                f"W1={self.W1.shape}, W2={self.W2.shape})")
+                f"W1={self.W1.shape}, W2={self.W2.shape}, "
+                f"parts={len(self.parts)} ({units} units))")
 
 
 def n_heads(layer: TransformerLayer) -> int:
@@ -369,34 +507,28 @@ class Transformer:
 class MlpPart(NamedTuple):
     """One ReLU sum written as MLP units by ``relu_sum_mlp``: ``fit`` reads
     the stream rows ``ins`` (one per input of the sum) and adds to row
-    ``out``; ``gate`` is None or a 0/1 gate ``(row, G)``."""
+    ``out``."""
 
     fit: ReluSum
     ins: list[int] | slice
     out: int
-    gate: tuple[int, float] | None = None
 
 
 def relu_sum_mlp(dim: int, one: int, parts: list[MlpPart]
                  ) -> tuple[np.ndarray, np.ndarray]:
     """(W1, W2) of the MLP that adds each part's ReLU sum to its output row:
     one hidden unit c_m relu(a_m . h[ins] + b_m) per term m of each part, in
-    part order, with b_m carried by the constant row ``one``.  A gate
-    (row, G) adds G (h[row] - 1) to every unit of its part: where h[row] is
-    0 a G at least as large as every a_m . h[ins] + b_m keeps the part at
-    exactly 0, and where h[row] is 1 the part is its sum."""
+    part order, with b_m carried by the constant row ``one``.  The builders
+    write the exact sums (zeroing and copy pairs) and the multivariate
+    projection fits so; a fitted 1-D sum is a TokenPart."""
     n = sum(part.fit.n_terms for part in parts)
     W1 = np.zeros((n, dim))
     W2 = np.zeros((dim, n))
     start = 0
-    for fit, ins, out, gate in parts:
+    for fit, ins, out in parts:
         units = slice(start, start + fit.n_terms)
         W1[units, ins] = fit.a
-        if gate is None:
-            W1[units, one] = fit.b
-        else:
-            W1[units, one] = fit.b - gate[1]
-            W1[units, gate[0]] = gate[1]
+        W1[units, one] = fit.b
         W2[out, units] = fit.c
         start = units.stop
     return W1, W2
@@ -422,13 +554,20 @@ def attn_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
 
     out_i = h_i + (1/T) sum_j sum_m relu(<Q_m h_i, K_m h_j>) V_m h_j
 
-    A family's heads are summed by ``family_scores``.
+    A head whose Q h_i is the same at every receiver (a state every token
+    carries) is scored once for all of them, so that every receiver gets
+    the same sum.  A family's heads are summed by ``family_scores``; where
+    they score every sender alike, the values are summed over the senders
+    once.
     """
     H = tm.data
     D, T = H.shape
     acc = H.copy()
     for head in layer.heads:
-        scores = (head.Q @ H).T @ (head.K @ H)
+        QH = head.Q @ H
+        if np.all(QH == QH[:, :1]):
+            QH = QH[:, :1]
+        scores = QH.T @ (head.K @ H)
         np.maximum(scores, 0.0, out=scores)
         acc[head.rows] += (head.V @ H[head.cols]) @ scores.T / T
     for f, fam in enumerate(layer.families):
@@ -436,18 +575,27 @@ def attn_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
             F = family_scores(fam, H)
         except ForwardError as e:
             raise ForwardError(f"family {f}: {e}") from e
-        # a (1, T) F is every receiver's row; its one column broadcasts
-        acc[fam.rows] += (fam.V0 @ H[fam.cols]) @ F.T / T
+        # a (1, T) F is every receiver's row and broadcasts; a (T, 1) F is
+        # every sender's column, so the senders' values are summed first
+        VH = fam.V0 @ H[fam.cols]
+        if F.shape[1] == 1:
+            VH = VH.sum(axis=1, keepdims=True)
+        acc[fam.rows] += VH @ F.T / T
     if not np.all(np.isfinite(acc)):
         raise ForwardError("non-finite value in attention output")
     return TokenMatrix(acc, tm.layout, tm.n_source, tm.n_target)
 
 
 def mlp_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
-    """Apply the MLP half of a layer: out_i = h_i + W2 relu(W1 h_i)."""
+    """Apply the MLP half of a layer: out_i = h_i + W2 relu(W1 h_i) plus each
+    part's sum at token i (``part_values``)."""
     H = tm.data
-    hidden = np.maximum(layer.W1 @ H, 0.0)
-    out = H + layer.W2 @ hidden
+    out = H + layer.W2 @ np.maximum(layer.W1 @ H, 0.0)
+    for p, part in enumerate(layer.parts):
+        try:
+            out[part.out] += part_values(part, H)
+        except ForwardError as e:
+            raise ForwardError(f"part {p}: {e}") from e
     if not np.all(np.isfinite(out)):
         raise ForwardError("non-finite value in MLP output")
     return TokenMatrix(out, tm.layout, tm.n_source, tm.n_target)
@@ -458,10 +606,12 @@ def shape_error(layer: TransformerLayer, D: int) -> str | None:
     every head's Q and K must be (r, D) with one r, its rows and cols
     distinct integer indices below D and V (len(rows), len(cols)), and W1 and
     W2 (h, D) and (D, h); the error names the first bad head.  Each family
-    must have nonnegative slopes a_m in strictly increasing breakpoint
-    order, a, b and c of one length, Qf and Kf of one shape (r, D), a gate
-    None or (2, D), ``one`` a row below D, rows and cols as a head's and V0
-    (len(rows), len(cols))."""
+    and part must have nonnegative slopes a_m in strictly increasing
+    breakpoint order and a, b and c of one length.  A family needs Qf and
+    Kf of one shape (r, D), a gate None or (2, D), ``one`` a row below D,
+    rows and cols as a head's and V0 (len(rows), len(cols)); a part needs
+    ``inp``, ``out``, ``one`` and its gate rows below D, an open value of 0
+    or 1 per gate row and offsets >= 0 of shape (gates, terms)."""
     for m, h in enumerate(layer.heads):
         if (h.Q.ndim != 2 or h.Q.shape[1] != D or h.K.shape != h.Q.shape
                 or h.rows.ndim != 1 or h.cols.ndim != 1
@@ -473,11 +623,13 @@ def shape_error(layer: TransformerLayer, D: int) -> str | None:
             err = _index_error(name, getattr(h, name), D)
             if err is not None:
                 return f"head {m}: {err}"
-    for f, fam in enumerate(layer.families):
-        if D not in fam._errors:
-            fam._errors[D] = _family_error(fam, D)
-        if fam._errors[D] is not None:
-            return f"family {f}: {fam._errors[D]}"
+    for kind, units, check in (("family", layer.families, _family_error),
+                               ("part", layer.parts, _part_error)):
+        for i, unit in enumerate(units):
+            if D not in unit._errors:
+                unit._errors[D] = check(unit, D)
+            if unit._errors[D] is not None:
+                return f"{kind} {i}: {unit._errors[D]}"
     if (layer.W1.ndim != 2 or layer.W1.shape[1] != D
             or layer.W2.shape != layer.W1.shape[::-1]):
         return f"W1 {layer.W1.shape} and W2 {layer.W2.shape} do not fit dim {D}"
@@ -491,28 +643,60 @@ def _index_error(name: str, idx: np.ndarray, D: int) -> str | None:
     return None
 
 
-def _family_error(fam: HeadFamily, D: int) -> str | None:
-    """Why a family cannot run on stream dim D, or None (see shape_error)."""
-    a, b, c = (np.asarray(v) for v in (fam.a, fam.b, fam.c))
+def _terms_error(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> str | None:
+    """Why terms (a, b, c) cannot be summed by prefix sums, or None."""
     if a.ndim != 1 or a.shape != b.shape or a.shape != c.shape or a.size == 0:
         return f"a, b and c have shapes {a.shape}, {b.shape} and {c.shape}"
     if not np.all(a >= 0):
         return "negative slope a_m"
     if not np.all(np.diff(breakpoints(a, b)) > 0):
         return "breakpoints -b_m / a_m are not strictly increasing"
+    return None
+
+
+def _row_error(name: str, row, D: int) -> str | None:
+    if (not isinstance(row, (int, np.integer)) or isinstance(row, bool)
+            or not 0 <= row < D):
+        return f"{name} {row!r} is not a row of 0..{D - 1}"
+    return None
+
+
+def _family_error(fam: HeadFamily, D: int) -> str | None:
+    """Why a family cannot run on stream dim D, or None (see shape_error)."""
+    err = _terms_error(fam.a, fam.b, fam.c)
+    if err is not None:
+        return err
     if fam.Qf.ndim != 2 or fam.Qf.shape[1] != D or fam.Kf.shape != fam.Qf.shape:
         return f"Qf {fam.Qf.shape} and Kf {fam.Kf.shape} are not one (r, {D})"
     if fam.gate is not None and fam.gate.shape != (2, D):
         return f"gate {fam.gate.shape} is not (2, {D})"
-    if (not isinstance(fam.one, (int, np.integer)) or isinstance(fam.one, bool)
-            or not 0 <= fam.one < D):
-        return f"one {fam.one!r} is not a row of 0..{D - 1}"
+    err = _row_error("one", fam.one, D)
+    if err is not None:
+        return err
     for name in ("rows", "cols"):
         err = _index_error(name, getattr(fam, name), D)
         if err is not None:
             return err
     if fam.V0.shape != (fam.rows.size, fam.cols.size):
         return f"V0 {fam.V0.shape} does not fit rows {fam.rows.size} x cols {fam.cols.size}"
+    return None
+
+
+def _part_error(part: TokenPart, D: int) -> str | None:
+    """Why a part cannot run on stream dim D, or None (see shape_error)."""
+    err = _terms_error(part.a, part.b, part.c)
+    for name in ("inp", "out", "one"):
+        err = err or _row_error(name, getattr(part, name), D)
+    if err is not None:
+        return err
+    g, u = part.gate_rows, part.gate_open
+    if (g.ndim != 1 or g.dtype.kind not in "iu" or np.any((g < 0) | (g >= D))):
+        return f"gate rows {g.tolist()} leave rows 0..{D - 1}"
+    if u.shape != g.shape or not np.all((u == 0.0) | (u == 1.0)):
+        return f"open values {u.tolist()} are not a 0 or 1 per gate row"
+    if part.offsets.shape != (g.size, part.n_terms) or np.any(part.offsets < 0):
+        return (f"offsets {part.offsets.shape} are not (gates, terms) = "
+                f"({g.size}, {part.n_terms}) values >= 0")
     return None
 
 
@@ -556,7 +740,8 @@ def operator_norm(M: np.ndarray) -> float:
 
 def layer_norm(layer: TransformerLayer) -> float:
     """max_m max(|Q_m|, |K_m|) + sum_m |V_m| + |W1| + |W2|  (operator norms)
-    over every head of the layer, family heads included.
+    over every head of the layer, family heads included, and the dense MLP,
+    parts' units included (``_mlp_blocks``).
 
     A family's norms come from its ridge form (see HeadFamily), without
     building its heads: |Q_m| from the Grams of its terms (``_q_candidates``),
@@ -575,7 +760,32 @@ def layer_norm(layer: TransformerLayer) -> float:
                        + [np.abs(f.c) * n for f, n in zip(fams, values)]
                        + values[len(fams):])
     vsum = float(np.cumsum(v)[-1]) if v.size else 0.0
-    return float(max(qk)) + vsum + operator_norm(layer.W1) + operator_norm(layer.W2)
+    _, W1, _, W2 = _mlp_blocks(layer)
+    return float(max(qk)) + vsum + operator_norm(W1) + operator_norm(W2)
+
+
+def _mlp_blocks(layer: TransformerLayer
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The layer's MLP as one dense (W1, W2), W1's units then each part's
+    (``TokenPart.units``), cut to the stream rows it may read and write:
+    (read, W1[:, read], written, W2[written]).  The rows left out are zero
+    in the dense matrices, so the norms are the same."""
+    units = [p.units() for p in layer.parts]
+    read = np.unique(np.concatenate(
+        [np.flatnonzero(np.any(layer.W1, axis=0))] + [r for r, _ in units]))
+    written = np.unique(np.r_[np.flatnonzero(np.any(layer.W2, axis=1)),
+                              [p.out for p in layer.parts]]).astype(int)
+    h = layer.W1.shape[0]
+    n = h + sum(p.n_terms for p in layer.parts)
+    W1 = np.zeros((n, read.size))
+    W2 = np.zeros((written.size, n))
+    W1[:h] = layer.W1[:, read]
+    W2[:, :h] = layer.W2[written]
+    for part, (rows, block) in zip(layer.parts, units):
+        W1[h : h + part.n_terms, np.searchsorted(read, rows)] = block
+        W2[np.searchsorted(written, part.out), h : h + part.n_terms] = part.c
+        h += part.n_terms
+    return read, W1, written, W2
 
 
 def _q_candidates(fams: tuple[HeadFamily, ...]) -> list[np.ndarray]:
@@ -664,10 +874,13 @@ def _family_marks(fam: HeadFamily, read: np.ndarray,
 
 
 def _layer_summary(layer: TransformerLayer, layout: SlotLayout) -> dict:
-    """A layer's head count, MLP width, norm and the slots it reads and
-    writes."""
-    read = np.any(layer.W1, axis=0)
-    written = np.any(layer.W2, axis=1)
+    """A layer's head count, MLP width (its parts' units included), norm
+    and the slots it reads and writes."""
+    read = np.zeros(layout.dim, dtype=bool)
+    written = np.zeros(layout.dim, dtype=bool)
+    rows_in, W1, rows_out, W2 = _mlp_blocks(layer)
+    read[rows_in[np.any(W1, axis=0)]] = True
+    written[rows_out[np.any(W2, axis=1)]] = True
     for head in layer.heads:
         read |= np.any(head.Q, axis=0) | np.any(head.K, axis=0)
         read[head.cols[np.any(head.V, axis=0)]] = True
@@ -676,7 +889,7 @@ def _layer_summary(layer: TransformerLayer, layout: SlotLayout) -> dict:
         _family_marks(fam, read, written)
     return {
         "heads": n_heads(layer),
-        "mlp_hidden": int(layer.W1.shape[0]),
+        "mlp_hidden": len(W1),
         "norm": layer_norm(layer),
         "reads": sorted(n for n, a, b in layout.ranges if read[a:b].any()),
         "writes": sorted(n for n, a, b in layout.ranges if written[a:b].any()),
@@ -758,6 +971,11 @@ def to_json(tf: Transformer) -> str:
                      "gate": None if f.gate is None else f.gate.tolist()}
                     for f in layer.families
                 ],
+                "parts": [
+                    {**{k: getattr(p, k).tolist() for k in PART_ARRAYS},
+                     **{k: int(getattr(p, k)) for k in ("inp", "out", "one")}}
+                    for p in layer.parts
+                ],
             }
             for layer in distinct
         ],
@@ -778,11 +996,11 @@ def _field(obj, key: str, where: str, kind: type = object):
 
 
 def _load(obj, key: str, where: str, *rest: int, index: bool = False) -> np.ndarray:
-    """Field ``key`` of a head, family or layer read from JSON: an array of
-    finite numbers (as floats), or of integers if ``index``.  to_json writes
-    an array whose first axis is empty as [], which np.array reads as a
-    float (0,): [] gets back the shape (0, *rest), and an index array the
-    integer (0,).  A ragged list, booleans, strings or a non-finite number
+    """Field ``key`` of a head, family, part or layer read from JSON: an
+    array of finite numbers (as floats), or of integers if ``index``.
+    to_json writes an array whose first axis is empty as [], which np.array
+    reads as a float (0,): [] gets back the shape (0, *rest), and an index
+    array the integer (0,).  A ragged list, booleans, strings or a non-finite number
     raise LayoutError naming where and key."""
     value = _field(obj, key, where)
     try:
@@ -825,7 +1043,15 @@ def _load_layer(lobj, where: str, D: int) -> TransformerLayer:
             _load(f, "Qf", at, D), _load(f, "Kf", at, D), _field(f, "one", at),
             gate, *(_load(f, k, at) for k in "abc"), _load(f, "V0", at, cols.size),
             rows, cols))
-    layer = TransformerLayer(heads, W1, W2, tuple(families))
+    parts = []
+    for p, q in enumerate(_field(lobj, "parts", where, list)):
+        at = f"{where} part {p}"
+        a, b, c = (_load(q, k, at) for k in "abc")
+        parts.append(TokenPart(
+            *(_field(q, k, at) for k in ("inp", "out", "one")), a, b, c,
+            _load(q, "gate_rows", at, index=True), _load(q, "gate_open", at),
+            _load(q, "offsets", at, c.size)))
+    layer = TransformerLayer(heads, W1, W2, tuple(families), tuple(parts))
     err = shape_error(layer, D)
     if err is not None:
         raise LayoutError(f"{where} {err}")
@@ -839,8 +1065,9 @@ def from_json(s: str) -> Transformer:
     [slot, start, stop], a readout slot outside the layout, a position that
     names no layer), a layout that is not
     contiguous from row 0, a weight whose shape does not fit it, a value
-    block whose rows or cols repeat or leave it, or a family that cannot run
-    (see shape_error) raises LayoutError naming the layer and field."""
+    block whose rows or cols repeat or leave it, or a family or part that
+    cannot run (see shape_error) raises LayoutError naming the layer and
+    field."""
     obj = json.loads(s)
     ranges = _field(obj, "layout", "model", list)
     for r in ranges:

@@ -10,7 +10,7 @@ import icuda.tfcore as tc
 import icuda.uda_ref as ur
 from icuda.build_select import IcudaBuildConfig
 
-from test_tfcore import fit_float_error, ridge_z
+from test_tfcore import dense_mlp, fit_float_error, ridge_z
 
 
 @pytest.fixture(scope="module")
@@ -159,8 +159,9 @@ class TestActivationFit:
             with pytest.raises(ValueError):
                 arr *= 2.0
         gated, _, _ = bd.lossgrad_fit(3.0, 0.05, 40)
-        with pytest.raises(ValueError):
-            gated.c[0] = 0.0
+        for arr in (*gated.offsets, *(s.c for s in gated.slices)):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_value_bound_is_cached_with_its_fit(self, small_moon_pair,
                                                  monkeypatch):
@@ -196,7 +197,7 @@ def _weights(tf) -> list:
     """Every weight array of a model, families' fields included."""
     out = []
     for layer in tf.layers:
-        for unit in (*layer.heads, *layer.families):
+        for unit in (*layer.heads, *layer.families, *layer.parts):
             out += [np.asarray(v) for v in vars(unit).values()
                     if isinstance(v, (np.ndarray, int))]
         out += [layer.W1, layer.W2]
@@ -345,23 +346,56 @@ class TestUpdateFamilies:
 
 class TestStepMlps:
     def test_lossgrad_mlp_matches_term_by_term(self, shift_build):
-        """The forward layer's gated MLP is the gl fit's terms, then the gd
-        fit's, each unit reading (score, label) plus the gate row at G and
-        the constant row at b_m - G, bit for bit; the update layer's MLP is
-        the zeroing pairs alone when the projection is off."""
-        build, _ = shift_build
+        """The forward layer's gated MLP is four per-token parts, the gl
+        fit's slices v = 0, 1, then the gd fit's, with no dense units.  As
+        hidden units (``dense_mlp``) each term of slice v reads the score at
+        a_m, the label at +g_m (v = 1) or -g_m (v = 0), the gate row at G
+        and the constant row at b_m - v g_m - G: the units of the two-input
+        gated fit, to rounding.  On the run's stream the parts equal those
+        units within the fit's float term, and are exactly 0 wherever the
+        gate or label closes them.  The update layer's MLP is the zeroing
+        pairs alone when the projection is off."""
+        build, pair = shift_build
         layout, R_sc = build.layout, build.bounds["R_sc"]
-        row = layout.row
-        units = []
-        for fit, score, label, gate, out in (
-                (build.fits["gl"], "lam", "y", "t", "gl"),
-                (build.fits["gd"], "delta", "t", "s", "gd")):
-            G = float(np.max(np.abs(fit.a[:, 0])) * R_sc
-                      + np.max(np.abs(fit.a[:, 1])) + np.max(np.abs(fit.b))) + 1.0
-            for m in range(fit.n_terms):
-                entries = [(row(score), fit.a[m, 0]), (row(label), fit.a[m, 1]),
-                           (row("one"), fit.b[m] - G), (row(gate), G)]
-                units.append((entries, row(out), fit.c[m]))
-        assert_mlp_by_term(build.tf.layers[0], layout.dim, units)
+        row, D = layout.row, layout.dim
+        layer = build.tf.layers[0]
+        assert layer.W1.shape == (0, D) and len(layer.parts) == 4
+        fit = build.fits["gl"]
+        assert build.fits["gd"] is fit
+        G = float(max(np.max(np.abs(s.a)) for s in fit.slices) * R_sc
+                  + max(np.max(g) for g in fit.offsets)
+                  + max(np.max(np.abs(s.b - v * g)) for v, (s, g)
+                        in enumerate(zip(fit.slices, fit.offsets)))) + 1.0
+        W1, W2 = [], []
+        for score, label, gate, out in (("lam", "y", "t", "gl"),
+                                        ("delta", "t", "s", "gd")):
+            for v, (s, g) in enumerate(zip(fit.slices, fit.offsets)):
+                for m in range(s.n_terms):
+                    w1 = np.zeros(D)
+                    w1[[row(score), row(label), row(gate)]] = [
+                        s.a[m, 0], g[m] if v else -g[m], G]
+                    w1[row("one")] = s.b[m] - v * g[m] - G
+                    w2 = np.zeros(D)
+                    w2[row(out)] = s.c[m]
+                    W1.append(w1)
+                    W2.append(w2)
+        got1, got2 = dense_mlp(layer)
+        np.testing.assert_allclose(got1, np.array(W1), rtol=0, atol=4e-16 * G)
+        assert got2.tobytes() == np.array(W2).T.tobytes()
+
+        _, lg_rep, _ = bd.lossgrad_fit(R_sc, build.cfg.sel.delta_gamma,
+                                       build.cfg.gl_knots)
+        tm = bd.encode_dann(pair, layout, build.state0)
+        _, trace = tc.forward_trace(build.tf, tm)
+        for st in (tm, trace[1]):
+            mid = tc.attn_forward(layer, st)
+            H = mid.data
+            got = tc.mlp_forward(layer, mid).data
+            want = H + got2 @ np.maximum(got1 @ H, 0.0)
+            assert np.max(np.abs(got - want)) <= 2.0 * lg_rep.float_error
+            closed = H[row("t")] == 0
+            assert np.all(got[row("gl"), closed] == H[row("gl"), closed])
+            closed = H[row("s")] == 0
+            assert np.all(got[row("gd"), closed] == H[row("gd"), closed])
         assert not build.proj_enabled
         assert_mlp_by_term(build.tf.layers[1], layout.dim, zeroing_units(layout))

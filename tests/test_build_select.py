@@ -18,15 +18,15 @@ import icuda.relu_approx as ra
 import icuda.tfcore as tc
 import icuda.uda_ref as ur
 
-from test_tfcore import (fit_float_error, head_scores, reference_layer_norm,
-                         ridge_z, sharing)
+from test_tfcore import (dense_mlp, fit_float_error, head_scores,
+                         reference_layer_norm, ridge_z, sharing)
 
 
 def fit_mlp(fit, layout, in_name, out_name):
     """The layer whose MLP adds fit(in) to the out slot at every token."""
-    part = tc.MlpPart(fit, [layout.row(in_name)], layout.row(out_name))
-    return tc.TransformerLayer(
-        [], *tc.relu_sum_mlp(layout.dim, layout.row("one"), [part]))
+    part = tc.token_part(fit, layout.row(in_name), layout.row(out_name),
+                         layout.row("one"))
+    return tc.TransformerLayer([], *tc.relu_sum_mlp(layout.dim, 0, []), (), (part,))
 
 
 def stub_layout(d=1):
@@ -239,8 +239,9 @@ class TestComposedWeights:
         D = tf.layout.dim
         info = tc.describe(tf)
         for layer, got in zip(tf.layers, info["layers"], strict=True):
-            read = np.any(layer.W1, axis=0)
-            written = np.any(layer.W2, axis=1)
+            W1, W2 = dense_mlp(layer)
+            read = np.any(W1, axis=0)
+            written = np.any(W2, axis=1)
             for h in tc.layer_heads(layer):
                 V = np.zeros((D, D))
                 V[np.ix_(h.rows, h.cols)] = h.V
@@ -251,6 +252,8 @@ class TestComposedWeights:
             assert got["writes"] == sorted(n for n, a, b in names
                                            if written[a:b].any())
         assert "q_soft" in info["layers"][-2]["writes"]
+        assert [lay["mlp_hidden"] for lay in info["layers"]] == \
+            [len(dense_mlp(layer)[0]) for layer in tf.layers]
 
     def test_every_fitted_sum_is_a_family(self, composed_build, shift2d):
         """Plain heads are left only for the exact (unfitted) heads: alpha
@@ -273,6 +276,21 @@ class TestComposedWeights:
             4 * 6 + 2 + 1 + 4
         assert shift2d[1].fits["kernel"].input_dim == 2
         assert all(rs.input_dim == 2 for rs in shift2d[1].iwl.feature_fits)
+
+    def test_every_fitted_mlp_sum_is_a_part(self, composed_build):
+        """The exp and log fits and the four loss-gradient slices are
+        per-token parts; dense units are left only for the exact zeroing
+        (8) and copy (2 + 2) pairs, the projection being off here."""
+        build = composed_build
+        assert not build.dann.proj_enabled
+        layers = {id(layer): layer for layer in build.tf.layers}.values()
+        assert sum(len(layer.W1) for layer in layers) == 8 + 2 + 2
+        parts = [p for layer in layers for p in layer.parts]
+        assert len(parts) == 1 + 1 + 4
+        fits = build.fits
+        assert sorted(p.n_terms for p in parts) == sorted(
+            [fits["exp"].n_terms, fits["log"].n_terms]
+            + [s.n_terms for s in build.dann.fits["gl"].slices] * 2)
 
     def test_families_match_their_heads_within_float_error(
             self, composed_pair, composed_build, shift2d):
@@ -308,8 +326,10 @@ class TestComposedWeights:
                 reference[id(layer)] = reference_layer_norm(layer)
         assert (len(tf.layers), len(reference)) == (24, 12)
         norms = [entry["norm"] for entry in tc.describe(tf)["layers"]]
-        assert norms == [reference[id(layer)] for layer in tf.layers]
-        assert tc.tf_norm(tf) == max(reference.values())
+        want = [reference[id(layer)] for layer in tf.layers]
+        assert_allclose(norms, want, rtol=1e-12, atol=0)
+        assert tc.tf_norm(tf) == max(norms)
+        assert tc.tf_norm(tf) == pytest.approx(max(reference.values()), rel=1e-12)
         back = tc.from_json(tc.to_json(tf))
         assert sharing(back.layers) == sharing(tf.layers)
         tm = bs.encode_icuda(composed_pair, composed_build)

@@ -188,6 +188,44 @@ class TestVerify:
         assert report["records"][0]["error"].startswith(
             "construction: DivergenceError: ")
 
+    def test_gap_past_the_bound_prints_greater_than(self, tmp_path, capsys,
+                                                    monkeypatch):
+        """A gap above the bound is printed with >, not <=."""
+        verify = hz.verify_iwl
+        monkeypatch.setattr(hz, "verify_iwl", lambda build, pair: dataclasses.replace(
+            verify(build, pair), bound=-0.00671))
+        cfg_path = write_config(tmp_path, **SMALL_IWL)
+        assert hz.main(["verify", "--config", cfg_path, "--out",
+                        str(tmp_path / "v"), "--seed", "3"]) == 1
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert line.startswith("seed 3: FAIL  gap ")
+        assert line.endswith(" > bound -0.00671")
+
+    def test_failure_within_the_bound_names_what_failed(self, tmp_path, capsys,
+                                                        monkeypatch):
+        """A failure with the gap within the bound prints the record's
+        failed checks and each failing step row with its failing blocks."""
+        verify = hz.verify_dann
+
+        def failing(build, pair):
+            cert = verify(build, pair)
+            rows = [dataclasses.replace(cert.rows[0], bound_u=-0.0038,
+                                        bound_v=-1.37e-06, ok=False)]
+            checks = dict(cert.checks, score_box_contained=False)
+            return dataclasses.replace(cert, rows=rows + cert.rows[1:],
+                                       checks=checks)
+
+        monkeypatch.setattr(hz, "verify_dann", failing)
+        cfg_path = write_config(tmp_path, **dict(SMALL_IWL, algo="dann",
+                                                 hyper={"L": 2}))
+        assert hz.main(["verify", "--config", cfg_path, "--out",
+                        str(tmp_path / "v"), "--seed", "3"]) == 1
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[-3].startswith("seed 3: FAIL  gap ") and " <= bound " in lines[-3]
+        assert lines[-2] == "  failed checks: score_box_contained"
+        assert lines[-1].startswith("  step 1 fails: u ")
+        assert " > -0.0038, v " in lines[-1] and lines[-1].endswith(" > -1.37e-06")
+
 
 class TestCli:
     def test_describe_prints_structure(self, tmp_path, capsys):
@@ -238,7 +276,7 @@ def _digest(layers) -> str:
     """sha256 over every weight array of some layers."""
     h = hashlib.sha256()
     for layer in layers:
-        for unit in (*layer.heads, *layer.families):
+        for unit in (*layer.heads, *layer.families, *layer.parts):
             for f in dataclasses.fields(unit):
                 h.update(np.asarray(getattr(unit, f.name)).tobytes())
         h.update(layer.W1.tobytes())
@@ -369,9 +407,24 @@ class TestMalformedConfig:
                                       '{"hyper": {"L1": 0}}', '{"hyper": {"L2": 0}}',
                                       '{"hyper": {"L": 0}}', '{"hyper": {"a": 0}}',
                                       '{"hyper": {"B_w": 0}}',
-                                      '{"hyper": {"activation": "relu"}}'])
+                                      '{"hyper": {"activation": "relu"}}',
+                                      '{"hyper": {"eta": 0}}',
+                                      '{"hyper": {"eta1": -0.5}}',
+                                      '{"hyper": {"eta2": -1}}',
+                                      '{"hyper": {"lam": -1}}',
+                                      '{"hyper": {"lam_dann": -1}}'])
     def test_reported_cases_exit_two(self, tmp_path, capsys, text):
         path = tmp_path / "config.json"
         path.write_text(text)
         assert hz.main(["verify", "--config", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        for field in ("eta", "eta1", "eta2", "lam", "lam_dann"):
+            if f'{{"{field}":' in text:
+                assert err.startswith(f"config error: hyper.{field} ")
+
+    def test_zero_ridge_weights_are_allowed(self):
+        """uLSIF with no ridge and DANN without its adversarial term are
+        still the replayed algorithms; only a negative weight is refused."""
+        cfg = hz.ExperimentConfig(hyper={"lam": 0.0, "lam_dann": 0})
+        cfg.validate()

@@ -198,16 +198,29 @@ class TestMultivariate:
                              - ra.eval_batch(r1, z[:, None]))) <= \
             ra.float_error(r1, [1.0])
         with pytest.raises(ValueError, match="dictionary"):
-            ra.ridge_parts(ra.fit_binary_gated(lambda t, v: t * v, -1.0, 1.0, 5)[0])
+            ra.ridge_parts(ra.ReluSum(np.ones((1, 2)), [0.0], [1.0], input_dim=2,
+                                      sup_error=0.0))
 
     def test_fit_binary_gated_slices(self):
+        """Slice v fits f(., v) within sup_error on the interval, by prefix
+        sums too, and its offsets G_m keep every term of the slice off at
+        the other label there: a_m t + b_m - G_m <= 0.  Each term's two-input
+        unit has l1 norm |a_m| + G_m + |b_m - v G_m| of 1."""
         f = lambda t, v: (1.0 - v) * t + v * (2.0 * t + 1.0)
-        rs, rep = ra.fit_binary_gated(f, -1.0, 1.0, 41)
+        gs, rep = ra.fit_binary_gated(f, -1.0, 1.0, 41)
+        assert gs.n_terms == sum(s.n_terms for s in gs.slices) and \
+            gs.sup_error == rep.sup_error
         grid = np.linspace(-1.0, 1.0, 101)
-        for v in (0.0, 1.0):
-            pts = np.stack([grid, np.full_like(grid, v)], axis=1)
-            vals = ra.eval_batch(rs, pts)
-            assert_allclose(vals, f(grid, v), atol=1e-9 + rep.sup_error)
+        for v, (s, G) in enumerate(zip(gs.slices, gs.offsets)):
+            assert s.input_dim == 1 and np.all(s.a >= 0.0) and np.all(G >= 0.0)
+            assert_allclose(ra.eval_batch(s, grid[:, None]), f(grid, v),
+                            atol=1e-9 + rep.sup_error)
+            assert_allclose(ra.prefix_sum_eval(s.a[:, 0], s.b, s.c)(grid),
+                            f(grid, v), atol=1e-9 + rep.sup_error)
+            pre = s.a[:, 0] * grid[:, None] + s.b - G
+            assert np.all(pre <= 1e-15)
+            assert_allclose(np.abs(s.a[:, 0]) + G + np.abs(s.b - v * G), 1.0,
+                            rtol=1e-15)
 
     def test_lift_embeds_direction(self):
         rs, _ = ra.fit_1d(np.abs, 1.0, 17)

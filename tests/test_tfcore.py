@@ -49,13 +49,41 @@ def reference_norm(M):
     return float(np.linalg.norm(M, 2)) if M.size else 0.0
 
 
+def part_units_reference(part, D):
+    """(W1, W2) of a part's hidden units, written one unit at a time as
+    relu_sum_mlp wrote a gated fit: a_m at inp, b_m at one, and for each
+    gate (row r, open value u, offsets o) (2u - 1) o_m at r and -u o_m at
+    one; W2 holds c_m at out."""
+    W1 = np.zeros((part.n_terms, D))
+    W2 = np.zeros((D, part.n_terms))
+    for m in range(part.n_terms):
+        W1[m, part.inp] += part.a[m]
+        W1[m, part.one] += part.b[m]
+        for r, u, o in zip(part.gate_rows, part.gate_open, part.offsets):
+            W1[m, r] += (2.0 * u - 1.0) * o[m]
+            W1[m, part.one] -= u * o[m]
+        W2[part.out, m] = part.c[m]
+    return W1, W2
+
+
+def dense_mlp(layer):
+    """The layer's MLP as one dense (W1, W2): W1's units, then each part's
+    units (``part_units_reference``)."""
+    D = layer.W1.shape[1]
+    units = [part_units_reference(p, D) for p in layer.parts]
+    return (np.vstack([layer.W1] + [w1 for w1, _ in units]),
+            np.hstack([layer.W2] + [w2 for _, w2 in units]))
+
+
 def reference_layer_norm(layer):
-    """layer_norm as one SVD per matrix, summing V norms head by head."""
+    """layer_norm as one SVD per matrix, summing V norms head by head, with
+    the dense MLP (``dense_mlp``)."""
     qk = vsum = 0.0
     for h in tc.layer_heads(layer):
         qk = max(qk, reference_norm(h.Q), reference_norm(h.K))
         vsum += reference_norm(h.V)
-    return qk + vsum + reference_norm(layer.W1) + reference_norm(layer.W2)
+    W1, W2 = dense_mlp(layer)
+    return qk + vsum + reference_norm(W1) + reference_norm(W2)
 
 
 def random_layer(dim, heads, rows, hidden, rng, scale=0.3):
@@ -86,6 +114,31 @@ class TestForward:
                     acc += max(score, 0.0) * (dense_value(head, D) @ tm.data[:, j])
             expected[:, i] += acc / T
         assert_allclose(out, expected, atol=1e-12)
+
+    def test_receivers_sharing_their_query_get_the_same_sum(self, rng):
+        """A head whose Q reads only rows that every token carries alike (a
+        state, here w) is scored once for all receivers: it matches the
+        per-receiver scores within rounding, and every receiver gets the
+        bitwise same sum, so the state stays equal at every token (a
+        (T, T) product may round its columns differently at T = 241)."""
+        layout = toy_layout([("w", 2)])
+        D, T = layout.dim, 241
+        rows = np.r_[layout.rows("w")]
+        zl = tc.zero_layer(D)
+        for _ in range(20):
+            tm = random_stream(layout, T, rng)
+            tm.data[rows] = rng.standard_normal((2, 1))
+            Q = np.zeros((2, D))
+            Q[:, rows] = rng.standard_normal((2, 2))
+            head = tc.AttentionHead(Q, rng.standard_normal((2, D)),
+                                    0.3 * rng.standard_normal((2, D)), rows,
+                                    np.arange(D))
+            out = tc.attn_forward(tc.TransformerLayer([head], zl.W1, zl.W2), tm).data
+            scores = np.maximum((Q @ tm.data).T @ (head.K @ tm.data), 0.0)
+            want = tm.data.copy()
+            want[rows] += head.V @ tm.data @ scores.T / T
+            assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+            assert np.all(out[rows] == out[rows, :1])
 
     def test_mlp_matches_formula(self, rng):
         layout = toy_layout()
@@ -197,40 +250,31 @@ class TestForward:
 class TestReluSumMlp:
     def test_parts_sum_their_terms_in_part_order(self, rng):
         """Each part adds sum_m c_m relu(a_m . h[ins] + b_m) to its output
-        row, one hidden unit per term in part order; the gated part is the
-        same sum where its gate row is 1 and exactly 0 where it is 0."""
-        layout = toy_layout([("w", 3), ("g", 1), ("z", 1)])
+        row, one hidden unit per term in part order."""
+        layout = toy_layout([("w", 3), ("z", 1)])
         row, T = layout.row, 12
         tm = random_stream(layout, T, rng)
         H = tm.data
-        H[row("g")] = np.arange(T) % 2
-        ins = [[0], [0, 1, 2], layout.rows("w")]
-        outs = [row("y"), row("y"), layout.start("w")]
+        ins = [[0], [0, 1, 2], layout.rows("w"), [0, 1]]
+        outs = [row("y"), row("y"), layout.start("w"), row("z")]
         parts = []
-        for rows, out in zip(ins, outs):
+        for rows, out, M in zip(ins, outs, (5, 5, 5, 4)):
             k = len(np.r_[rows])
-            fit = ra.ReluSum(rng.standard_normal((5, k)), rng.standard_normal(5),
-                             rng.standard_normal(5), input_dim=k, sup_error=0.0)
+            fit = ra.ReluSum(rng.standard_normal((M, k)), rng.standard_normal(M),
+                             rng.standard_normal(M), input_dim=k, sup_error=0.0)
             parts.append(tc.MlpPart(fit, rows, out))
-        fit = ra.ReluSum(rng.standard_normal((4, 2)), rng.standard_normal(4),
-                         rng.standard_normal(4), input_dim=2, sup_error=0.0)
-        G = float(np.max(fit.a @ H[[0, 1]] + fit.b[:, None])) + 1.0
-        parts.append(tc.MlpPart(fit, [0, 1], row("z"), (row("g"), G)))
         W1, W2 = tc.relu_sum_mlp(layout.dim, row("one"), parts)
         assert W1.shape == (19, layout.dim) and W2.shape == (layout.dim, 19)
         for part, units in zip(parts, (slice(0, 5), slice(5, 10), slice(10, 15),
                                        slice(15, 19))):
             assert_array_equal(W2[part.out, units], part.fit.c)
+            assert_array_equal(W1[units, row("one")], part.fit.b)
         out = tc.mlp_forward(tc.TransformerLayer([], W1, W2), tm).data
         want = H.copy()
-        for fit, rows, out_row, gate in parts:
+        for fit, rows, out_row in parts:
             pre = fit.a @ H[rows] + fit.b[:, None]
-            want[out_row] += fit.c @ np.maximum(pre, 0.0) * (
-                1.0 if gate is None else H[gate[0]])
+            want[out_row] += fit.c @ np.maximum(pre, 0.0)
         assert_allclose(out, want, rtol=0, atol=1e-12)
-        closed = H[row("g")] == 0
-        assert_array_equal(out[row("z"), closed], H[row("z"), closed])
-        assert np.any(out[row("z"), ~closed] != H[row("z"), ~closed])
 
     def test_no_parts_is_the_empty_mlp(self):
         W1, W2 = tc.relu_sum_mlp(6, 5, [])
@@ -503,7 +547,7 @@ class TestDiagnostics:
             head = {"Q": [[0.0, 0.0, 1.0]], "K": [[0.0, 0.0, 1.0]],
                     "V": V, "rows": rows, "cols": cols}
             return {"heads": [head], "W1": [], "W2": [[], [], []],
-                    "families": []}
+                    "families": [], "parts": []}
 
         obj = {"layout": layout, "readout": ["x", None],
                "layers": [layer([[1.0]], [2], [2]), layer(*head2)]}
@@ -525,12 +569,14 @@ class TestDiagnostics:
         (lambda m: m.pop("readout"), "model: missing field 'readout'"),
         (lambda m: m["layers"][0].pop("families"),
          "layer 0: missing field 'families'"),
+        (lambda m: m["layers"][0].pop("parts"), "layer 0: missing field 'parts'"),
         (lambda m: m.update(layers=3), "model: field 'layers' is a int, not a list"),
         (lambda m: m.update(positions=[0, 1]),
          r"position 1: layer index 1 is not one of 0..0"),
         (lambda m: m["layout"][1].pop(), r"layout: \['y', 2\] is not \[slot, start, stop\]"),
     ], ids=["nan_c", "inf_qf", "bool_a", "string_a", "ragged_w1",
             "readout_not_in_layout", "missing_readout", "missing_families",
+            "missing_parts",
             "layers_not_a_list",
             "position_past_layers", "layout_entry_not_a_triple"])
     def test_from_json_rejects_malformed_weights(self, rng, change, match):
@@ -766,6 +812,32 @@ class TestHeadFamily:
             assert_allclose(got.data, tc.attn_forward(heads, tm).data,
                             rtol=0, atol=1e-12)
 
+    def test_senders_sharing_their_key_get_one_column(self, rng):
+        """An ungated family whose Kf reads only the constant row, as an IWL
+        feature family does, scores every sender alike: its scores are one
+        (T, 1) column, evaluated once per receiver, within the fit's
+        float_error of the T x T head-by-head scores, and the layer sums
+        the senders' values once and matches its heads."""
+        layout = gated_layout()
+        tm = gated_stream(layout, 7, rng)
+        zl = tc.zero_layer(layout.dim)
+        fam = ridge(layout, rng, gate=False)
+        Kf = np.zeros_like(fam.Kf)
+        Kf[0, layout.row("one")] = 1.0
+        fam = dataclasses.replace(fam, Kf=Kf)
+        F = tc.family_scores(fam, tm.data)
+        want = head_scores(fam, tm.data)
+        assert F.shape == (7, 1)
+        assert np.max(np.abs(F - want)) <= \
+            fit_float_error(fam, ridge_z(fam, tm.data))
+        got = tc.attn_forward(tc.TransformerLayer([], zl.W1, zl.W2, (fam,)), tm)
+        heads = tc.TransformerLayer(fam.to_heads(), zl.W1, zl.W2)
+        assert_allclose(got.data, tc.attn_forward(heads, tm).data,
+                        rtol=0, atol=1e-12)
+        # a gate keeps the T x T form: the gate closes some senders
+        gated = dataclasses.replace(fam, gate=ridge(layout, rng).gate)
+        assert tc.family_scores(gated, tm.data).shape == (7, 7)
+
     def test_layer_norm_and_describe_read_every_head_in_order(self, rng):
         """layer_norm reads the families' ridge form; it equals the SVD of
         every head over the forms the builders emit: Qf of 1-3 rows, gated
@@ -884,6 +956,199 @@ class TestHeadFamily:
                                            families=(dataclasses.replace(fams[2]),))
         tc.forward(tf, tm)
         assert len(checked) == len(fams) + 1 and checked[-1] is not fams[2]
+
+
+# ---------------------------------------------------------------------------
+# per-token parts
+
+
+def part_layout():
+    return toy_layout([("g", 1), ("z", 1), ("w", 1)])
+
+
+def gated_parts(layout, fit, G=50.0):
+    """The parts of a binary-gated fit of row x0 with label row y, open
+    where row g is 1, adding to row z: slice v is closed by the label at
+    the other value and by g at 0."""
+    row = layout.row
+    return tuple(tc.token_part(s, 0, row("z"), row("one"),
+                               [(row("g"), 1.0, G), (row("y"), float(v), o)])
+                 for v, (s, o) in enumerate(zip(fit.slices, fit.offsets)))
+
+
+def part_stream(layout, T, rng, R=2.0):
+    """x0 in [-R, R], 0/1 label and gate rows, the constant row at 1."""
+    H = rng.standard_normal((layout.dim, T))
+    H[0] = rng.uniform(-R, R, T)
+    H[layout.row("one")] = 1.0
+    H[layout.row("y")] = rng.integers(0, 2, T)
+    H[layout.row("g")] = rng.integers(0, 2, T)
+    return tc.TokenMatrix(H, layout, n_source=T - 1, n_target=0)
+
+
+def mlp_layer(D, parts, hidden=0, rng=None):
+    """A layer of the given parts after ``hidden`` random dense units that
+    read every row and write the last."""
+    W1, W2 = np.zeros((hidden, D)), np.zeros((D, hidden))
+    if hidden:
+        W1 = 0.3 * rng.standard_normal((hidden, D))
+        W2[-1] = 0.3 * rng.standard_normal(hidden)
+    return tc.TransformerLayer([], W1, W2, (), tuple(parts))
+
+
+def dense_forward(layer, H):
+    W1, W2 = dense_mlp(layer)
+    return H + W2 @ np.maximum(W1 @ H, 0.0)
+
+
+class TestTokenPart:
+    def test_one_dimensional_parts_match_their_units(self, rng):
+        """Random 1-D knot fits as ungated parts, two of them on one output
+        row: the forward equals the unit-by-unit dense MLP within the fits'
+        float_error, at every token."""
+        layout = part_layout()
+        row = layout.row
+        tm = part_stream(layout, 11, rng)
+        fits = [ra.ReluSum(a[:, None], b, c, input_dim=1, sup_error=0.0)
+                for a, b, c in (knot_terms(rng, M) for M in (2, 9, 40))]
+        parts = [tc.token_part(f, i, out, row("one"))
+                 for f, i, out in zip(fits, (0, 1, row("w")),
+                                      (row("z"), row("z"), row("y")))]
+        layer = mlp_layer(layout.dim, parts)
+        got = tc.mlp_forward(layer, tm).data
+        want = dense_forward(layer, tm.data)
+        bound = {row("z"): sum(ra.float_error(f, [np.max(np.abs(tm.data[i]))])
+                               for f, i in zip(fits, (0, 1))),
+                 row("y"): ra.float_error(fits[2], [np.max(np.abs(tm.data[row("w")]))])}
+        for r in range(layout.dim):
+            assert np.max(np.abs(got[r] - want[r])) <= bound.get(r, 0.0)
+        assert np.all(got[row("z")] != tm.data[row("z")])
+
+    def test_binary_gated_parts_match_their_units(self, rng):
+        """A binary-gated fit as one part per label: within the fit's float
+        term of the dense units at open tokens, exactly the input where its
+        gate or label closes a part (every token closes one of the two
+        slices, and g = 0 closes both)."""
+        layout = part_layout()
+        row = layout.row
+        for seed in range(3):
+            f = (lambda t, v, w=rng.uniform(1.0, 4.0, 2):
+                 np.sin(np.where(v == 1, w[1], w[0]) * t) + v * t)
+            fit, rep = ra.fit_binary_gated(f, -2.0, 2.0, int(rng.integers(8, 60)))
+            parts = gated_parts(layout, fit)
+            tm = part_stream(layout, 16, rng)
+            H = tm.data
+            for layer in (mlp_layer(layout.dim, parts),
+                          mlp_layer(layout.dim, parts, hidden=3, rng=rng)):
+                got = tc.mlp_forward(layer, tm).data
+                assert np.max(np.abs(got - dense_forward(layer, H))) <= \
+                    rep.float_error + 1e-12 * (layer.W1.size > 0)
+            got = tc.mlp_forward(mlp_layer(layout.dim, parts), tm).data
+            closed = H[row("g")] == 0
+            assert_array_equal(got[row("z"), closed], H[row("z"), closed])
+            open_ = ~closed
+            assert_allclose(got[row("z"), open_] - H[row("z"), open_],
+                            f(H[0, open_], H[row("y"), open_]),
+                            rtol=0, atol=fit.sup_error + 1e-12)
+            for v, part in enumerate(parts):
+                alone = tc.mlp_forward(mlp_layer(layout.dim, [part]), tm).data
+                shut = closed | (H[row("y")] != v)
+                assert_array_equal(alone[row("z"), shut], H[row("z"), shut])
+
+    def test_closed_token_past_its_gate_raises(self, rng):
+        """A closed token whose pre-activation reaches 0 (a score outside
+        the fit interval at the other label) raises ForwardError naming the
+        layer and part; inside the interval it is exactly 0."""
+        layout = part_layout()
+        row = layout.row
+        fit, _ = ra.fit_binary_gated(lambda t, v: np.cos(t) + v, -2.0, 2.0, 20)
+        layer = mlp_layer(layout.dim, gated_parts(layout, fit))
+        tm = part_stream(layout, 6, rng)
+        tm.data[row("g")] = 1.0
+        tm.data[row("y")] = [1, 1, 0, 1, 1, 1]
+        tf = tc.Transformer([tc.zero_layer(layout.dim), layer], layout, ("z", None))
+        tc.forward(tf, tm)
+        tm.data[0, 2] = 40.0
+        with pytest.raises(tc.ForwardError,
+                           match="layer 1: part 1: a token is neither open nor"):
+            tc.forward(tf, tm)
+        tm.data[0, 2] = 0.5
+        tm.data[row("one"), 3] = 0.5
+        with pytest.raises(tc.ForwardError, match="part 0: bias form"):
+            tc.forward(tf, tm)
+
+    def test_norm_and_describe_read_the_units(self, rng):
+        """layer_norm equals the dense-MLP reference within 1e-12 (it reads
+        the parts' few columns), and describe's MLP width, reads and writes
+        equal those of the dense MLP."""
+        layout = part_layout()
+        D = layout.dim
+        fit, _ = ra.fit_binary_gated(lambda t, v: t * t - v, -2.0, 2.0, 30)
+        one_d = ra.ReluSum(*(x[:, None] if i == 0 else x for i, x
+                             in enumerate(knot_terms(rng, 12))),
+                           input_dim=1, sup_error=0.0)
+        parts = gated_parts(layout, fit) + (
+            tc.token_part(one_d, layout.row("w"), layout.row("y"),
+                          layout.row("one")),)
+        for hidden in (0, 4):
+            layer = mlp_layer(D, parts, hidden, rng)
+            want = reference_layer_norm(layer)
+            assert abs(tc.layer_norm(layer) - want) <= 1e-12 * want
+            W1, W2 = dense_mlp(layer)
+            dense = tc.TransformerLayer([], W1, W2)
+            got, ref = (tc.describe(tc.Transformer([x], layout))["layers"][0]
+                        for x in (layer, dense))
+            assert got.pop("norm") == pytest.approx(ref.pop("norm"), rel=1e-12)
+            assert got == ref and got["mlp_hidden"] == fit.n_terms + 12 + hidden
+
+    def test_json_round_trip_is_bitwise(self, rng):
+        layout = part_layout()
+        fit, _ = ra.fit_binary_gated(lambda t, v: np.exp(t - v), -2.0, 2.0, 25)
+        parts = gated_parts(layout, fit)
+        layer = mlp_layer(layout.dim, parts, hidden=2, rng=rng)
+        tf = tc.Transformer([layer, layer], layout, ("z", None))
+        back = tc.from_json(tc.to_json(tf))
+        assert sharing(back.layers) == [0, 0]
+        for got, want in zip(back.layers[0].parts, parts, strict=True):
+            for k in tc.PART_ARRAYS:
+                x, y = getattr(got, k), getattr(want, k)
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes() and not x.flags.writeable
+            assert (got.inp, got.out, got.one) == (want.inp, want.out, want.one)
+        tm = part_stream(layout, 9, rng)
+        assert_array_equal(tc.forward(back, tm).data, tc.forward(tf, tm).data)
+
+    @pytest.mark.parametrize("change, match", [
+        (lambda p: dict(a=p.a[[0, 2, 1, 3]], b=p.b[[0, 2, 1, 3]]), "breakpoints"),
+        (lambda p: dict(a=p.a * [1, 1, -1, 1]), "negative slope"),
+        (lambda p: dict(c=p.c[:3]),
+         r"a, b and c have shapes \(4,\), \(4,\) and \(3,\)"),
+        (lambda p: dict(inp=9), r"inp 9 is not a row of 0..8"),
+        (lambda p: dict(out=-1), r"out -1 is not a row of 0..8"),
+        (lambda p: dict(gate_rows=np.array([9, 1])),
+         r"gate rows \[9, 1\] leave rows 0..8"),
+        (lambda p: dict(gate_open=np.array([1.0, 0.5])), "open values"),
+        (lambda p: dict(offsets=p.offsets[:, :3]), r"offsets \(2, 3\) are not"),
+    ], ids=["unsorted_breakpoints", "negative_slope", "length_mismatch",
+            "input_row_outside_dim", "output_row_outside_dim",
+            "gate_row_outside_dim", "open_value_not_0_or_1", "offsets_shape"])
+    def test_bad_part_rejected(self, rng, change, match):
+        """A part that cannot run is named, with its layer, both when a
+        model is loaded and when it runs."""
+        layout = part_layout()
+        a, b, c = knot_terms(rng, 4)
+        fit = ra.ReluSum(a[:, None], b, c, input_dim=1, sup_error=0.0)
+        gates = [(layout.row("g"), 1.0, 50.0), (layout.row("y"), 0.0, 5.0)]
+        good = tc.token_part(fit, 0, layout.row("z"), layout.row("one"), gates)
+        bad = dataclasses.replace(good, **change(good))
+        zl = tc.zero_layer(layout.dim)
+        tf = tc.Transformer([zl, mlp_layer(layout.dim, [good, bad])], layout,
+                            ("z", None))
+        tm = part_stream(layout, 4, rng)
+        with pytest.raises(tc.ForwardError, match="layer 1: part 1: " + match):
+            tc.forward(tf, tm)
+        with pytest.raises(tc.LayoutError, match="layer 1 part 1: " + match):
+            tc.from_json(tc.to_json(tf))
 
 
 def private_layer(layout, private, rng, reads=None):
