@@ -360,6 +360,7 @@ def _icuda_record(build, pair) -> dict:
         "gap": rep.branch_gap,
         "choice": rep.choice_tf,
         "choice_oracle": rep.choice_oracle,
+        "margin_certified": bool(rep.margin_certified),
         "q": rep.q_tf,
         "q_bracket": [rep.q_lo, rep.q_hi],
         "pass": bool(ok),
@@ -417,17 +418,23 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
 def _verify_lines(r: dict) -> list[str]:
     """The console lines of one verify record: the verdict with the gap
-    against the bound, and for a failure within the bound what failed
-    instead, the record's failed checks and failing step rows."""
+    against the bound, and for a failure what else failed: the record's
+    failed checks (also "none" when the gap is within the bound), for a
+    selector record the routing and whether its margin is certified, and
+    the failing step rows."""
     line = f"seed {r['seed']}: " + ("pass" if r["pass"] else "FAIL")
     if "error" in r:
         return [line + f"  ({r['error']})"]
     within = r["gap"] <= r["bound"]
     line += f"  gap {r['gap']:.3g} {'<=' if within else '>'} bound {r['bound']:.3g}"
     lines = [line]
-    if not r["pass"] and within:
-        lines.append("  failed checks: " + (", ".join(r.get("failed_checks", []))
-                                            or "none"))
+    if not r["pass"]:
+        failed = r.get("failed_checks", [])
+        if failed or within:
+            lines.append("  failed checks: " + (", ".join(failed) or "none"))
+        if "choice" in r:
+            lines.append(f"  route tf={r['choice']} oracle={r['choice_oracle']}"
+                         f", margin_certified {r['margin_certified']}")
         for row in r.get("steps", []):
             if not row["ok"]:
                 blocks = [f"{b} {row['dev_' + b]:.3g} > {row['bound_' + b]:.3g}"

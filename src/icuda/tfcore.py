@@ -11,11 +11,11 @@ sum_m c_m relu(a_m z + b_m) along one direction, one head per term, stored
 once in ridge form: the bilinear score z = <Qf h_i, Kf h_j> shared by every
 term, the constant row that carries the biases b_m, an optional sender
 gate, and the (a, b, c) of the terms.  Attention computes z only at the
-open token pairs and evaluates the sum there by prefix sums.  Weight norms
-read the ridge form too (see ``layer_norm``); ``HeadFamily.to_heads`` gives
-back the heads themselves, which ``layer_heads`` reads.  Plain
-AttentionHeads are left for the exact hand-written heads, a few per model.
-A layer's families precede its plain heads.
+open token pairs and evaluates the sum there by prefix sums, one group of
+families that share their key side at a time (``attn_forward``).  Weight
+norms read the ridge form too (see ``layer_norm``).  Plain AttentionHeads
+are left for the exact hand-written heads, a few per model.  A layer's
+families precede its plain heads.
 
 Every fitted 1-D ReLU sum an MLP applies at each token is a per-token part
 (TokenPart): its input row, its 0/1 gates, its terms (a, b, c) and its
@@ -53,7 +53,10 @@ class LayoutError(ValueError):
 
 
 class ForwardError(RuntimeError):
-    pass
+    def __init__(self, why: str, family: int | None = None):
+        # family: the layer index of the head family that failed, if any
+        super().__init__(why if family is None else f"family {family}: {why}")
+        self.family = family
 
 
 @dataclass(frozen=True)
@@ -101,8 +104,7 @@ class SlotLayout:
         return self.rows(name).start
 
     def width(self, name: str) -> int:
-        s = self.rows(name)
-        return s.stop - s.start
+        return self.rows(name).stop - self.start(name)
 
     def row(self, name: str) -> int:
         s = self.rows(name)
@@ -211,22 +213,19 @@ class HeadFamily:
     t_m = -b_m / a_m (-inf for a constant term), the sum is A(k) z + B(k)
     with A and B prefix sums and k = #{m : t_m < z}; the evaluator,
     ``relu_approx.prefix_sum_eval``, is built once per family, and its float
-    error is within the fit's ``relu_approx.float_error``.  ``fit_knots``
-    checks every 1-D fit at its knots with the same evaluator.
-    ``attn_forward`` (``family_scores``) computes z and the sum only at open
-    pairs, once for all receivers when they share Qf h_i and q_g . h_i, and
-    once per receiver when the family has no gate and every sender has the
-    same Kf h_j; it first checks that no closed pair's largest
-    pre-activation reaches its gate, and raises ForwardError otherwise, so
-    the family computes what its heads compute or stops.  ``layer_norm``
-    reads the heads' norms from this form; ``to_heads`` gives the heads
-    themselves, which ``layer_heads`` reads.
+    error is within the fit's ``relu_approx.float_error``.
+    ``attn_forward`` scores the families with equal ``one``, Kf, gate, V0,
+    rows and cols as one group (the layer's plan, ``_groups``): the key
+    side, gate, open pairs, closed-pair check and value product once, and
+    per family only the prefix-sum lookup, at the open pairs, after
+    checking that no closed pair's largest pre-activation reaches its gate
+    (else ForwardError), so the family computes what its heads compute or
+    stops.  ``layer_norm`` reads the heads' norms from this form.
 
     A family is frozen and its arrays are read-only (a copy of each array
-    it is given that could still be written), so the evaluator and the
-    result of its shape check (``shape_error``, once per stream dim) are
-    made once and cannot go stale; ``dataclasses.replace`` makes a new
-    family with caches of its own.
+    it is given that could still be written), so its evaluator and shape
+    check (``shape_error``, once per stream dim) are made once and cannot
+    go stale; ``dataclasses.replace`` makes a family with caches of its own.
     """
 
     Qf: np.ndarray
@@ -251,37 +250,16 @@ class HeadFamily:
     def n_terms(self) -> int:
         return len(self.c)
 
-    def _unit(self) -> np.ndarray:
-        e = np.zeros((1, self.Qf.shape[1]))
-        e[0, self.one] = 1.0
-        return e
-
-    def _gate(self) -> tuple[np.ndarray, np.ndarray]:
-        """The gate's (1, D) query and key rows, or two (0, D) blocks."""
-        if self.gate is None:
-            none = np.zeros((0, self.Qf.shape[1]))
-            return none, none
-        return self.gate[:1], self.gate[1:]
-
-    def _queries(self, m: np.ndarray) -> np.ndarray:
-        """Q_m = [a_m Qf; b_m e_one; q_g] of the terms m, stacked along a
-        first axis."""
-        q_g = self._gate()[0]
-        bias = np.zeros((len(m), 1, self.Qf.shape[1]))
-        bias[:, 0, self.one] = self.b[m]
-        return np.concatenate([self.a[m, None, None] * self.Qf, bias,
-                               np.broadcast_to(q_g, (len(m), *q_g.shape))], axis=1)
-
-    def _key(self) -> np.ndarray:
-        """K = [Kf; e_one; k_g], every head's key map."""
-        return np.vstack([self.Kf, self._unit(), self._gate()[1]])
-
-    def to_heads(self) -> list[AttentionHead]:
-        Qs, K = self._queries(np.arange(self.n_terms)), self._key()
-        K.setflags(write=False)
-        Vs = np.where(self.V0 != 0, self.c[:, None, None] * self.V0, self.V0)
-        return [AttentionHead(q, K, v, self.rows, self.cols)
-                for q, v in zip(Qs, Vs)]
+    def _maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """R = [Qf; e_one; q_g], K = [Kf; e_one; k_g] and the (terms, len(R))
+        scales S = (a_m, ..., a_m, b_m, 1): head m has Q_m = S_m R and K."""
+        r, D = self.Qf.shape
+        e = np.eye(1, D, self.one)
+        g = np.zeros((2, 0, D)) if self.gate is None else self.gate[:, None]
+        R = np.vstack([self.Qf, e, *g[:1]])
+        S = np.ones((self.n_terms, len(R)))
+        S[:, :r], S[:, r] = self.a[:, None], self.b
+        return R, np.vstack([self.Kf, e, *g[1:]]), S
 
     @functools.cached_property
     def _plan(self):
@@ -296,37 +274,50 @@ class HeadFamily:
 
 def family_scores(fam: HeadFamily, H: np.ndarray) -> np.ndarray:
     """sum_m c_m relu(score_m) at receiver i and sender j, zero at closed
-    pairs (see HeadFamily): a (T, T) matrix; its one (1, T) row when every
-    receiver has the same Qf h_i and gate factor (a state that every token
-    carries, such as the DANN parameters); its one (T, 1) column when the
-    family has no gate and every sender has the same Kf h_j (a key that
-    reads only the constant row, as the IWL features do)."""
-    if not np.all(H[fam.one] == 1.0):
-        raise ForwardError("bias form: the constant row is not 1 at every token")
+    pairs (see HeadFamily): ``_group_scores`` of the family alone."""
+    alone = TransformerLayer((), np.zeros((0, 0)), np.zeros((0, 0)), (fam,))
+    return _group_scores(alone._groups[0], H)
+
+
+def _group_scores(group: tuple, H: np.ndarray) -> np.ndarray:
+    """The members' summed scores (see HeadFamily): a (T, T) matrix; one
+    (1, T) row when every receiver has the same Qf h_i of every member and
+    gate factor (a state every token carries, as the DANN parameters); one
+    (T, 1) column when the group has no gate and every sender has the same
+    Kf h_j (a key that reads only ``one``, as the IWL features' does)."""
+    index, fams, Qf, a, b, starts = group
+    lead, n = fams[0], len(fams)
+    if not np.all(H[lead.one] == 1.0):
+        raise ForwardError("bias form: the constant row is not 1 at every "
+                           "token", index[0])
     # g_ij = (q_g . h_i)(k_g . h_j): (i, j) is open where either factor is 0
-    g = np.zeros((2, H.shape[1])) if fam.gate is None else fam.gate @ H
-    Q = np.vstack([fam.Qf @ H, g[:1]])
+    g = np.zeros((2, H.shape[1])) if lead.gate is None else lead.gate @ H
+    Q = np.vstack([Qf @ H, g[:1]])
     if np.all(Q == Q[:, :1]):
         Q = Q[:, :1]
     QH, gq = Q[:-1], Q[-1]
-    KH, gk = fam.Kf @ H, g[1]
-    if fam.gate is None and np.all(KH == KH[:, :1]):
-        return fam._plan(QH.T @ KH[:, :1])
-    senders, closed = np.flatnonzero(gk == 0.0), np.flatnonzero(gk)
-    receivers, shut = np.flatnonzero(gq == 0.0), np.flatnonzero(gq)
-    if closed.size and shut.size:
-        # a_m >= 0: the largest pre-activation grows with z
-        zmax = (QH[:, shut].T @ KH[:, closed]).max()
-        top = float(np.max(fam.a * zmax + fam.b))
+    KH, gk = lead.Kf @ H, g[1]
+    if lead.gate is None and np.all(KH == KH[:, :1]):
+        KH, gk = KH[:, :1], gk[:1]
+    r, Tq = lead.Kf.shape[0], QH.shape[1]
+    # z of member f at receiver i and sender j is Z[f, i, j]
+    Z = (QH.reshape(n, r, Tq).transpose(0, 2, 1).reshape(n * Tq, r)
+         @ KH).reshape(n, Tq, -1)
+    shut, closed = gq != 0.0, gk != 0.0
+    if shut.any() and closed.any():
+        # a_m >= 0: each term peaks at its family's largest closed-pair z
+        zmax = Z[:, shut][:, :, closed].reshape(n, -1).max(axis=1)
+        zmax = np.repeat(zmax, np.diff(starts, append=a.size))
+        top = np.maximum.reduceat(a * zmax + b, starts)
         gmax = np.outer(gq[shut], gk[closed]).max()
-        if not top + gmax <= 0.0:
-            raise ForwardError(
-                f"a sender is neither open (gate 0) nor closed: pre-activation "
-                f"{top:.6g} reaches the gate {-gmax:.6g}")
-    F = np.zeros((QH.shape[1], H.shape[1]))
-    F[:, senders] = fam._plan(QH.T @ KH[:, senders])
-    if closed.size and receivers.size:
-        F[np.ix_(receivers, closed)] = fam._plan(QH[:, receivers].T @ KH[:, closed])
+        bad = np.flatnonzero(~(top + gmax <= 0.0))
+        if bad.size:
+            raise ForwardError(f"a sender is neither open (gate 0) nor closed: "
+                               f"pre-activation {top[bad[0]]:.6g} reaches the "
+                               f"gate {-gmax:.6g}", index[bad[0]])
+    is_open = ~(shut[:, None] & closed)
+    F = np.zeros(is_open.shape)
+    F[is_open] = sum(fam._plan(z[is_open]) for fam, z in zip(fams, Z))
     return F
 
 
@@ -471,6 +462,28 @@ class TransformerLayer:
         self.__dict__["parts"] = tuple(self.parts)
         _store_read_only(self, ("W1", "W2"))
 
+    @functools.cached_property
+    def _groups(self) -> tuple[tuple, ...]:
+        """Each group's plan (see HeadFamily), groups in order of first
+        member: their layer indices, the members, their Qf stacked, their a
+        and b joined and where each member's terms start.  Families group
+        by the content of ``one``, Kf, gate, V0, rows and cols."""
+        groups: dict[tuple, list[int]] = {}
+        for f, fam in enumerate(self.families):
+            key = [None if x is None else (x.dtype.str, x.shape, x.tobytes())
+                   for x in (fam.Kf, fam.gate, fam.V0, fam.rows, fam.cols)]
+            groups.setdefault((fam.one, fam.Qf.shape, *key), []).append(f)
+        out = []
+        for index in groups.values():
+            fams = tuple(self.families[f] for f in index)
+            arrays = [np.concatenate([getattr(f, k) for f in fams])
+                      for k in ("Qf", "a", "b")]
+            starts = np.cumsum([0] + [f.n_terms for f in fams[:-1]])
+            for arr in (*arrays, starts):
+                arr.setflags(write=False)
+            out.append((tuple(index), fams, *arrays, starts))
+        return tuple(out)
+
     def __repr__(self) -> str:
         terms = sum(f.n_terms for f in self.families)
         units = sum(p.n_terms for p in self.parts)
@@ -483,13 +496,6 @@ class TransformerLayer:
 def n_heads(layer: TransformerLayer) -> int:
     """Plain heads plus family terms."""
     return len(layer.heads) + sum(f.n_terms for f in layer.families)
-
-
-def layer_heads(layer: TransformerLayer) -> list[AttentionHead]:
-    """Every head of the layer in head order: the families' heads (see
-    ``HeadFamily.to_heads``), then the plain heads."""
-    out = [h for fam in layer.families for h in fam.to_heads()]
-    return out + list(layer.heads)
 
 
 @dataclass
@@ -544,11 +550,6 @@ def query_copy(layout: SlotLayout, G: float, src: str, out: str) -> MlpPart:
                    layout.row(out))
 
 
-def zero_layer(dim: int) -> TransformerLayer:
-    """Layer with no heads and an empty MLP; forward is the identity."""
-    return TransformerLayer([], np.zeros((0, dim)), np.zeros((dim, 0)))
-
-
 def attn_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
     """Apply the attention half of a layer.
 
@@ -556,9 +557,9 @@ def attn_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
 
     A head whose Q h_i is the same at every receiver (a state every token
     carries) is scored once for all of them, so that every receiver gets
-    the same sum.  A family's heads are summed by ``family_scores``; where
-    they score every sender alike, the values are summed over the senders
-    once.
+    the same sum.  Families are scored one group at a time (see
+    HeadFamily), the members' scores summed before the group's one value
+    product; a ForwardError names the first failing family.
     """
     H = tm.data
     D, T = H.shape
@@ -570,17 +571,22 @@ def attn_forward(layer: TransformerLayer, tm: TokenMatrix) -> TokenMatrix:
         scores = QH.T @ (head.K @ H)
         np.maximum(scores, 0.0, out=scores)
         acc[head.rows] += (head.V @ H[head.cols]) @ scores.T / T
-    for f, fam in enumerate(layer.families):
+    failed = []
+    for group in layer._groups:
         try:
-            F = family_scores(fam, H)
+            F = _group_scores(group, H)
         except ForwardError as e:
-            raise ForwardError(f"family {f}: {e}") from e
+            failed.append(e)
+            continue
         # a (1, T) F is every receiver's row and broadcasts; a (T, 1) F is
         # every sender's column, so the senders' values are summed first
-        VH = fam.V0 @ H[fam.cols]
+        lead = group[1][0]
+        VH = lead.V0 @ H[lead.cols]
         if F.shape[1] == 1:
             VH = VH.sum(axis=1, keepdims=True)
-        acc[fam.rows] += VH @ F.T / T
+        acc[lead.rows] += VH @ F.T / T
+    if failed:
+        raise min(failed, key=lambda e: e.family)
     if not np.all(np.isfinite(acc)):
         raise ForwardError("non-finite value in attention output")
     return TokenMatrix(acc, tm.layout, tm.n_source, tm.n_target)
@@ -748,11 +754,13 @@ def layer_norm(layer: TransformerLayer) -> float:
     one K for all its heads, and |c_m V0| = |c_m| |V0|, which for the
     diagonal V0 the builders emit is the SVD of c_m V0 bit for bit.  The
     layer's norms are taken in one call per matrix shape (``_by_shape``), and
-    the V norms are summed left to right in head order, as a loop over
-    ``layer_heads`` would, so the result does not depend on the batching."""
+    the V norms are summed left to right in head order (the families'
+    heads, then the plain heads), so the result does not depend on the
+    batching."""
     fams, heads = layer.families, layer.heads
-    queries = _q_candidates(fams) + [h.Q[None] for h in heads]
-    keys = [f._key()[None] for f in fams] + [h.K[None] for h in heads]
+    maps = [f._maps() for f in fams]
+    queries = _q_candidates(maps) + [h.Q[None] for h in heads]
+    keys = [K[None] for _, K, _ in maps] + [h.K[None] for h in heads]
     qk = [0.0] + [n.max() for n in _by_shape(_stack_norms, queries + keys)]
     values = _by_shape(_stack_norms, [f.V0[None] for f in fams]
                        + [h.V[None] for h in heads])
@@ -788,27 +796,20 @@ def _mlp_blocks(layer: TransformerLayer
     return read, W1, written, W2
 
 
-def _q_candidates(fams: tuple[HeadFamily, ...]) -> list[np.ndarray]:
+def _q_candidates(maps: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
     """The Q_m of the terms of each family that may have its largest |Q_m|.
 
-    Q_m = S_m R with R = [Qf; e_one; q_g] and S_m = diag(a_m, ..., a_m,
-    b_m, 1), so |Q_m|^2 is the top eigenvalue of S_m (R R^T) S_m: an
-    eigvalsh of small Grams.  That agrees with the SVD of Q_m to a few ulps,
-    so every term within 1e-9 of its family's top is kept, and the SVD of
-    those gives the family's max |Q_m| bit for bit."""
-    grams = []
-    for f in fams:
-        r = f.Qf.shape[0]
-        R = np.vstack([f.Qf, f._unit(), f._gate()[0]])
-        S = np.ones((f.n_terms, len(R)))
-        S[:, :r] = f.a[:, None]
-        S[:, r] = f.b
-        grams.append(S[:, :, None] * (R @ R.T) * S[:, None, :])
-    tops = _by_shape(lambda G: np.linalg.eigvalsh(G)[:, -1], grams)
+    Q_m = S_m R (``HeadFamily._maps``, S_m as a diagonal), so |Q_m|^2 is
+    the top eigenvalue of S_m (R R^T) S_m: an eigvalsh of small Grams.
+    That agrees with the SVD of Q_m to a few ulps, so every term within
+    1e-9 of its family's top is kept, and the SVD of those gives the
+    family's max |Q_m| bit for bit."""
+    tops = _by_shape(lambda G: np.linalg.eigvalsh(G)[:, -1],
+                     [S[:, :, None] * (R @ R.T) * S[:, None, :] for R, _, S in maps])
     out = []
-    for f, top in zip(fams, tops):
+    for (R, _, S), top in zip(maps, tops):
         q = np.sqrt(np.maximum(top, 0.0))
-        out.append(f._queries(np.flatnonzero(q >= q.max() * (1.0 - 1e-9))))
+        out.append(S[q >= q.max() * (1.0 - 1e-9), :, None] * R)
     return out
 
 
@@ -1063,11 +1064,10 @@ def from_json(s: str) -> Transformer:
     position that names it.  A missing or malformed field (a ragged,
     boolean, string or non-finite weight, a layout entry that is not
     [slot, start, stop], a readout slot outside the layout, a position that
-    names no layer), a layout that is not
-    contiguous from row 0, a weight whose shape does not fit it, a value
-    block whose rows or cols repeat or leave it, or a family or part that
-    cannot run (see shape_error) raises LayoutError naming the layer and
-    field."""
+    names no layer), a layout that is not contiguous from row 0, a weight
+    whose shape does not fit it, a value block whose rows or cols repeat or
+    leave it, or a family or part that cannot run (see shape_error) raises
+    LayoutError naming the layer and field."""
     obj = json.loads(s)
     ranges = _field(obj, "layout", "model", list)
     for r in ranges:

@@ -10,6 +10,7 @@ import icuda.tfcore as tc
 import icuda.uda_ref as ur
 from icuda.build_select import IcudaBuildConfig
 
+from tf_reference import layer_heads
 from test_tfcore import dense_mlp, fit_float_error, ridge_z
 
 
@@ -302,7 +303,7 @@ class TestUpdateFamilies:
         layout = build.layout
         N = pair.n + pair.n_prime
         order = np.argsort(build.fits["p"].ridges.index, kind="stable")
-        heads = tc.layer_heads(build.tf.layers[1])
+        heads = layer_heads(build.tf.layers[1])
         per_k = len(heads) // cfg.K
         for k in range(cfg.K):
             w, v = layout.start("w") + k, layout.start("v") + k
@@ -336,7 +337,7 @@ class TestUpdateFamilies:
             layer, st = build.tf.layers[2 * l + 1], trace[2 * l]
             H = st.data
             got = tc.attn_forward(layer, st).data
-            expanded = tc.TransformerLayer(tc.layer_heads(layer), layer.W1, layer.W2)
+            expanded = tc.TransformerLayer(layer_heads(layer), layer.W1, layer.W2)
             want = tc.attn_forward(expanded, st).data
             bound = sum(fit_float_error(f, ridge_z(f, H))
                         * np.abs(f.V0).sum(axis=1).max() * np.abs(H[f.cols]).max()

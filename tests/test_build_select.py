@@ -18,6 +18,7 @@ import icuda.relu_approx as ra
 import icuda.tfcore as tc
 import icuda.uda_ref as ur
 
+from tf_reference import layer_heads
 from test_tfcore import (dense_mlp, fit_float_error, head_scores,
                          reference_layer_norm, ridge_z, sharing)
 
@@ -230,7 +231,7 @@ class TestComposedWeights:
     def test_value_maps_are_small_blocks(self, composed_build):
         # as dense D x D matrices the value maps took 174 MB
         heads = [h for layer in composed_build.tf.layers
-                 for h in tc.layer_heads(layer)]
+                 for h in layer_heads(layer)]
         assert len(heads) > 20000
         assert sum(h.V.nbytes for h in heads) < 1e6
 
@@ -242,7 +243,7 @@ class TestComposedWeights:
             W1, W2 = dense_mlp(layer)
             read = np.any(W1, axis=0)
             written = np.any(W2, axis=1)
-            for h in tc.layer_heads(layer):
+            for h in layer_heads(layer):
                 V = np.zeros((D, D))
                 V[np.ix_(h.rows, h.cols)] = h.V
                 read |= np.any(h.Q, axis=0) | np.any(h.K, axis=0) | np.any(V, axis=0)

@@ -226,6 +226,30 @@ class TestVerify:
         assert lines[-1].startswith("  step 1 fails: u ")
         assert " > -0.0038, v " in lines[-1] and lines[-1].endswith(" > -1.37e-06")
 
+    @pytest.mark.parametrize("hyper, lines_want, record", [
+        # the transformer routes dann, the oracle iwl; no check fails
+        ({"beta": 2000}, ["  failed checks: none",
+                          "  route tf=dann oracle=iwl, margin_certified True"],
+         {"choice": "dann", "choice_oracle": "iwl", "margin_certified": True}),
+        # past the bound, a failed check is named too
+        ({"a": 1}, ["  failed checks: blend_saturated",
+                    "  route tf=iwl oracle=iwl, margin_certified False"],
+         {"choice": "iwl", "choice_oracle": "iwl", "margin_certified": False}),
+    ], ids=["routing_disagrees", "check_fails_past_the_bound"])
+    def test_selector_failure_names_checks_and_routing(
+            self, tmp_path, capsys, hyper, lines_want, record):
+        """A selector FAIL line is followed by its failed checks, its
+        routing and whether its margin is certified, which the record
+        carries as well."""
+        cfg_path = write_config(tmp_path, hyper=hyper)
+        assert hz.main(["verify", "--algo", "icuda", "--seed", "0", "--config",
+                        cfg_path, "--out", str(tmp_path / "v")]) == 1
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[-3].startswith("seed 0: FAIL  gap ")
+        assert lines[-2:] == lines_want
+        rec = json.loads((tmp_path / "v" / "verify_icuda.json").read_text())
+        assert record.items() <= rec["records"][0].items()
+
 
 class TestCli:
     def test_describe_prints_structure(self, tmp_path, capsys):

@@ -12,6 +12,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 import icuda.relu_approx as ra
 import icuda.tfcore as tc
 
+from tf_reference import family_heads, layer_heads, zero_layer
+
 
 def toy_layout(extra=()):
     slots = [("x", 2), ("y", 1), ("t", 1), ("s", 1), ("one", 1)]
@@ -79,7 +81,7 @@ def reference_layer_norm(layer):
     """layer_norm as one SVD per matrix, summing V norms head by head, with
     the dense MLP (``dense_mlp``)."""
     qk = vsum = 0.0
-    for h in tc.layer_heads(layer):
+    for h in layer_heads(layer):
         qk = max(qk, reference_norm(h.Q), reference_norm(h.K))
         vsum += reference_norm(h.V)
     W1, W2 = dense_mlp(layer)
@@ -124,7 +126,7 @@ class TestForward:
         layout = toy_layout([("w", 2)])
         D, T = layout.dim, 241
         rows = np.r_[layout.rows("w")]
-        zl = tc.zero_layer(D)
+        zl = zero_layer(D)
         for _ in range(20):
             tm = random_stream(layout, T, rng)
             tm.data[rows] = rng.standard_normal((2, 1))
@@ -187,7 +189,7 @@ class TestForward:
         H[layout.row("one"), :] = 1.0
         H[layout.row("y"), :] = [5.0, 6.0, 7.0, 8.0]
         tm = tc.TokenMatrix(H, layout, n_source=2, n_target=1)
-        tf = tc.Transformer([tc.zero_layer(layout.dim)], layout, ("y", None))
+        tf = tc.Transformer([zero_layer(layout.dim)], layout, ("y", None))
         assert tc.read_output(tf, tm) == 8.0
 
     def test_nonfinite_output_raises(self):
@@ -202,7 +204,7 @@ class TestForward:
         K[0, layout.rows("x")] = [1e200, 0.0]
         head = tc.AttentionHead(Q, K, np.ones((1, 1)), np.r_[layout.row("y")],
                                 np.r_[layout.row("one")])
-        zl = tc.zero_layer(layout.dim)
+        zl = zero_layer(layout.dim)
         layer = tc.TransformerLayer([head], zl.W1, zl.W2)
         tf = tc.Transformer([layer], layout, ("y", None))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -224,7 +226,7 @@ class TestForward:
         good = random_head(layout.dim, 1, rng)
         bad = tc.AttentionHead(good.Q, good.K, np.ones(shape), np.array(rows),
                                np.array(cols))
-        zl = tc.zero_layer(layout.dim)
+        zl = zero_layer(layout.dim)
         layer = tc.TransformerLayer([good, bad], zl.W1, zl.W2)
         with pytest.raises(tc.ForwardError, match="head 1"):
             tc.layer_forward(layer, tm)
@@ -238,7 +240,7 @@ class TestForward:
         h = heads[2]
         heads[2] = tc.AttentionHead(h.Q, h.K, h.V, h.rows.astype(float), h.cols)
         heads.append(heads[3])
-        zl = tc.zero_layer(D)
+        zl = zero_layer(D)
         err = tc.shape_error(tc.TransformerLayer(heads, zl.W1, zl.W2), D)
         assert err == (f"head 2: Q {h.Q.shape}, K {h.K.shape}, V {h.V.shape}, "
                        f"rows {h.rows.shape} and cols {h.cols.shape} "
@@ -278,7 +280,7 @@ class TestReluSumMlp:
 
     def test_no_parts_is_the_empty_mlp(self):
         W1, W2 = tc.relu_sum_mlp(6, 5, [])
-        zl = tc.zero_layer(6)
+        zl = zero_layer(6)
         assert W1.shape == zl.W1.shape and W2.shape == zl.W2.shape
 
 
@@ -477,7 +479,7 @@ class TestDiagnostics:
         heads.append(tc.AttentionHead(h.Q, h.K, np.zeros((0, 2)),
                                       np.array([], dtype=int), np.array([0, 1])))
         layers[1] = dataclasses.replace(layers[1], heads=heads)
-        layers += [tc.zero_layer(D), random_layer(D, 0, 1, 4, rng)]
+        layers += [zero_layer(D), random_layer(D, 0, 1, 4, rng)]
         for layer in layers:
             assert tc.layer_norm(layer) == reference_layer_norm(layer)
         tf = tc.Transformer(layers, layout, ("y", None))
@@ -583,7 +585,7 @@ class TestDiagnostics:
         """A malformed field of a saved one-family model raises LayoutError
         naming the layer and the field."""
         layout = gated_layout()
-        zl = tc.zero_layer(layout.dim)
+        zl = zero_layer(layout.dim)
         tf = tc.Transformer(
             [tc.TransformerLayer([], zl.W1, zl.W2, (ridge(layout, rng, M=4),))],
             layout, ("y", None))
@@ -673,7 +675,7 @@ def ridge_z(fam, H):
 def head_scores(fam, H):
     """sum_m c_m relu(score_m) as the family's heads compute it, head by head."""
     F = np.zeros((H.shape[1], H.shape[1]))
-    for c, h in zip(fam.c, fam.to_heads()):
+    for c, h in zip(fam.c, family_heads(fam)):
         F += c * np.maximum((h.Q @ H).T @ (h.K @ H), 0.0)
     return F
 
@@ -690,12 +692,12 @@ class TestHeadFamily:
     def test_family_matches_its_heads(self, rng):
         layout = gated_layout()
         tm = gated_stream(layout, 9, rng)
-        zl = tc.zero_layer(layout.dim)
+        zl = zero_layer(layout.dim)
         for gate in (False, True):
             fam = ridge(layout, rng, gate=gate)
             z = ridge_z(fam, tm.data)
             F = tc.family_scores(fam, tm.data)
-            heads = fam.to_heads()
+            heads = family_heads(fam)
             assert np.max(np.abs(F - head_scores(fam, tm.data))) <= \
                 fit_float_error(fam, z)
             got = tc.attn_forward(tc.TransformerLayer([], zl.W1, zl.W2, (fam,)), tm)
@@ -710,7 +712,7 @@ class TestHeadFamily:
         for gate in (True, False):
             fam = ridge(layout, rng, M=5, gate=gate)
             g = fam.gate[:, None] if gate else np.zeros((2, 0, layout.dim))
-            for m, h in enumerate(fam.to_heads()):
+            for m, h in enumerate(family_heads(fam)):
                 assert_array_equal(h.Q, np.vstack([fam.a[m] * fam.Qf,
                                                    fam.b[m] * e_one, *g[:1]]))
                 assert_array_equal(h.K, np.vstack([fam.Kf, e_one, *g[1:]]))
@@ -724,7 +726,7 @@ class TestHeadFamily:
         F = tc.family_scores(fam, tm.data)
         assert np.all(F[:, t == 0] == 0.0)
         # the heads subtract the gate offset from the closed pre-activations
-        for h in fam.to_heads():
+        for h in family_heads(fam):
             S = (h.Q @ tm.data).T @ (h.K @ tm.data)
             assert np.all(np.maximum(S[:, t == 0], 0.0) == 0.0)
 
@@ -733,7 +735,7 @@ class TestHeadFamily:
         fam = ridge(layout, rng, G=1.0)
         tm = gated_stream(layout, 5, rng, np.array([1, 1, 0.5, 1, 0]))
         tm.data[layout.rows("u")] *= 10.0
-        zl = tc.zero_layer(layout.dim)
+        zl = zero_layer(layout.dim)
         layer = tc.TransformerLayer([], zl.W1, zl.W2, (fam,))
         with pytest.raises(tc.ForwardError, match="family 0: a sender is neither"):
             tc.layer_forward(layer, tm)
@@ -744,7 +746,7 @@ class TestHeadFamily:
         tm = gated_stream(layout, 5, rng, np.array([1, 0, 1, 1, 1]))
         tm.data[layout.rows("x")] = 1.0
         tm.data[layout.rows("u"), 1] = 100.0
-        zl = tc.zero_layer(layout.dim)
+        zl = zero_layer(layout.dim)
         layer = tc.TransformerLayer([], zl.W1, zl.W2, (fam,))
         with pytest.raises(tc.ForwardError, match="reaches the gate"):
             tc.layer_forward(layer, tm)
@@ -755,7 +757,7 @@ class TestHeadFamily:
         layout = gated_layout()
         tm = gated_stream(layout, 5, rng)
         tm.data[layout.row("one"), 2] = 0.5
-        zl = tc.zero_layer(layout.dim)
+        zl = zero_layer(layout.dim)
         layer = tc.TransformerLayer([], zl.W1, zl.W2, (ridge(layout, rng),))
         with pytest.raises(tc.ForwardError, match="bias form"):
             tc.layer_forward(layer, tm)
@@ -766,7 +768,7 @@ class TestHeadFamily:
         layout = gated_layout()
         tm = gated_stream(layout, 5, rng)
         tm.data[layout.row("one")] = -1.0
-        zl = tc.zero_layer(layout.dim)
+        zl = zero_layer(layout.dim)
         layer = tc.TransformerLayer([], zl.W1, zl.W2, (ridge(layout, rng),))
         with pytest.raises(tc.ForwardError, match="bias form"):
             tc.layer_forward(layer, tm)
@@ -799,7 +801,7 @@ class TestHeadFamily:
         layout = gated_layout()
         tm = gated_stream(layout, 7, rng, np.array([1, 0, 1, 1, 0, 1, 0]))
         tm.data[layout.rows("x")] = rng.standard_normal((2, 1))
-        zl = tc.zero_layer(layout.dim)
+        zl = zero_layer(layout.dim)
         for gate in (True, False):
             fam = ridge(layout, rng, gate=gate)
             F = tc.family_scores(fam, tm.data)
@@ -808,7 +810,7 @@ class TestHeadFamily:
             assert np.max(np.abs(F - want)) <= \
                 fit_float_error(fam, ridge_z(fam, tm.data))
             got = tc.attn_forward(tc.TransformerLayer([], zl.W1, zl.W2, (fam,)), tm)
-            heads = tc.TransformerLayer(fam.to_heads(), zl.W1, zl.W2)
+            heads = tc.TransformerLayer(family_heads(fam), zl.W1, zl.W2)
             assert_allclose(got.data, tc.attn_forward(heads, tm).data,
                             rtol=0, atol=1e-12)
 
@@ -820,7 +822,7 @@ class TestHeadFamily:
         the senders' values once and matches its heads."""
         layout = gated_layout()
         tm = gated_stream(layout, 7, rng)
-        zl = tc.zero_layer(layout.dim)
+        zl = zero_layer(layout.dim)
         fam = ridge(layout, rng, gate=False)
         Kf = np.zeros_like(fam.Kf)
         Kf[0, layout.row("one")] = 1.0
@@ -831,7 +833,7 @@ class TestHeadFamily:
         assert np.max(np.abs(F - want)) <= \
             fit_float_error(fam, ridge_z(fam, tm.data))
         got = tc.attn_forward(tc.TransformerLayer([], zl.W1, zl.W2, (fam,)), tm)
-        heads = tc.TransformerLayer(fam.to_heads(), zl.W1, zl.W2)
+        heads = tc.TransformerLayer(family_heads(fam), zl.W1, zl.W2)
         assert_allclose(got.data, tc.attn_forward(heads, tm).data,
                         rtol=0, atol=1e-12)
         # a gate keeps the T x T form: the gate closes some senders
@@ -848,7 +850,7 @@ class TestHeadFamily:
         layer = dataclasses.replace(random_layer(D, 5, 2, 3, rng), families=tuple(
             family_form(layout, rng, r, n, gate)
             for r in (1, 2, 3) for n in (1, 2, 3) for gate in (False, True)))
-        heads = tc.layer_heads(layer)
+        heads = layer_heads(layer)
         terms = sum(f.n_terms for f in layer.families)
         assert len(heads) == tc.n_heads(layer) == terms + 5
         # the families' heads come first, then the plain heads
@@ -859,7 +861,7 @@ class TestHeadFamily:
             assert np.any(fam.c < 0)
         assert tc.layer_norm(layer) == reference_layer_norm(layer)
         # each family alone, where its own largest |Q_m| sets the norm
-        zl = tc.zero_layer(D)
+        zl = zero_layer(D)
         for fam in layer.families:
             alone = tc.TransformerLayer([], zl.W1, zl.W2, (fam,))
             assert tc.layer_norm(alone) == reference_layer_norm(alone)
@@ -901,7 +903,7 @@ class TestHeadFamily:
         layout = gated_layout()
         good = ridge(layout, rng, M=4)
         bad = dataclasses.replace(good, **change(good))
-        zl = tc.zero_layer(layout.dim)
+        zl = zero_layer(layout.dim)
         tf = tc.Transformer([zl, tc.TransformerLayer([], zl.W1, zl.W2, (bad,))],
                             layout, ("y", None))
         tm = gated_stream(layout, 4, rng)
@@ -937,7 +939,7 @@ class TestHeadFamily:
         """Two forwards check each family once; a family made by
         dataclasses.replace is checked on its own."""
         layout = gated_layout()
-        zl = tc.zero_layer(layout.dim)
+        zl = zero_layer(layout.dim)
         fams = [ridge(layout, rng), ridge(layout, rng, gate=False),
                 ridge(layout, rng, M=6)]
         tf = tc.Transformer([tc.TransformerLayer([], zl.W1, zl.W2, tuple(fams[:2])),
@@ -956,6 +958,155 @@ class TestHeadFamily:
                                            families=(dataclasses.replace(fams[2]),))
         tc.forward(tf, tm)
         assert len(checked) == len(fams) + 1 and checked[-1] is not fams[2]
+
+
+def member(fam, rng, scale=1.0, M=40):
+    """A family of fam's group: fam's key side, gate and value map, with a
+    random Qf on the same rows and terms of its own."""
+    Qf = np.where(fam.Qf != 0, scale * rng.uniform(0.5, 1.5, fam.Qf.shape), 0.0)
+    a, b, c = knot_terms(rng, M)
+    return dataclasses.replace(fam, Qf=Qf, a=a, b=b, c=c)
+
+
+def family_layer(fams):
+    zl = zero_layer(fams[0].Qf.shape[1])
+    return tc.TransformerLayer([], zl.W1, zl.W2, tuple(fams))
+
+
+def heads_bound(fams, H):
+    """How far a layer of the families may lie from its heads: each
+    family's scores are within its float_error of the exact sum, as the
+    head-by-head sum is, and the value map and 1/T average scale that by
+    at most the largest |V0 h_j|."""
+    return sum(2.0 * fit_float_error(f, ridge_z(f, H))
+               * np.max(np.abs(f.V0 @ H[f.cols])) for f in fams)
+
+
+class TestFamilyGroups:
+    """attn_forward scores the families that share their key side, gate
+    and value map as one group; each family's contribution is unchanged."""
+
+    def mixed_layer(self, layout, rng):
+        """Gated and ungated families of two groups each, interleaved, and
+        one family of a third group with another value map."""
+        gated, plain = ridge(layout, rng), ridge(layout, rng, gate=False)
+        other = dataclasses.replace(ridge(layout, rng), V0=np.full((1, 1), 0.5))
+        return family_layer([gated, plain, member(gated, rng), other,
+                             member(plain, rng), member(gated, rng, 0.5)])
+
+    def test_grouped_layer_matches_its_heads(self, rng):
+        layout = gated_layout()
+        layer = self.mixed_layer(layout, rng)
+        assert [g[0] for g in layer._groups] == [(0, 2, 5), (1, 4), (3,)]
+        for _ in range(5):
+            H = gated_stream(layout, 9, rng).data
+            tm = tc.TokenMatrix(H, layout, 8, 0)
+            got = tc.attn_forward(layer, tm).data
+            want = tc.attn_forward(tc.TransformerLayer(
+                layer_heads(layer), layer.W1, layer.W2), tm).data
+            assert 0 < np.max(np.abs(got - want)) <= heads_bound(layer.families, H)
+
+    def test_order_and_split_move_only_rounding(self, rng):
+        """Shuffling the families, or moving part of a group to a second
+        layer (the families read no row they write), sums the same values
+        in another order."""
+        layout = gated_layout()
+        layer = self.mixed_layer(layout, rng)
+        tm = gated_stream(layout, 9, rng)
+        base = tc.attn_forward(layer, tm).data
+        fams = layer.families
+        shuffled = family_layer([fams[i] for i in rng.permutation(len(fams))])
+        split = tc.Transformer([family_layer(fams[:3]), family_layer(fams[3:])],
+                               layout, ("out", None))
+        scale = np.max(np.abs(base))
+        for out in (tc.attn_forward(shuffled, tm).data, tc.forward(split, tm).data):
+            assert_allclose(out, base, rtol=0, atol=1e-14 * scale)
+
+    def test_failing_member_is_named_by_its_layer_index(self, rng):
+        """A member whose closed pairs reach the gate is named by its index
+        in the layer, also when another group fails at a later family."""
+        layout = gated_layout()
+        tm = gated_stream(layout, 5, rng, np.array([1, 0, 1, 1, 1]))
+        tm.data[layout.rows("x")] = 1.0
+        tm.data[layout.rows("u"), 1] = 100.0
+        gated = ridge(layout, rng, G=5.0)
+        other = dataclasses.replace(gated, V0=np.full((1, 1), 0.5))
+        small = [member(gated, rng, 1e-3), member(other, rng, 1e-3)]
+        tc.attn_forward(family_layer(small), tm)
+        layer = family_layer([small[0], small[1], member(gated, rng)])
+        assert len(layer._groups) == 2
+        with pytest.raises(tc.ForwardError, match="^family 2: a sender is "
+                           "neither open") as err:
+            tc.attn_forward(layer, tm)
+        assert err.value.family == 2
+        layer = family_layer([small[0], member(other, rng), member(gated, rng)])
+        with pytest.raises(tc.ForwardError, match="^family 1: .* reaches the gate"):
+            tc.attn_forward(layer, tm)
+
+    def test_receivers_shared_by_some_members_only(self, rng):
+        """One member reads a state every token carries (x), the other
+        per-token rows (s, y), under a gate whose query factor (from s) is
+        0 at some receivers and not at others, or the same at all: the
+        group is scored per receiver and matches its heads.  With both
+        members on the state it is one row, the same at every receiver."""
+        layout = gated_layout()
+        D = layout.dim
+        H = gated_stream(layout, 8, rng, np.array([1, 0, 1, 0, 0, 1, 0, 1])).data
+        H[layout.rows("x")] = rng.standard_normal((2, 1))
+        q_g = np.zeros(D)
+        q_g[layout.row("s")] = -50.0
+        state = ridge(layout, rng)
+        state = dataclasses.replace(state, gate=np.stack([q_g, state.gate[1]]))
+        Qf = np.zeros_like(state.Qf)
+        Qf[0, layout.row("s")] = Qf[1, layout.row("y")] = 1.0
+        token = dataclasses.replace(member(state, rng), Qf=Qf)
+        layer = family_layer([state, token])
+        assert len(layer._groups) == 1
+        heads = tc.TransformerLayer(layer_heads(layer), layer.W1, layer.W2)
+        for s in ([1, 0, 1, 1, 0, 1, 1, 0], np.ones(8)):
+            H[layout.row("s")] = s
+            tm = tc.TokenMatrix(H, layout, 7, 0)
+            got = tc.attn_forward(layer, tm).data
+            want = tc.attn_forward(heads, tm).data
+            assert np.max(np.abs(got - want)) <= heads_bound(layer.families, H)
+        F = tc.family_scores(state, H)
+        assert F.shape == (1, 8) and np.all(F[0, H[layout.row("t")] == 0] == 0)
+        H[layout.row("out")] = 0.0
+        shared = family_layer([state, member(state, rng)])
+        got = tc.attn_forward(shared, tc.TokenMatrix(H, layout, 7, 0)).data
+        assert np.all(got[layout.row("out")] == got[layout.row("out"), 0])
+
+    def test_plans_of_two_models_stay_apart(self, rng):
+        """Models forwarded A, B, A give A's output bit for bit, and a
+        layer made where a freed one stood gets a plan of its own (a plan
+        keyed by object identity would return the freed layer's)."""
+        layout = gated_layout()
+        tm = gated_stream(layout, 9, rng)
+        zl = zero_layer(layout.dim)
+
+        def families():
+            base = ridge(layout, rng)
+            return (base, member(base, rng), ridge(layout, rng, gate=False))
+
+        def model(fams):
+            return tc.Transformer([tc.TransformerLayer([], zl.W1, zl.W2, fams)],
+                                  layout, ("out", None))
+
+        A, B = model(families()), model(families())
+        first = tc.forward(A, tm).data
+        assert not np.array_equal(tc.forward(B, tm).data, first)
+        assert_array_equal(tc.forward(A, tm).data, first)
+        # the next families are made before the last model is freed, so
+        # that CPython may place the next layer where the freed one stood
+        fams = families()
+        for _ in range(5):
+            C = model(fams)
+            got = tc.forward(C, tm).data
+            heads = tc.TransformerLayer(layer_heads(C.layers[0]), zl.W1, zl.W2)
+            want = tc.attn_forward(heads, tm).data
+            assert np.max(np.abs(got - want)) <= heads_bound(fams, tm.data)
+            fams = families()
+            del C
 
 
 # ---------------------------------------------------------------------------
@@ -1066,7 +1217,7 @@ class TestTokenPart:
         tm = part_stream(layout, 6, rng)
         tm.data[row("g")] = 1.0
         tm.data[row("y")] = [1, 1, 0, 1, 1, 1]
-        tf = tc.Transformer([tc.zero_layer(layout.dim), layer], layout, ("z", None))
+        tf = tc.Transformer([zero_layer(layout.dim), layer], layout, ("z", None))
         tc.forward(tf, tm)
         tm.data[0, 2] = 40.0
         with pytest.raises(tc.ForwardError,
@@ -1141,7 +1292,7 @@ class TestTokenPart:
         gates = [(layout.row("g"), 1.0, 50.0), (layout.row("y"), 0.0, 5.0)]
         good = tc.token_part(fit, 0, layout.row("z"), layout.row("one"), gates)
         bad = dataclasses.replace(good, **change(good))
-        zl = tc.zero_layer(layout.dim)
+        zl = zero_layer(layout.dim)
         tf = tc.Transformer([zl, mlp_layer(layout.dim, [good, bad])], layout,
                             ("z", None))
         tm = part_stream(layout, 4, rng)
